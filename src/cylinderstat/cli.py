@@ -21,7 +21,8 @@ from .fdiff import (ProfileError, fit_quadratic_profile, load_grid_csv,
                     polynomial_degree, verify_triple_differences)
 from .independence import (DegenerateFormError, coefficient_conditions,
                            default_grid, gaussian_system_check,
-                           independence_residual, nu_support_check,
+                           independence_blocks, independence_residual,
+                           nonzero_blocks, nu_support_check,
                            classify_step_subgroups, symmetrized_convolution)
 from .montecarlo import (empirical_independence, sample_line_gaussian,
                          sample_torus_twisted, save_samples_csv)
@@ -31,7 +32,11 @@ PASS_TOL = 1e-10
 
 
 def _emit(report: dict) -> None:
-    click.echo(json.dumps(report, indent=2))
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError as exc:
+        _fail_input(f"report holds a non-finite number: {exc}")
+    click.echo(text)
 
 
 def _log(message: str) -> None:
@@ -140,13 +145,18 @@ def _check_torus_sections(fam: Family, report: dict) -> bool:
 @click.option("--fixture", "fixture_path", required=True, type=click.Path(exists=True))
 @click.option("--grid", "grid_name", default="default",
               type=click.Choice(["default", "dense"]))
-@click.option("--workers", default=1, type=int)
+@click.option("--workers", default=1, type=int,
+              help="Accepted for compatibility; has no effect.")
 def check(fixture_path, grid_name, workers):
     """Run every applicable exact checker against a fixture."""
     fam = _load_fixture(fixture_path)
     grid = default_grid(fam.n, fam.kind, dense=(grid_name == "dense"))
-    residual, worst_tuple = independence_residual(
-        fam.cfs, fam.matrix, grid=grid, workers=workers, return_worst=True)
+    try:
+        blocks, twist_sum = independence_blocks(fam.cfs, fam.matrix)
+        residual, worst_tuple = independence_residual(
+            fam.cfs, fam.matrix, grid=grid, workers=workers, return_worst=True)
+    except (ValueError, OverflowError) as exc:
+        _fail_input(str(exc))
     if fam.kind == "cylinder":
         worst_json = [[serialize.scalar_to_json(y.s), y.n] for y in worst_tuple]
     else:
@@ -158,9 +168,13 @@ def check(fixture_path, grid_name, workers):
             "residual": residual,
             "grid_size": len(grid),
             "worst_tuple": worst_json,
+            "method": "certificate",
+            "twist_sum": float(twist_sum),
         },
     }
     ok = residual <= PASS_TOL
+    if not ok:
+        report["independence"]["nonzero_blocks"] = [list(pair) for pair in nonzero_blocks(blocks)]
     if fam.kind == "cylinder":
         ok = _check_cylinder_sections(fam, report) and ok
     else:
@@ -314,6 +328,7 @@ def solenoid(base_path, fixture_path, depth):
         "base": list(base.entries),
         "depth": depth,
         "residual": residual,
+        "method": "certificate",
         "pass": ok,
     })
     sys.exit(0 if ok else 1)

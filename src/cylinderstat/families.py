@@ -71,6 +71,13 @@ def _coerce_rational(value, name: str):
     raise TypeError(f"{name} must be an exact rational (int, Fraction, or 'p/q' string)")
 
 
+def _coerce_scalar(value, name: str):
+    """A Fraction for ints, Fractions and 'p/q' strings; a float otherwise."""
+    if is_exact(value) or isinstance(value, str):
+        return _coerce_rational(value, name)
+    return float(value)
+
+
 def _coerce_sign(value, name: str) -> int:
     if value not in (1, -1):
         raise ValueError(f"{name} must be +1 or -1")
@@ -96,9 +103,9 @@ def line_gaussian_family(omega, a1, a2, b1, b2, p1=1, p2=1, q1=1, q2=1,
                       ((a1, "a1"), (a2, "a2"), (b1, "b1"), (b2, "b2")))
     p1, p2, q1, q2 = (_coerce_sign(v, n) for v, n in
                       ((p1, "p1"), (p2, "p2"), (q1, "q1"), (q2, "q2")))
-    exact_omega = is_exact(omega) or isinstance(omega, str)
-    omega = _coerce_rational(omega, "omega") if exact_omega else float(omega)
-    scale = _coerce_rational(sigma_scale, "sigma_scale") if is_exact(sigma_scale) or isinstance(sigma_scale, str) else float(sigma_scale)
+    omega = _coerce_scalar(omega, "omega")
+    exact_omega = is_exact(omega)
+    scale = _coerce_scalar(sigma_scale, "sigma_scale")
     if scale <= 0:
         raise ValueError("sigma_scale must be positive")
 
@@ -154,6 +161,9 @@ def twisted_torus_pair(sigma, theta1=0, theta2=0, kappa=0) -> Family:
     Both members must be genuine probability measures; otherwise the failing
     member is named in the raised ConstructionError.
     """
+    sigma, theta1, theta2, kappa = (_coerce_scalar(v, n) for v, n in
+                                    ((sigma, "sigma"), (theta1, "theta1"),
+                                     (theta2, "theta2"), (kappa, "kappa")))
     cf1 = TorusCF(sigma, theta1, kappa)
     cf2 = TorusCF(sigma, theta2, -kappa if kappa != 0 else 0)
     for pos, cf in (("first", cf1), ("second", cf2)):
@@ -181,6 +191,7 @@ def four_statistic_family(sigma, kappa) -> Family:
     with the same Gaussian part; no member is Gaussian (kappa must be nonzero,
     that is the whole point), yet the four statistics are independent.
     """
+    sigma, kappa = _coerce_scalar(sigma, "sigma"), _coerce_scalar(kappa, "kappa")
     if kappa == 0:
         raise ConstructionError("not a counterexample: kappa = 0 makes every member Gaussian")
     if not (sigma > 0):

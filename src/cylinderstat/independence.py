@@ -7,10 +7,17 @@ automorphism.  The statistics are independent exactly when, for every tuple
 
     prod_j cf_j( sum_i m[i][j]~ y_i )  =  prod_j prod_i cf_j( m[i][j]~ y_i )
 
-where ~ denotes the adjoint (which shares the entry's matrix).  Everything
-below evaluates that functional equation in log space from the closed-form
-bundles, so there is no branch-of-logarithm ambiguity and exact parameters
-produce exactly-zero residuals.
+where ~ denotes the adjoint (which shares the entry's matrix).  In log space,
+with l_j(y) = -y^T A_j y + i*(linear in y) + twist_j*(1 - (-1)^n) and entries
+acting on y = (s, n) as M = [[a, c], [0, p]], the two sides differ by
+
+    -sum_{i<k} y_i^T C_ik y_k + 2*T*(odd(n_1 + ... + n_m) - #{i : n_i odd})
+
+with C_ik = sum_j M_ij^T (2 A_j) M_kj and T = sum_j twist_j; the linear parts
+cancel identically.  This certificate holds on all of R x Z, and on every
+subgroup such as the rational dual of a solenoid, exactly when every C_ik
+and T vanish.  `independence_residual` reports it with the largest
+|LHS_log - RHS_log| over a dual grid and the earliest tuple attaining it.
 
 The module also houses the exact real-coefficient condition suite for the
 reduced three-statistic problem, the positive-variance solver, the full
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -174,257 +181,99 @@ def _validate_family(cfs, matrix: StatMatrix) -> str:
     raise TypeError("characteristic functions must all be CylinderCF or all TorusCF")
 
 
-def _cf_params(cf):
-    if isinstance(cf, CylinderCF):
-        return (cf.sigma, cf.kappa, cf.lam, cf.tau, cf.theta, cf.twist)
-    return (cf.sigma, cf.theta, cf.twist)
+def independence_blocks(cfs, matrix: StatMatrix):
+    """The certificate ({(i, k): C_ik for i < k}, T) of the module docstring.
 
-
-def _collect_slot_points(grid, n):
-    """Unique point objects per slot, keyed by identity (grids reuse objects)."""
-    slots = [{} for _ in range(n)]
-    for tup in grid:
-        for i in range(n):
-            y = tup[i]
-            slots[i].setdefault(id(y), y)
-    return slots
-
-
-def _exact_int_scanner(cfs, matrix, kind, slots):
-    """Integer-arithmetic residual scanner for fully exact inputs, or None.
-
-    Clears all denominators once (parameters by M, transformed s-coordinates
-    by L), after which both sides of the functional equation are integer
-    combinations; the residual at a tuple is then computed exactly and only
-    converted to float for the max.
+    Each C_ik is ((c00, c01), (c10, c11)), computed in the inputs' own
+    arithmetic: Fractions stay exact, floats stay floats.  Raises ValueError
+    when a float entry or T is not finite.
     """
-    n = matrix.n
-    if not all(is_exact(*_cf_params(cf)) for cf in cfs):
-        return None
-    if kind == "cylinder":
-        if not all(is_exact(e.a, e.c) for row in matrix.rows for e in row):
-            return None
-        if not all(is_exact(y.s) for slot in slots for y in slot.values()):
-            return None
-
-    M = math.lcm(*(Fraction(p).denominator for cf in cfs for p in _cf_params(cf)))
-
-    if kind == "torus":
-        params = []
-        for cf in cfs:
-            sM = int(cf.sigma * M)
-            thM = int(cf.theta * M)
-            twM2 = int(2 * cf.twist * M)
-            params.append((sM, thM, twM2))
-
-        def log_int(j, m):
-            sM, thM, twM2 = params[j]
-            re = -(sM * m * m)
-            if m % 2:
-                re += twM2
-            return re, thM * m
-
-        tables = [[{} for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                p = matrix.rows[i][j].p
-                tab = tables[i][j]
-                for key, y in slots[i].items():
-                    ty = p * y
-                    lr, li = log_int(j, ty)
-                    tab[key] = (ty, lr, li)
-        scale_re = float(M)
-        scale_im = float(M)
-
-        def tuple_residual(tup):
-            dre = 0
-            dim = 0
-            for j in range(n):
-                row = tables[0][j]
-                hit = row[id(tup[0])]
-                arg = hit[0]
-                rre = hit[1]
-                rim = hit[2]
-                for i in range(1, n):
-                    hit = tables[i][j][id(tup[i])]
-                    arg += hit[0]
-                    rre += hit[1]
-                    rim += hit[2]
-                lre, lim = log_int(j, arg)
-                dre += lre - rre
-                dim += lim - rim
-            return math.hypot(dre / scale_re, dim / scale_im)
-
-        return tuple_residual
-
-    # Cylinder: transformed s-values get a common denominator L.
-    transformed = [[dict() for _ in range(n)] for _ in range(n)]
-    dens = {1}
-    for i in range(n):
-        for j in range(n):
-            e = matrix.rows[i][j]
-            for key, y in slots[i].items():
-                ty = e.on_dual(y)
-                fs = Fraction(ty.s)
-                dens.add(fs.denominator)
-                transformed[i][j][key] = (fs, ty.n)
-    L = math.lcm(*dens)
-    L2 = L * L
-
-    params = []
-    for cf in cfs:
-        params.append((int(cf.sigma * M), int(cf.kappa * M), int(cf.lam * M),
-                       int(cf.tau * M), int(cf.theta * M), int(2 * cf.twist * M)))
-
-    def log_int(j, si, m):
-        sM, kM, lM, tM, thM, twM2 = params[j]
-        re = -(sM * si * si + kM * si * m * L + lM * m * m * L2)
-        if m % 2:
-            re += twM2 * L2
-        return re, tM * si + thM * m * L
-
-    tables = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            tab = tables[i][j]
-            for key, (fs, m) in transformed[i][j].items():
-                si = int(fs * L)
-                lr, li = log_int(j, si, m)
-                tab[key] = (si, m, lr, li)
-    scale_re = float(M) * float(L2)
-    scale_im = float(M) * float(L)
-
-    def tuple_residual(tup):
-        dre = 0
-        dim = 0
-        for j in range(n):
-            hit = tables[0][j][id(tup[0])]
-            arg_s = hit[0]
-            arg_n = hit[1]
-            rre = hit[2]
-            rim = hit[3]
-            for i in range(1, n):
-                hit = tables[i][j][id(tup[i])]
-                arg_s += hit[0]
-                arg_n += hit[1]
-                rre += hit[2]
-                rim += hit[3]
-            lre, lim = log_int(j, arg_s, arg_n)
-            dre += lre - rre
-            dim += lim - rim
-        return math.hypot(dre / scale_re, dim / scale_im)
-
-    return tuple_residual
+    kind = _validate_family(cfs, matrix)
+    # A circle bundle is the s-free slice: A_j = [[0, 0], [0, sigma_j]].
+    forms = [(0, 0, cf.sigma) if kind == "torus" else (cf.sigma, cf.kappa, cf.lam)
+             for cf in cfs]
+    blocks = {}
+    for i, k in itertools.combinations(range(matrix.n), 2):
+        c00 = c01 = c10 = c11 = 0
+        for (sigma, kappa, lam), e, f in zip(forms, matrix.rows[i], matrix.rows[k]):
+            c00 += 2 * sigma * e.a * f.a
+            c01 += e.a * (2 * sigma * f.c + kappa * f.p)
+            c10 += f.a * (2 * sigma * e.c + kappa * e.p)
+            c11 += (2 * sigma * e.c * f.c + kappa * (e.c * f.p + e.p * f.c)
+                    + 2 * lam * e.p * f.p)
+        blocks[(i, k)] = ((c00, c01), (c10, c11))
+    twist_sum = sum(cf.twist for cf in cfs)
+    entries = [v for block in blocks.values() for row in block for v in row] + [twist_sum]
+    if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+        raise ValueError("independence certificate has a non-finite entry")
+    return blocks, twist_sum
 
 
-def _generic_scanner(cfs, matrix, kind):
-    """Type-preserving residual scanner (floats, Fractions, or mixtures)."""
-    n = matrix.n
-    tables = [[{} for _ in range(n)] for _ in range(n)]
-    hypot = math.hypot
+def nonzero_blocks(blocks) -> list:
+    """The slot pairs (i, k) whose block C_ik has a nonzero entry."""
+    return [pair for pair, (row0, row1) in blocks.items() if any((*row0, *row1))]
 
-    if kind == "torus":
-        def tuple_residual(tup):
-            dre = 0
-            dim = 0
-            for j in range(n):
-                cf = cfs[j]
-                rows = matrix.rows
-                arg = 0
-                rre = 0
-                rim = 0
-                for i in range(n):
-                    y = tup[i]
-                    cache = tables[i][j]
-                    hit = cache.get(id(y))
-                    if hit is None:
-                        ty = rows[i][j].p * y
-                        lr, li = cf.log_parts(ty)
-                        hit = (ty, lr, li)
-                        cache[id(y)] = hit
-                    arg += hit[0]
-                    rre += hit[1]
-                    rim += hit[2]
-                lre, lim = cf.log_parts(arg)
-                dre += lre - rre
-                dim += lim - rim
-            return hypot(float(dre), float(dim))
-    else:
-        def tuple_residual(tup):
-            dre = 0
-            dim = 0
-            for j in range(n):
-                cf = cfs[j]
-                rows = matrix.rows
-                arg_s = 0
-                arg_n = 0
-                rre = 0
-                rim = 0
-                for i in range(n):
-                    y = tup[i]
-                    cache = tables[i][j]
-                    hit = cache.get(id(y))
-                    if hit is None:
-                        ty = rows[i][j].on_dual(y)
-                        lr, li = cf.log_parts(ty.s, ty.n)
-                        hit = (ty.s, ty.n, lr, li)
-                        cache[id(y)] = hit
-                    arg_s += hit[0]
-                    arg_n += hit[1]
-                    rre += hit[2]
-                    rim += hit[3]
-                lre, lim = cf.log_parts(arg_s, arg_n)
-                dre += lre - rre
-                dim += lim - rim
-            return hypot(float(dre), float(dim))
 
-    return tuple_residual
+_CHUNK = 8192
+
+
+def _grid_maximum(blocks, twist_sum, grid, coords):
+    """(max |LHS_log - RHS_log| over the grid, earliest index attaining it in float64).
+
+    Each block becomes a table of -y^T C_ik z over two slots' distinct points;
+    chunks of the grid, mapped to int16 table indices, gather and add those
+    rows, and the rows behind the winning cell are re-summed by math.fsum.
+    """
+    getters = [operator.itemgetter(i) for i in range(len(grid[0]))]
+    points = [list({id(y): y for y in map(get, grid)}.values()) for get in getters]
+    index = [{id(y): r for r, y in enumerate(pts)} for pts in points]
+    dtype = np.int16 if max(map(len, points)) <= np.iinfo(np.int16).max else np.intp
+    ys = [np.array([coords(y) for y in pts], dtype=float) for pts in points]
+    best, best_idx, best_rows = -1.0, 0, []
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = [(i, k, -ys[i] @ np.array(block, dtype=float) @ ys[k].T)
+                  for (i, k), block in blocks.items()]
+        for lo in range(0, len(grid), _CHUNK):
+            chunk = grid[lo:lo + _CHUNK]
+            idx = [np.fromiter(map(ix.__getitem__, map(id, map(get, chunk))), dtype, len(chunk))
+                   for ix, get in zip(index, getters)]
+            odd = sum(y[j, 1] % 2 for y, j in zip(ys, idx))
+            rows = [table[idx[i], idx[k]] for i, k, table in tables]
+            rows.append(2 * float(twist_sum) * (odd % 2 - odd))
+            value = np.abs(sum(rows))
+            j = int(np.argmax(value))
+            if not np.isfinite(value[j]):
+                raise ValueError("independence residual is not finite")
+            if value[j] > best:
+                best, best_idx, best_rows = value[j], lo + j, [row[j] for row in rows]
+    return abs(math.fsum(best_rows)), best_idx
 
 
 def independence_residual(cfs, matrix: StatMatrix, grid=None, workers: int = 1,
                           return_worst: bool = False):
     """Max deviation of the independence functional equation over a dual grid.
 
-    Both sides are assembled as sums of closed-form log-CF values; the
-    residual at a tuple is the modulus of (LHS_log - RHS_log), and the return
-    value is the maximum over the grid.  Exact bundle parameters and exact
-    grid coordinates give an exactly-zero residual for genuinely independent
-    statistics.  The result is bit-identical for any worker count.
+    The verdict is the certificate of `independence_blocks`: when it is zero
+    the residual is exactly 0.0 on the whole dual group and the worst tuple
+    is grid[0], without evaluating the grid.  Otherwise the result is the
+    largest modulus of the closed form over the grid, re-summed by math.fsum
+    so it does not depend on summation order, and the earliest tuple
+    attaining it in float64; tuples with equal exact residuals can round apart
+    in the last bits, so among such ties the choice may differ from an exact
+    scan.  `workers` is accepted for compatibility and has no effect.
     """
     kind = _validate_family(cfs, matrix)
     if grid is None:
         grid = default_grid(matrix.n, kind)
     if not grid:
         raise ValueError("empty evaluation grid")
-
-    slots = _collect_slot_points(grid, matrix.n)
-    tuple_residual = _exact_int_scanner(cfs, matrix, kind, slots)
-    if tuple_residual is None:
-        tuple_residual = _generic_scanner(cfs, matrix, kind)
-
-    def scan(lo: int, hi: int):
-        best = -1.0
-        best_idx = -1
-        for k in range(lo, hi):
-            r = tuple_residual(grid[k])
-            if r > best:
-                best = r
-                best_idx = k
-        return best, best_idx
-
-    if workers <= 1 or len(grid) < 2048:
-        best, best_idx = scan(0, len(grid))
+    blocks, twist_sum = independence_blocks(cfs, matrix)
+    if not nonzero_blocks(blocks) and twist_sum == 0:
+        best, best_idx = 0.0, 0
     else:
-        chunk = max(1024, len(grid) // (workers * 8))
-        bounds = [(lo, min(lo + chunk, len(grid))) for lo in range(0, len(grid), chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda b: scan(*b), bounds))
-        # Max is order independent; ties resolve to the earliest grid index.
-        best, best_idx = max(results, key=lambda r: (r[0], -r[1]))
-
-    if return_worst:
-        return best, grid[best_idx]
-    return best
+        coords = (lambda y: (0, y)) if kind == "torus" else (lambda y: (y.s, y.n))
+        best, best_idx = _grid_maximum(blocks, twist_sum, grid, coords)
+    return (best, grid[best_idx]) if return_worst else best
 
 
 # --------------------------------------------------------------------------

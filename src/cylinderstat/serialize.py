@@ -8,6 +8,7 @@ exact.  Floats stay floats.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .charfn import CylinderCF, TorusCF
@@ -34,7 +35,10 @@ def scalar_from_json(value):
         raise TypeError("booleans are not valid scalars")
     if isinstance(value, int):
         return value
-    return float(value)
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"scalar {value!r} is not finite")
+    return out
 
 
 def auto_to_json(e: CylinderAuto) -> dict:

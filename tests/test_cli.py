@@ -55,6 +55,16 @@ class TestConstruct:
         assert result.exit_code == 2
         assert "not a probability" in result.output
 
+    @pytest.mark.parametrize("family", ["twisted-pair", "four-statistic"])
+    def test_string_kappa(self, tmp_path, runner, family):
+        params = write_json(tmp_path / "p.json", {"sigma": 1, "kappa": "1/20"})
+        out = tmp_path / "o.json"
+        result = runner.invoke(main, ["construct", "-f", family, "--params", params,
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        twists = [cf["twist"] for cf in load(out)["cfs"]]
+        assert twists[0] == "1/20" and "-1/20" in twists
+
     def test_no_positive_solution_exits_2(self, tmp_path, runner):
         params = write_json(tmp_path / "p.json",
                             {"omega": "1", "a1": "1", "a2": "-2", "b1": "-2", "b2": "1"})
@@ -103,6 +113,31 @@ class TestCheck:
         assert report["independence"]["residual"] > 1e-10
         assert report["system"]["residuals"]["shift-d"] == pytest.approx(0.2)
         assert "d" in report["system"]["worst"]
+
+    def test_report_names_method_and_failing_blocks(self, ref_fixture_path,
+                                                    tmp_path, runner):
+        ok = json.loads(runner.invoke(main, ["check", "--fixture", ref_fixture_path]).stdout)
+        assert ok["independence"]["method"] == "certificate"
+        assert ok["independence"]["twist_sum"] == 0.0
+        assert "nonzero_blocks" not in ok["independence"]
+        fixture = load(ref_fixture_path)
+        fixture["matrix"][2][0]["c"] = "-17/10"  # d1 off by 1/10
+        result = runner.invoke(main, ["check", "--fixture",
+                                      write_json(tmp_path / "bad.json", fixture)])
+        assert result.exit_code == 1
+        report = json.loads(result.stdout)["independence"]
+        assert report["method"] == "certificate"
+        assert report["nonzero_blocks"] == [[0, 2], [1, 2]]
+
+    @pytest.mark.parametrize("sigma", [1e308, float("inf"), float("nan"), "1" + "0" * 400])
+    def test_non_finite_input_exits_2(self, ref_fixture_path, tmp_path, runner, sigma):
+        fixture = load(ref_fixture_path)
+        fixture["cfs"][0]["sigma"] = sigma  # json writes inf and nan as Infinity, NaN
+        path = write_json(tmp_path / "huge.json", fixture)
+        result = runner.invoke(main, ["check", "--fixture", path])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.output.startswith("error: ") and "Traceback" not in result.output
 
     def test_degenerate_fixture_point_support(self, tmp_path, runner):
         identity = {"a": 1, "c": 0, "p": 1}
@@ -255,6 +290,13 @@ class TestSolenoid:
                                       "--fixture", str(fixture), "--depth", "6"])
         assert result.exit_code == 0, result.output
         assert json.loads(result.stdout)["residual"] == 0.0
+
+    def test_report_names_method(self, ref_fixture_path, tmp_path, runner):
+        base = write_json(tmp_path / "base.json", {"base": list(range(2, 18))})
+        result = runner.invoke(main, ["solenoid", "--base", base,
+                                      "--fixture", ref_fixture_path, "--depth", "6"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["method"] == "certificate"
 
     def test_incompatible_base_exits_2(self, tmp_path, runner):
         params = write_json(tmp_path / "p.json", dict(REF_PARAMS, omega="0"))

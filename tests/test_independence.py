@@ -5,19 +5,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import REF_COEFFS, random_rejected_coefficients, random_valid_coefficients
 from cylinderstat.charfn import CylinderCF, TorusCF, convolve
-from cylinderstat.families import line_gaussian_family
+from cylinderstat.families import (four_statistic_family, line_gaussian_family,
+                                   torus_triple_verdict, twisted_torus_pair)
 from cylinderstat.groups import CylinderAuto, DualPoint
 from cylinderstat.independence import (DegenerateFormError, SingularSystemError,
                                        StatMatrix, SubgroupTag,
                                        classify_step_subgroups,
                                        coefficient_conditions, cubic_identity,
                                        default_grid, gaussian_system_check,
-                                       independence_residual, nu_support_check,
+                                       independence_blocks, independence_residual,
+                                       nonzero_blocks, nu_support_check,
                                        reduce_to_normal_form, solve_sigmas,
                                        support_identity_gap)
+from cylinderstat.solenoid import BaseSequence, rational_dual_grid
+from oracle_scan import oracle_residual
 
 
 def _perturb_entry(matrix, i, j, dc):
@@ -165,6 +171,161 @@ class TestResidual:
         r_float = independence_residual(cfs_f, m, grid)
         assert r_exact > 0  # twisted members under these statistics are dependent
         assert r_float == pytest.approx(r_exact, rel=1e-9)
+
+
+def _assert_matches_oracle(cfs, matrix, grid, abs_tol=0.0):
+    """Compare the closed form with the pure-Python scan; return the closed form.
+
+    An exact 0.0 must match exactly, worst tuple included.  Above 0.0 the
+    values agree within rel 1e-12 (plus abs_tol), and the worst tuples may
+    differ only among tuples within that tolerance of the maximum.
+    """
+    value, worst = independence_residual(cfs, matrix, grid, return_worst=True)
+    expected, expected_worst = oracle_residual(cfs, matrix, grid)
+    if expected == 0.0 and abs_tol == 0.0:
+        assert value == 0.0 and worst == expected_worst
+    else:
+        close = pytest.approx(expected, rel=1e-12, abs=abs_tol)
+        assert value == close
+        assert oracle_residual(cfs, matrix, [worst])[0] == close
+    return value
+
+
+def _assert_float_copy_matches_oracle(cfs, matrix, grid):
+    """The same family with float parameters and multipliers against the scan.
+
+    Both sides round at the size of the log-CF terms, not at the size of the
+    residual, so the comparison also allows 1e-14 times a bound on the terms.
+    """
+    n = matrix.n
+    if isinstance(cfs[0], TorusCF):
+        cfs = tuple(TorusCF(float(cf.sigma), float(cf.theta), float(cf.twist)) for cf in cfs)
+        coef = max(abs(cf.sigma) + 2 * abs(cf.twist) for cf in cfs)
+        radius = max(abs(y) for tup in grid for y in tup)
+    else:
+        cfs = tuple(CylinderCF(*(float(v) for v in (cf.sigma, cf.kappa, cf.lam, cf.tau,
+                                                      cf.theta, cf.twist))) for cf in cfs)
+        matrix = StatMatrix.from_rows([[CylinderAuto(float(e.a), float(e.c), e.p) for e in row]
+                                       for row in matrix.rows])
+        coef = max(abs(cf.sigma) + abs(cf.kappa) + abs(cf.lam) + 2 * abs(cf.twist) for cf in cfs)
+        radius = max(max(abs(y.s), abs(y.n)) for tup in grid for y in tup)
+    mult = max(abs(e.a) + abs(e.c) + 1 for row in matrix.rows for e in row)
+    term_bound = 2 * n * coef * float(n * mult * radius) ** 2
+    return _assert_matches_oracle(cfs, matrix, grid, abs_tol=1e-14 * term_bound)
+
+
+_ORACLE_GRID = default_grid(3, "cylinder", cap=1500, seed=5)
+_ORACLE_DENSE = default_grid(3, "cylinder", dense=True, cap=1500, seed=6)
+_signs = st.sampled_from((1, -1))
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def admissible_families(draw):
+    """A random line-gaussian family: admissible coefficients, signs and slope."""
+    coeffs = random_valid_coefficients(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    signs = draw(st.tuples(_signs, _signs, _signs, _signs))
+    return line_gaussian_family(draw(_small), *coeffs, *signs)
+
+
+@st.composite
+def perturbed_matrices(draw, matrix):
+    """The matrix with one non-identity multiplier (a or c) moved by a nonzero step."""
+    i, j = draw(st.sampled_from(((1, 0), (1, 1), (2, 0), (2, 1))))
+    delta = draw(_small.filter(lambda d: d != 0))
+    e = matrix.entry(i, j)
+    if draw(st.booleans()) and e.a + delta != 0:
+        changed = CylinderAuto(e.a + delta, e.c, e.p)
+    else:
+        changed = CylinderAuto(e.a, e.c + delta, e.p)
+    rows = [list(row) for row in matrix.rows]
+    rows[i][j] = changed
+    return StatMatrix.from_rows(rows)
+
+
+class TestOracle:
+    """The closed-form residual agrees with the pure-Python scan it replaced."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(admissible_families(), st.booleans())
+    def test_random_admissible_families(self, fam, dense):
+        grid = _ORACLE_DENSE if dense else _ORACLE_GRID
+        assert _assert_matches_oracle(fam.cfs, fam.matrix, grid) == 0.0
+        _assert_float_copy_matches_oracle(fam.cfs, fam.matrix, _ORACLE_GRID)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_perturbed_matrices(self, data):
+        fam = data.draw(admissible_families())
+        bad = data.draw(perturbed_matrices(fam.matrix))
+        _assert_matches_oracle(fam.cfs, bad, _ORACLE_GRID)
+        _assert_float_copy_matches_oracle(fam.cfs, bad, _ORACLE_GRID)
+
+    @settings(max_examples=15, deadline=None)
+    @given(admissible_families(),
+           st.lists(st.fractions(-1, 1, max_denominator=20), min_size=3, max_size=3))
+    def test_twisted_cylinders(self, fam, twists):
+        cfs = tuple(replace(cf, twist=t) for cf, t in zip(fam.cfs, twists))
+        value = _assert_matches_oracle(cfs, fam.matrix, _ORACLE_GRID)
+        assert (value == 0.0) == (sum(twists) == 0)
+        _assert_float_copy_matches_oracle(cfs, fam.matrix, _ORACLE_GRID)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.fractions(0, 2, max_denominator=8), st.fractions(0, 1, max_denominator=8),
+           st.fractions(-1, 1, max_denominator=20))
+    def test_torus_families(self, sigma, kappa, extra):
+        pair = twisted_torus_pair(1 + sigma, kappa=-kappa / 10)
+        four = four_statistic_family(1 + sigma, Fraction(1, 20))
+        for fam in (pair, four):
+            grid = default_grid(fam.n, "torus")
+            assert _assert_matches_oracle(fam.cfs, fam.matrix, grid) == 0.0
+            cfs = (replace(fam.cfs[0], twist=fam.cfs[0].twist + extra),) + fam.cfs[1:]
+            _assert_matches_oracle(cfs, fam.matrix, grid)
+            _assert_float_copy_matches_oracle(cfs, fam.matrix, grid)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.fractions(0, 3, max_denominator=6), min_size=3, max_size=3))
+    def test_three_statistic_circle_verdict(self, sigmas):
+        matrix = torus_triple_verdict().matrix
+        cfs = tuple(TorusCF(s) for s in sigmas)
+        value = _assert_matches_oracle(cfs, matrix, default_grid(3, "torus"))
+        assert (value == 0.0) == (sigmas == [0, 0, 0])
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(2, 7), st.data())
+    def test_solenoid_rational_grid(self, ref_family_flat, depth, data):
+        grid = rational_dual_grid(BaseSequence.counting(8), depth, 3, cap=1500)
+        assert _assert_matches_oracle(ref_family_flat.cfs, ref_family_flat.matrix, grid) == 0.0
+        bad = data.draw(perturbed_matrices(ref_family_flat.matrix))
+        _assert_matches_oracle(ref_family_flat.cfs, bad, grid)
+
+
+    def test_ties_go_to_the_earliest_tuple(self, ref_family):
+        # A twist alone gives bit-identical values on every tuple with the same
+        # parity pattern, and the grid spans several evaluation chunks.
+        cfs = (replace(ref_family.cfs[0], twist=Fraction(1, 20)),) + ref_family.cfs[1:]
+        grid = default_grid(3, "cylinder", cap=20_000)
+        assert (independence_residual(cfs, ref_family.matrix, grid, return_worst=True)
+                == oracle_residual(cfs, ref_family.matrix, grid))
+
+
+class TestBlocks:
+    def test_perturbed_reference_has_nonzero_block(self, ref_family):
+        blocks, twist_sum = independence_blocks(ref_family.cfs, ref_family.matrix)
+        assert twist_sum == 0 and nonzero_blocks(blocks) == []
+        assert set(blocks) == {(0, 1), (0, 2), (1, 2)}
+        bad = _perturb_entry(ref_family.matrix, 2, 0, Fraction(1, 10))  # d1 off by 1/10
+        blocks, twist_sum = independence_blocks(ref_family.cfs, bad)
+        assert twist_sum == 0 and nonzero_blocks(blocks) == [(0, 2), (1, 2)]
+        assert all(isinstance(v, Fraction) for block in blocks.values()
+                   for row in block for v in row)
+
+    def test_non_finite_entry_rejected(self, ref_family):
+        cfs = (CylinderCF(1e308, 2e0, 1e0),) + ref_family.cfs[1:]
+        with pytest.raises(ValueError, match="non-finite"):
+            independence_blocks(cfs, ref_family.matrix)
+        with pytest.raises(ValueError, match="non-finite"):
+            independence_residual(cfs, ref_family.matrix, _ORACLE_GRID)
 
 
 class TestConditions:
