@@ -230,17 +230,24 @@ _GAUSS_GRID_TOR = [0, 1, -1, 2, 3]
 
 
 def _parallelogram_gap(phi, points):
-    """max |phi(u+v) + phi(u-v) - 2*phi(u) - 2*phi(v)| over pairs of sample points."""
-    worst = 0.0
+    """(max |phi(u+v) + phi(u-v) - 2*phi(u) - 2*phi(v)|, rounding scale) over point pairs.
+
+    The rounding scale is the largest |phi| the float gaps subtract; exact
+    gaps carry no rounding and add nothing to it.
+    """
+    worst = scale = 0.0
     for u in points:
         for v in points:
             if isinstance(u, tuple):
                 up, um = (u[0] + v[0], u[1] + v[1]), (u[0] - v[0], u[1] - v[1])
-                gap = phi(*up) + phi(*um) - 2 * phi(*u) - 2 * phi(*v)
+                values = (phi(*up), phi(*um), phi(*u), phi(*v))
             else:
-                gap = phi(u + v) + phi(u - v) - 2 * phi(u) - 2 * phi(v)
+                values = (phi(u + v), phi(u - v), phi(u), phi(v))
+            gap = values[0] + values[1] - 2 * values[2] - 2 * values[3]
             worst = max(worst, abs(float(gap)))
-    return worst
+            if not is_exact(gap):
+                scale = max(scale, *map(abs, values))
+    return worst, scale
 
 
 def is_gaussian(cf, tol: float = 1e-9) -> bool:
@@ -249,19 +256,20 @@ def is_gaussian(cf, tol: float = 1e-9) -> bool:
     The quadratic exponent always satisfies the parallelogram identity
     phi(u+v) + phi(u-v) = 2*phi(u) + 2*phi(v); the twist term breaks it, so the
     verdict is twist == 0.  A grid evaluation of the identity double-checks
-    the verdict against the actual exponent.
+    the verdict against the actual exponent, within `tol` relative to the
+    larger of 1, the expected gap and the largest |phi| a float gap subtracts.
     """
     if isinstance(cf, CylinderCF):
-        gap = _parallelogram_gap(cf.phi, _GAUSS_GRID_CYL)
+        gap, scale = _parallelogram_gap(cf.phi, _GAUSS_GRID_CYL)
     elif isinstance(cf, TorusCF):
-        gap = _parallelogram_gap(cf.phi, _GAUSS_GRID_TOR)
+        gap, scale = _parallelogram_gap(cf.phi, _GAUSS_GRID_TOR)
     else:
         raise TypeError(f"is_gaussian expects a CF bundle, got {type(cf).__name__}")
     verdict = cf.twist == 0
     # The grid gap is exactly 8*|twist| at its worst pair; insist the numeric
     # evidence agrees with the parameter verdict.
     expected = 0.0 if verdict else 8.0 * abs(float(cf.twist))
-    if abs(gap - expected) > tol * max(1.0, expected):
+    if abs(gap - expected) > tol * max(1.0, expected, scale):
         raise AssertionError(
             f"parallelogram self-check disagrees with twist parameter: gap={gap}, twist={cf.twist}"
         )
@@ -297,11 +305,21 @@ def is_valid_probability(cf: TorusCF, truncation: int = 64, tol: float = 1e-9,
             f"Fourier tail bound {tail:.3e} exceeds tol={tol:.1e} at truncation={truncation}"
         )
 
+    _, density, imag = fourier_density(cf, truncation, grid_points)
+    return float(density.min()) >= -tol and float(np.abs(imag).max()) <= tol
+
+
+def fourier_density(cf: TorusCF, truncation: int, grid_points: int):
+    """(angles, density, imaginary part) of a circle bundle by Fourier inversion.
+
+    The CF's Fourier series over the modes -truncation..truncation, summed at
+    `grid_points` uniform angles in [0, 2*pi).
+    """
     ns = np.arange(-truncation, truncation + 1)
     coeffs = np.array([cf.eval(int(n)) for n in ns])
     angles = np.linspace(0.0, TWO_PI, grid_points, endpoint=False)
-    density = (coeffs[None, :] * np.exp(-1j * np.outer(angles, ns))).sum(axis=1) / TWO_PI
-    return float(density.real.min()) >= -tol and float(np.abs(density.imag).max()) <= tol
+    sums = (coeffs[None, :] * np.exp(-1j * np.outer(angles, ns))).sum(axis=1)
+    return angles, sums.real / TWO_PI, sums.imag / TWO_PI
 
 
 def support_line(cf: CylinderCF, tol: float = 1e-10):

@@ -2,9 +2,9 @@
 
 Each constructor assembles a statistic matrix together with the matching
 characteristic functions and certifies its own advertised properties before
-returning (independence residual on an exact spot-check grid, support shape,
-validity of every member), so downstream code can treat the outputs as
-certified fixtures.
+returning (the closed-form independence certificate of `independence_blocks`,
+support shape, validity of every member), so downstream code can treat the
+outputs as certified fixtures.
 
 Families:
   * line-gaussian - three Gaussian bundles supported on the line
@@ -25,9 +25,9 @@ from fractions import Fraction
 
 from .charfn import (CylinderCF, InconclusiveError, TorusCF, Z2SignedMeasure,
                      is_gaussian, is_valid_probability, support_line)
-from .groups import CylinderAuto, DualPoint, is_exact
-from .independence import (StatMatrix, gaussian_system_check,
-                           independence_residual, product_grid, solve_sigmas)
+from .groups import CylinderAuto, is_exact
+from .independence import (StatMatrix, family_kind, gaussian_system_check,
+                           independence_blocks, solve_sigmas)
 
 
 class ConstructionError(RuntimeError):
@@ -39,7 +39,6 @@ class Family:
     """A certified fixture: statistic matrix plus member characteristic functions."""
 
     label: str            # "line-gaussian" | "twisted-pair" | "four-statistic"
-    kind: str             # "cylinder" | "torus"
     matrix: StatMatrix
     cfs: tuple
     omega: object = None  # slope of the carrying line, cylinder families only
@@ -48,19 +47,10 @@ class Family:
     def n(self) -> int:
         return self.matrix.n
 
-
-# Small exact grids for constructor self-checks; the full default grid is the
-# job of the verification entry points, not of every constructor call.
-_CERTIFY_S = (Fraction(-1), Fraction(1, 2), Fraction(2))
-_CERTIFY_N = (-1, 0, 2)
-
-
-def _certify_grid(n_slots: int, kind: str):
-    if kind == "torus":
-        points = [-1, 0, 1, 2]
-    else:
-        points = [DualPoint(s, n) for s in _CERTIFY_S for n in _CERTIFY_N]
-    return product_grid(points, n_slots, cap=100_000, seed=0)
+    @property
+    def kind(self) -> str:
+        """The group the bundles live on, "cylinder" or "torus" (see `family_kind`)."""
+        return family_kind(self.cfs, self.matrix)
 
 
 def _coerce_rational(value, name: str):
@@ -96,8 +86,8 @@ def line_gaussian_family(omega, a1, a2, b1, b2, p1=1, p2=1, q1=1, q2=1,
     bundles are sigma_j*(s + omega*n)^2 in the exponent.
 
     Raises ConstructionError when the variance system has no positive
-    solution, and certifies independence, the support line of every member,
-    and the full parameter system before returning.
+    solution, and certifies the full parameter system (the independence
+    certificate) and the support line of every member before returning.
     """
     a1, a2, b1, b2 = (_coerce_rational(v, n) for v, n in
                       ((a1, "a1"), (a2, "a2"), (b1, "b1"), (b2, "b2")))
@@ -130,9 +120,6 @@ def line_gaussian_family(omega, a1, a2, b1, b2, p1=1, p2=1, q1=1, q2=1,
                 for s in sigmas)
 
     tol = 1e-12 if exact_omega else 1e-9
-    residual = independence_residual(cfs, matrix, grid=_certify_grid(3, "cylinder"))
-    if residual > tol:
-        raise ConstructionError(f"certification failed: independence residual {residual}")
     worst_system = max(gaussian_system_check(cfs, matrix).values())
     if worst_system > tol:
         raise ConstructionError(f"certification failed: parameter system residual {worst_system}")
@@ -145,7 +132,7 @@ def line_gaussian_family(omega, a1, a2, b1, b2, p1=1, p2=1, q1=1, q2=1,
         for entry in row:
             if not entry.preserves_line(omega):
                 raise ConstructionError("certification failed: entry does not preserve the line")
-    return Family("line-gaussian", "cylinder", matrix, cfs, omega=omega)
+    return Family("line-gaussian", matrix, cfs, omega=omega)
 
 
 def _twist_truncation(sigma: float) -> int:
@@ -153,6 +140,26 @@ def _twist_truncation(sigma: float) -> int:
     if sigma <= 0:
         return 64
     return max(16, int(math.ceil(math.sqrt(30.0 / sigma))) + 4)
+
+
+def _certified_circle_family(label: str, matrix: StatMatrix, cfs, members) -> Family:
+    """The family once each named member is a probability measure and the certificate vanishes.
+
+    `members` pairs a name for error messages with each distinct bundle.
+    """
+    for pos, cf in members:
+        try:
+            ok = is_valid_probability(cf, truncation=_twist_truncation(float(cf.sigma)))
+        except InconclusiveError as exc:
+            raise ConstructionError(f"{pos} member validity inconclusive: {exc}") from exc
+        if not ok:
+            raise ConstructionError(f"{pos} member is not a probability measure: {cf}")
+    blocks, twist_sum = independence_blocks(cfs, matrix)
+    entries = [v for block in blocks.values() for row in block for v in row]
+    worst = max(abs(float(v)) for v in entries + [twist_sum])
+    if worst > 1e-12:
+        raise ConstructionError(f"certification failed: independence certificate entry {worst}")
+    return Family(label, matrix, cfs)
 
 
 def twisted_torus_pair(sigma, theta1=0, theta2=0, kappa=0) -> Family:
@@ -166,19 +173,8 @@ def twisted_torus_pair(sigma, theta1=0, theta2=0, kappa=0) -> Family:
                                      (theta2, "theta2"), (kappa, "kappa")))
     cf1 = TorusCF(sigma, theta1, kappa)
     cf2 = TorusCF(sigma, theta2, -kappa if kappa != 0 else 0)
-    for pos, cf in (("first", cf1), ("second", cf2)):
-        try:
-            ok = is_valid_probability(cf, truncation=_twist_truncation(float(sigma)))
-        except InconclusiveError as exc:
-            raise ConstructionError(f"{pos} member validity inconclusive: {exc}") from exc
-        if not ok:
-            raise ConstructionError(f"{pos} member is not a probability measure: {cf}")
-    matrix = StatMatrix.from_signs([[1, 1], [1, -1]])
-    cfs = (cf1, cf2)
-    residual = independence_residual(cfs, matrix, grid=_certify_grid(2, "torus"))
-    if residual > 1e-12:
-        raise ConstructionError(f"certification failed: independence residual {residual}")
-    return Family("twisted-pair", "torus", matrix, cfs)
+    return _certified_circle_family("twisted-pair", StatMatrix.from_signs([[1, 1], [1, -1]]),
+                                    (cf1, cf2), (("first", cf1), ("second", cf2)))
 
 
 HADAMARD_SIGNS = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
@@ -198,21 +194,12 @@ def four_statistic_family(sigma, kappa) -> Family:
         raise ValueError("sigma must be positive")
     cf_plus = TorusCF(sigma, 0, kappa)
     cf_minus = TorusCF(sigma, 0, -kappa)
-    for pos, cf in (("+twist", cf_plus), ("-twist", cf_minus)):
-        try:
-            ok = is_valid_probability(cf, truncation=_twist_truncation(float(sigma)))
-        except InconclusiveError as exc:
-            raise ConstructionError(f"{pos} member validity inconclusive: {exc}") from exc
-        if not ok:
-            raise ConstructionError(f"{pos} member is not a probability measure: {cf}")
-    matrix = StatMatrix.from_signs(HADAMARD_SIGNS)
-    cfs = (cf_plus, cf_plus, cf_minus, cf_minus)
-    residual = independence_residual(cfs, matrix, grid=_certify_grid(4, "torus"))
-    if residual > 1e-12:
-        raise ConstructionError(f"certification failed: independence residual {residual}")
-    if any(is_gaussian(cf) for cf in cfs):
+    fam = _certified_circle_family("four-statistic", StatMatrix.from_signs(HADAMARD_SIGNS),
+                                   (cf_plus, cf_plus, cf_minus, cf_minus),
+                                   (("+twist", cf_plus), ("-twist", cf_minus)))
+    if any(is_gaussian(cf) for cf in fam.cfs):
         raise ConstructionError("certification failed: a member is Gaussian")
-    return Family("four-statistic", "torus", matrix, cfs)
+    return fam
 
 
 def z2_signed_measure(kappa) -> Z2SignedMeasure:

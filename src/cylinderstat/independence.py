@@ -21,8 +21,8 @@ and T vanish.  `independence_residual` reports it with the largest
 
 The module also houses the exact real-coefficient condition suite for the
 reduced three-statistic problem, the positive-variance solver, the full
-parameter system extracted from the functional equation for Gaussian
-bundles, the step-subgroup classifier that drives the finite-difference
+parameter system for Gaussian bundles (read off the certificate's blocks),
+the step-subgroup classifier that drives the finite-difference
 cascade, and the degenerate-support certificate for the symmetrized
 convolution.
 """
@@ -168,7 +168,12 @@ def default_grid(n_slots: int, kind: str = "cylinder", dense: bool = False,
 # The independence residual
 
 
-def _validate_family(cfs, matrix: StatMatrix) -> str:
+def family_kind(cfs, matrix: StatMatrix) -> str:
+    """The group the bundles live on, "cylinder" or "torus", checked against the matrix.
+
+    Raises ValueError when the bundle count differs from the matrix size or
+    circle bundles meet a non-sign matrix, TypeError for mixed bundle types.
+    """
     n = matrix.n
     if len(cfs) != n:
         raise ValueError(f"need {n} characteristic functions, got {len(cfs)}")
@@ -188,7 +193,7 @@ def independence_blocks(cfs, matrix: StatMatrix):
     arithmetic: Fractions stay exact, floats stay floats.  Raises ValueError
     when a float entry or T is not finite.
     """
-    kind = _validate_family(cfs, matrix)
+    kind = family_kind(cfs, matrix)
     # A circle bundle is the s-free slice: A_j = [[0, 0], [0, sigma_j]].
     forms = [(0, 0, cf.sigma) if kind == "torus" else (cf.sigma, cf.kappa, cf.lam)
              for cf in cfs]
@@ -262,7 +267,7 @@ def independence_residual(cfs, matrix: StatMatrix, grid=None, workers: int = 1,
     in the last bits, so among such ties the choice may differ from an exact
     scan.  `workers` is accepted for compatibility and has no effect.
     """
-    kind = _validate_family(cfs, matrix)
+    kind = family_kind(cfs, matrix)
     if grid is None:
         grid = default_grid(matrix.n, kind)
     if not grid:
@@ -381,52 +386,36 @@ N_GRID_RANGE = (-2, -1, 0, 1, 2)
 
 
 def gaussian_system_check(cfs, matrix: StatMatrix):
-    """All linear identities the functional equation imposes on the parameters.
+    """The parameter system the functional equation imposes, read off the certificate.
 
-    Requires a reduced 3x3 matrix and twist-free cylinder bundles.  Returns a
-    dict of absolute residuals, one per named identity; the "n-grid" entry is
-    the worst value of the remaining pure-integer identity over the cube
-    {-2..2}^3.  Everything is zero exactly when the parameter family
-    satisfies the independence equation.
+    Requires a reduced 3x3 matrix and twist-free cylinder bundles.  Each named
+    identity is an entry of a block C_ik of `independence_blocks`:
+    "sigma-a", "sigma-b", "sigma-ab" are half of c00 of C_01, C_02, C_12;
+    "kappa-a", "kappa-b" are c10 of C_01, C_02; "shift-c", "shift-d",
+    "shift-ad" are c01 of C_01, C_02, C_12 and "shift-bc" is c10 of C_12.
+    The c11 entries pair the integer coordinates, and "n-grid" is the worst
+    value of n1*n2*C_01[1][1] + n1*n3*C_02[1][1] + n2*n3*C_12[1][1] over the
+    cube {-2..2}^3.  Returns a dict of absolute residuals; everything is zero
+    exactly when the bundles satisfy the independence equation.
     """
     if len(cfs) != 3 or not all(isinstance(cf, CylinderCF) for cf in cfs):
         raise ValueError("expected three cylinder characteristic functions")
     if any(cf.twist != 0 for cf in cfs):
         raise ValueError("the parameter system applies to twist-free bundles only")
-    a1, a2, b1, b2, c1, c2, d1, d2, p1, p2, q1, q2 = reduced_coefficients(matrix)
-    s1, s2, s3 = (cf.sigma for cf in cfs)
-    k1, k2, k3 = (cf.kappa for cf in cfs)
-    l1, l2, l3 = (cf.lam for cf in cfs)
-
+    if matrix.n != 3 or not matrix.is_reduced():
+        raise ValueError("expected a reduced 3x3 statistic matrix")
+    blocks, _ = independence_blocks(cfs, matrix)
+    (a00, a01), (a10, a11) = blocks[(0, 1)]
+    (b00, b01), (b10, b11) = blocks[(0, 2)]
+    (x00, x01), (x10, x11) = blocks[(1, 2)]
     residuals = {
-        "sigma-a": s1 * a1 + s2 * a2 + s3,
-        "sigma-b": s1 * b1 + s2 * b2 + s3,
-        "sigma-ab": s1 * a1 * b1 + s2 * a2 * b2 + s3,
-        "kappa-a": k1 * a1 + k2 * a2 + k3,
-        "kappa-b": k1 * b1 + k2 * b2 + k3,
-        "shift-c": 2 * s1 * c1 + 2 * s2 * c2 + k1 * p1 + k2 * p2 + k3,
-        "shift-d": 2 * s1 * d1 + 2 * s2 * d2 + k1 * q1 + k2 * q2 + k3,
-        "shift-ad": 2 * s1 * a1 * d1 + 2 * s2 * a2 * d2 + k1 * a1 * q1 + k2 * a2 * q2 + k3,
-        "shift-bc": 2 * s1 * b1 * c1 + 2 * s2 * b2 * c2 + k1 * b1 * p1 + k2 * b2 * p2 + k3,
+        "sigma-a": a00 / 2, "sigma-b": b00 / 2, "sigma-ab": x00 / 2,
+        "kappa-a": a10, "kappa-b": b10,
+        "shift-c": a01, "shift-d": b01, "shift-ad": x01, "shift-bc": x10,
     }
-
-    kc = k1 * c1 + k2 * c2
-    kd = k1 * d1 + k2 * d2
-    cross = (2 * s1 * c1 * d1 + 2 * s2 * c2 * d2
-             + k1 * (c1 * q1 + d1 * p1) + k2 * (c2 * q2 + d2 * p2))
-    lam_total = l1 + l2 + l3
-    worst = 0
-    for n1 in N_GRID_RANGE:
-        for n2 in N_GRID_RANGE:
-            for n3 in N_GRID_RANGE:
-                v = (n1 * n2 * kc + n1 * n3 * kd + n2 * n3 * cross
-                     + l1 * (n1 + p1 * n2 + q1 * n3) ** 2
-                     + l2 * (n1 + p2 * n2 + q2 * n3) ** 2
-                     + l3 * (n1 + n2 + n3) ** 2
-                     - lam_total * (n1 * n1 + n2 * n2 + n3 * n3))
-                if abs(v) > abs(worst):
-                    worst = v
-    residuals["n-grid"] = worst
+    residuals["n-grid"] = max((n1 * n2 * a11 + n1 * n3 * b11 + n2 * n3 * x11
+                               for n1, n2, n3 in itertools.product(N_GRID_RANGE, repeat=3)),
+                              key=abs)
     return {name: abs(float(value)) for name, value in residuals.items()}
 
 

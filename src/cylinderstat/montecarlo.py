@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import TorusCF, is_valid_probability
+from .charfn import TorusCF, fourier_density, is_valid_probability
 from .groups import TWO_PI, CylinderPoint, DualPoint
 from .independence import StatMatrix
 
@@ -80,12 +80,8 @@ def sample_line_gaussian(sigma, omega, count: int, seed: int,
 
 
 def _torus_inverse_cdf(cf: TorusCF, truncation: int, grid: int):
-    ns = np.arange(-truncation, truncation + 1)
-    coeffs = np.array([cf.eval(int(n)) for n in ns])
-    angles = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    density = (coeffs[None, :] * np.exp(-1j * np.outer(angles, ns))).sum(axis=1).real / TWO_PI
-    density = np.clip(density, 0.0, None)
-    weights = density * (TWO_PI / grid)
+    angles, density, _ = fourier_density(cf, truncation, grid)
+    weights = np.clip(density, 0.0, None) * (TWO_PI / grid)
     cdf = np.concatenate([[0.0], np.cumsum(weights)])
     cdf /= cdf[-1]
     edges = np.concatenate([angles, [TWO_PI]])

@@ -111,13 +111,14 @@ def family_to_fixture(family: Family) -> dict:
 
 
 def family_from_fixture(obj: dict) -> Family:
-    kind = obj.get("kind")
-    if kind not in ("cylinder", "torus"):
-        raise ValueError(f"fixture kind must be 'cylinder' or 'torus', got {kind!r}")
     matrix = matrix_from_json(obj["matrix"])
     cfs = tuple(cf_from_json(cf) for cf in obj["cfs"])
     omega = scalar_from_json(obj["omega"]) if "omega" in obj else None
-    return Family(obj.get("family", "custom"), kind, matrix, cfs, omega=omega)
+    family = Family(obj.get("family", "custom"), matrix, cfs, omega=omega)
+    if family.kind != obj.get("kind"):
+        raise ValueError(f"fixture kind {obj.get('kind')!r} disagrees with its "
+                         f"{family.kind} bundles")
+    return family
 
 
 def ha_rational_to_json(h: HaRational) -> dict:

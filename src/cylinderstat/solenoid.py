@@ -214,6 +214,8 @@ def validate_matrix(matrix: StatMatrix, base: BaseSequence, generator_depth: int
 def rational_dual_grid(base: BaseSequence, depth: int, n_slots: int,
                        n_values=(-2, -1, 0, 1, 2), cap: int = 100_000):
     """Grid of dual tuples whose s-coordinates are rationals of depth <= depth."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     if depth >= len(base):
         raise ValueError(f"depth {depth} exceeds the stored base prefix")
     s_values = [Fraction(0), Fraction(1),

@@ -1,9 +1,13 @@
-"""The pure-Python dual-grid scan, kept as the reference for `independence_residual`.
+"""Pure-Python references for the closed forms of `cylinderstat.independence`.
 
-`oracle_residual` evaluates the independence functional equation tuple by
-tuple: fully exact inputs go through the scaled-integer scanner, everything
-else through the type-preserving generic scanner.  It returns the grid
-maximum of |LHS_log - RHS_log| and the earliest tuple attaining it.
+`oracle_residual` is the dual-grid scan kept as the reference for
+`independence_residual`: it evaluates the independence functional equation
+tuple by tuple (fully exact inputs through the scaled-integer scanner,
+everything else through the type-preserving generic scanner) and returns
+the grid maximum of |LHS_log - RHS_log| and the earliest tuple attaining it.
+
+`oracle_gaussian_system` is the hand expansion of the parameter system in
+the reduced coefficients, kept as the reference for `gaussian_system_check`.
 """
 
 import math
@@ -11,6 +15,7 @@ from fractions import Fraction
 
 from cylinderstat.charfn import CylinderCF
 from cylinderstat.groups import is_exact
+from cylinderstat.independence import reduced_coefficients
 
 
 def _cf_params(cf):
@@ -235,3 +240,50 @@ def oracle_residual(cfs, matrix, grid):
             best = r
             best_idx = k
     return best, grid[best_idx]
+
+
+N_GRID_RANGE = (-2, -1, 0, 1, 2)
+
+
+def oracle_gaussian_system(cfs, matrix):
+    """The parameter system of three twist-free cylinder bundles, expanded by hand.
+
+    One absolute residual per named identity in the reduced coefficients
+    (a, b multipliers, c, d translations, p, q circle signs); "n-grid" is the
+    worst value of the remaining pure-integer identity over {-2..2}^3.
+    """
+    a1, a2, b1, b2, c1, c2, d1, d2, p1, p2, q1, q2 = reduced_coefficients(matrix)
+    s1, s2, s3 = (cf.sigma for cf in cfs)
+    k1, k2, k3 = (cf.kappa for cf in cfs)
+    l1, l2, l3 = (cf.lam for cf in cfs)
+
+    residuals = {
+        "sigma-a": s1 * a1 + s2 * a2 + s3,
+        "sigma-b": s1 * b1 + s2 * b2 + s3,
+        "sigma-ab": s1 * a1 * b1 + s2 * a2 * b2 + s3,
+        "kappa-a": k1 * a1 + k2 * a2 + k3,
+        "kappa-b": k1 * b1 + k2 * b2 + k3,
+        "shift-c": 2 * s1 * c1 + 2 * s2 * c2 + k1 * p1 + k2 * p2 + k3,
+        "shift-d": 2 * s1 * d1 + 2 * s2 * d2 + k1 * q1 + k2 * q2 + k3,
+        "shift-ad": 2 * s1 * a1 * d1 + 2 * s2 * a2 * d2 + k1 * a1 * q1 + k2 * a2 * q2 + k3,
+        "shift-bc": 2 * s1 * b1 * c1 + 2 * s2 * b2 * c2 + k1 * b1 * p1 + k2 * b2 * p2 + k3,
+    }
+
+    kc = k1 * c1 + k2 * c2
+    kd = k1 * d1 + k2 * d2
+    cross = (2 * s1 * c1 * d1 + 2 * s2 * c2 * d2
+             + k1 * (c1 * q1 + d1 * p1) + k2 * (c2 * q2 + d2 * p2))
+    lam_total = l1 + l2 + l3
+    worst = 0
+    for n1 in N_GRID_RANGE:
+        for n2 in N_GRID_RANGE:
+            for n3 in N_GRID_RANGE:
+                v = (n1 * n2 * kc + n1 * n3 * kd + n2 * n3 * cross
+                     + l1 * (n1 + p1 * n2 + q1 * n3) ** 2
+                     + l2 * (n1 + p2 * n2 + q2 * n3) ** 2
+                     + l3 * (n1 + n2 + n3) ** 2
+                     - lam_total * (n1 * n1 + n2 * n2 + n3 * n3))
+                if abs(v) > abs(worst):
+                    worst = v
+    residuals["n-grid"] = worst
+    return {name: abs(float(value)) for name, value in residuals.items()}

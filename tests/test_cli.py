@@ -1,12 +1,15 @@
 """End-to-end CLI behavior: commands, exit codes, JSON reports."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+from conftest import REF_COEFFS
 from cylinderstat.cli import main
-from cylinderstat.serialize import dump, load
+from cylinderstat.families import line_gaussian_family, twisted_torus_pair
+from cylinderstat.serialize import dump, family_to_fixture, load
 
 
 @pytest.fixture
@@ -321,3 +324,55 @@ class TestSolenoid:
         result = runner.invoke(main, ["solenoid", "--base", base,
                                       "--fixture", str(out), "--depth", "1"])
         assert result.exit_code == 2
+
+
+def _table_fixture(name: str) -> dict:
+    ref = family_to_fixture(line_gaussian_family(1, *REF_COEFFS))
+    pair = family_to_fixture(twisted_torus_pair(1, kappa=Fraction(1, 20)))
+    if name == "reference":
+        return ref
+    if name == "cylinder-labelled-torus":
+        return dict(ref, kind="torus")
+    if name == "torus-labelled-cylinder":
+        return dict(pair, kind="cylinder")
+    if name == "two-cfs-for-three-statistics":
+        return dict(ref, cfs=ref["cfs"][:2])
+    if name == "huge-sigma-torus":
+        return dict(pair, cfs=[{"kind": "torus", "sigma": 1e300, "theta": 0, "twist": t}
+                               for t in (0.1, -0.1)])
+    raise ValueError(name)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("fixture,args,exit_code,gaussian", [
+    ("cylinder-labelled-torus", ["check"], 2, None),
+    ("cylinder-labelled-torus", ["simulate", "--count", "2000", "--bootstrap", "5"], 2, None),
+    ("torus-labelled-cylinder", ["check"], 2, None),
+    ("two-cfs-for-three-statistics", ["check"], 2, None),
+    ("two-cfs-for-three-statistics", ["simulate", "--count", "2000", "--bootstrap", "5"], 2, None),
+    ("huge-sigma-torus", ["check"], 0, [False, False]),
+    ("reference", ["solenoid", "--depth", "-1"], 2, None),
+    ("reference", ["solenoid", "--depth", "-20"], 2, None),
+])
+def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
+    """Malformed or extreme inputs get their contract exit code and never a traceback.
+
+    Exit 2 is one line on stderr and nothing on stdout; exits 0 and 1 print
+    strict JSON.
+    """
+    path = write_json(tmp_path / "fixture.json", _table_fixture(fixture))
+    if args[0] == "solenoid":
+        args = args + ["--base", write_json(tmp_path / "base.json", {"base": list(range(2, 18))})]
+    result = runner.invoke(main, [args[0], "--fixture", path, *args[1:]])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
+    assert "Traceback" not in result.output
+    assert result.exit_code == exit_code, result.output
+    if exit_code == 2:
+        assert result.stdout == "" and result.stderr.count("\n") == 1, result.output
+    else:
+        report = json.loads(result.stdout, parse_constant=_reject_constant)
+        if gaussian is not None:
+            assert [m["gaussian"] for m in report["members"]] == gaussian

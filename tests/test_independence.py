@@ -23,7 +23,7 @@ from cylinderstat.independence import (DegenerateFormError, SingularSystemError,
                                        reduce_to_normal_form, solve_sigmas,
                                        support_identity_gap)
 from cylinderstat.solenoid import BaseSequence, rational_dual_grid
-from oracle_scan import oracle_residual
+from oracle_scan import oracle_gaussian_system, oracle_residual
 
 
 def _perturb_entry(matrix, i, j, dc):
@@ -425,6 +425,73 @@ class TestSystemCheck:
         m = ref_family.matrix.permuted_columns((2, 0, 1))
         with pytest.raises(ValueError):
             gaussian_system_check(ref_family.cfs, m)
+
+
+@st.composite
+def psd_bundles(draw):
+    """Three twist-free cylinder bundles with positive semidefinite quadratic parts."""
+    cfs = []
+    for _ in range(3):
+        sigma = draw(st.fractions(0, 3, max_denominator=6))
+        extra = draw(st.fractions(0, 3, max_denominator=6))
+        kappa = draw(_small) if sigma else Fraction(0)
+        lam = kappa * kappa / (4 * sigma) + extra if sigma else extra
+        cfs.append(CylinderCF(sigma, kappa, lam, draw(_small), draw(_small)))
+    return tuple(cfs)
+
+
+@st.composite
+def reduced_matrices(draw):
+    """A reduced 3x3 matrix with random multipliers, translations and circle signs."""
+    ident = CylinderAuto.identity()
+    nonzero = _small.filter(lambda v: v != 0)
+    entries = [CylinderAuto(draw(nonzero), draw(_small), draw(_signs)) for _ in range(4)]
+    return StatMatrix.from_rows([[ident] * 3, entries[:2] + [ident], entries[2:] + [ident]])
+
+
+@st.composite
+def system_cases(draw):
+    """An admissible, perturbed or random mixed-sign reduced matrix with
+    the admissible family's own bundles or random twist-free PSD ones."""
+    fam = draw(admissible_families())
+    matrix = draw(st.one_of(st.just(fam.matrix), perturbed_matrices(fam.matrix),
+                            reduced_matrices()))
+    return draw(st.one_of(st.just(fam.cfs), psd_bundles())), matrix
+
+
+class TestSystemOracle:
+    """`gaussian_system_check` reads the blocks; the hand expansion is the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(system_cases())
+    def test_exact_inputs_give_the_same_dict(self, case):
+        cfs, matrix = case
+        got = gaussian_system_check(cfs, matrix)
+        assert list(got.items()) == list(oracle_gaussian_system(cfs, matrix).items())
+
+    @settings(max_examples=60, deadline=None)
+    @given(system_cases())
+    def test_float_copies_agree(self, case):
+        """Agreement to rel 1e-12 of the largest term an identity sums.
+
+        Both sides round at the size of their terms, so an identity that is
+        zero in exact arithmetic reads rounding noise that differs between
+        the two summation orders.  Terms are at most 36*P*Q^2 for parameters
+        bounded by P and matrix fields by Q (|n| <= 2 on the integer cube).
+        """
+        cfs, matrix = case
+        cfs = tuple(CylinderCF(*(float(v) for v in (cf.sigma, cf.kappa, cf.lam, cf.tau,
+                                                      cf.theta))) for cf in cfs)
+        matrix = StatMatrix.from_rows([[CylinderAuto(float(e.a), float(e.c), e.p) for e in row]
+                                       for row in matrix.rows])
+        params = max(1.0, *(abs(v) for cf in cfs for v in (cf.sigma, cf.kappa, cf.lam)))
+        fields = max(1.0, *(abs(v) for row in matrix.rows for e in row for v in (e.a, e.c)))
+        got = gaussian_system_check(cfs, matrix)
+        want = oracle_gaussian_system(cfs, matrix)
+        assert list(got) == list(want)
+        for name, value in want.items():
+            assert got[name] == pytest.approx(value, rel=1e-12,
+                                              abs=1e-12 * 36 * params * fields ** 2)
 
 
 class TestClassifier:
