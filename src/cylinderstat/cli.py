@@ -92,7 +92,7 @@ def construct(family_name, params_path, out_path):
             )
         else:
             fam = four_statistic_family(params["sigma"], params["kappa"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         _fail_input(f"bad parameters: {exc}")
     except ConstructionError as exc:
         _fail_input(str(exc))
@@ -285,10 +285,12 @@ def _sample_family(fam: Family, count: int, seed: int):
               help="Directory for per-variable sample CSVs (t, theta).")
 def simulate(fixture_path, count, seed, bootstrap, samples_dir):
     """Monte-Carlo corroboration of a fixture's independence."""
+    if bootstrap < 0:
+        _fail_input(f"--bootstrap must be >= 0, got {bootstrap}")
     fam = _load_fixture(fixture_path)
     try:
         samples = _sample_family(fam, count, seed)
-    except (ValueError, InconclusiveError) as exc:
+    except (ValueError, OverflowError, InconclusiveError) as exc:
         _fail_input(f"cannot sample fixture: {exc}")
     if samples_dir is not None:
         out = Path(samples_dir)

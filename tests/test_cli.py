@@ -340,6 +340,10 @@ def _table_fixture(name: str) -> dict:
     if name == "huge-sigma-torus":
         return dict(pair, cfs=[{"kind": "torus", "sigma": 1e300, "theta": 0, "twist": t}
                                for t in (0.1, -0.1)])
+    if name == "huge-exact-sigma-reference":
+        return family_to_fixture(line_gaussian_family(1, *REF_COEFFS, sigma_scale=10**400))
+    if name == "huge-exact-sigma-params":
+        return {"sigma": "1" + "0" * 400, "kappa": "1/20"}
     raise ValueError(name)
 
 
@@ -356,6 +360,11 @@ def _reject_constant(name):
     ("huge-sigma-torus", ["check"], 0, [False, False]),
     ("reference", ["solenoid", "--depth", "-1"], 2, None),
     ("reference", ["solenoid", "--depth", "-20"], 2, None),
+    ("reference", ["simulate", "--count", "2000", "--bootstrap", "-1"], 2, None),
+    ("reference", ["simulate", "--count", "2000", "--bootstrap", "-200"], 2, None),
+    ("huge-exact-sigma-params", ["construct", "-f", "twisted-pair"], 2, None),
+    ("huge-exact-sigma-params", ["construct", "-f", "four-statistic"], 2, None),
+    ("huge-exact-sigma-reference", ["simulate", "--count", "2000", "--bootstrap", "5"], 2, None),
 ])
 def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     """Malformed or extreme inputs get their contract exit code and never a traceback.
@@ -366,7 +375,10 @@ def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     path = write_json(tmp_path / "fixture.json", _table_fixture(fixture))
     if args[0] == "solenoid":
         args = args + ["--base", write_json(tmp_path / "base.json", {"base": list(range(2, 18))})]
-    result = runner.invoke(main, [args[0], "--fixture", path, *args[1:]])
+    if args[0] == "construct":
+        result = runner.invoke(main, [*args, "--params", path, "--out", str(tmp_path / "out.json")])
+    else:
+        result = runner.invoke(main, [args[0], "--fixture", path, *args[1:]])
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
     assert "Traceback" not in result.output
     assert result.exit_code == exit_code, result.output

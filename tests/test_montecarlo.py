@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylinderstat.charfn import TorusCF
-from cylinderstat.groups import TWO_PI, CylinderPoint, DualPoint
-from cylinderstat.montecarlo import (SampleSet, empirical_cf,
-                                     empirical_independence,
+from cylinderstat.groups import TWO_PI, CylinderAuto, CylinderPoint, DualPoint
+from cylinderstat.independence import StatMatrix
+from cylinderstat.montecarlo import (_CYL_PROBE_BASE, _TOR_PROBE_BASE, SampleSet,
+                                     empirical_cf, empirical_independence,
                                      sample_line_gaussian, sample_torus_twisted,
                                      save_samples_csv, statistic_samples)
+from oracle_montecarlo import oracle_empirical_independence
 
 
 class TestLineSampler:
@@ -176,6 +180,67 @@ class TestEmpiricalIndependence:
             assert error <= 6 / math.sqrt(count)
             # Nonzero limit: the estimate sits at the exact value, not at 0.
             assert error < target / 3
+
+
+@st.composite
+def oracle_cases(draw):
+    """Random samples, matrix, probes and bootstrap for either kind.
+
+    Probes draw their slot points from the small default bases, so slot
+    points repeat across probes; `None` takes the default probe set.
+    """
+    kind = draw(st.sampled_from(["cylinder", "torus"]))
+    n = draw(st.integers(2, 4))
+    count = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "cylinder":
+        samples = [SampleSet(rng.normal(0.0, 1.5, count), rng.uniform(0.0, TWO_PI, count))
+                   for _ in range(n)]
+        entries = st.builds(CylinderAuto, st.sampled_from([1, -1, 2, 0.5, -3]),
+                            st.sampled_from([0, 1, -2]), st.sampled_from([1, -1]))
+        matrix = StatMatrix.from_rows(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                                    min_size=n, max_size=n)))
+        base = _CYL_PROBE_BASE
+    else:
+        samples = [SampleSet(np.zeros(count), rng.uniform(0.0, TWO_PI, count)) for _ in range(n)]
+        signs = st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)
+        matrix = StatMatrix.from_signs(draw(st.lists(signs, min_size=n, max_size=n)))
+        base = _TOR_PROBE_BASE
+    if draw(st.booleans()):
+        samples[1] = samples[0]  # dependent statistics: a residual well above the noise
+    probe = st.tuples(*[st.sampled_from(base)] * n)
+    probes = draw(st.none() | st.lists(probe, min_size=1, max_size=20))
+    return dict(samples=samples, matrix=matrix, probes=probes,
+                bootstrap=draw(st.integers(0, 20)), seed=draw(st.integers(0, 2**32 - 1)),
+                kind=draw(st.sampled_from([kind, None])))
+
+
+class TestOracle:
+    """The reused-buffer bootstrap against the per-replicate gather loop it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(oracle_cases())
+    def test_reports_equal_oracle(self, case):
+        assert empirical_independence(**case) == oracle_empirical_independence(**case)
+
+    def test_reference_fixture_equal_oracle(self, ref_family):
+        samples = [sample_line_gaussian(float(cf.sigma), 1.0, 4000, seed=80 + j)
+                   for j, cf in enumerate(ref_family.cfs)]
+        got = empirical_independence(samples, ref_family.matrix, bootstrap=20, seed=3)
+        assert got == oracle_empirical_independence(samples, ref_family.matrix,
+                                                     bootstrap=20, seed=3)
+        assert "null_band" in got
+
+    def test_single_row_equal_statistics(self):
+        # All four statistics are the same single value, so joint and marginal
+        # differ only by rounding: numpy's in-place and out-of-place complex
+        # products round differently, and the band must follow the oracle's.
+        samples = [SampleSet(np.array([t]), np.array([theta])) for t, theta in
+                   ((0.18859533, 1.69511992), (0.96063398, 0.1038462),
+                    (-0.80350406, 5.73501243), (1.95600007, 4.58356207))]
+        case = dict(samples=samples, matrix=StatMatrix.from_signs([[1] * 4] * 4),
+                    probes=[((0.25, 0),) * 4], bootstrap=1, seed=0, kind="cylinder")
+        assert empirical_independence(**case) == oracle_empirical_independence(**case)
 
 
 class TestCsvExport:
