@@ -300,7 +300,7 @@ def is_valid_probability(cf: TorusCF, truncation: int = 64, tol: float = 1e-9,
     # |CF(n)| <= exp(-sigma*n^2 + 2*max(twist, 0)); geometric tail bound past n = truncation.
     ratio = math.exp(-2.0 * sigma * (truncation + 1))
     tail = 2.0 * math.exp(2.0 * max(twist, 0.0)) * math.exp(-sigma * (truncation + 1) ** 2) / (1.0 - ratio)
-    if tail > tol:
+    if not tail <= tol:  # NaN (inf * 0) for an infinite twist bounds nothing
         raise InconclusiveError(
             f"Fourier tail bound {tail:.3e} exceeds tol={tol:.1e} at truncation={truncation}"
         )

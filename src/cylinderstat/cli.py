@@ -1,7 +1,9 @@
 """Command-line frontend: construct fixtures, check them, reduce grids, simulate.
 
 All reports are JSON on stdout; human-readable progress goes to stderr.  Exit
-codes: 0 success, 1 verification failure, 2 input error.
+codes: 0 success, 1 verification failure, 2 input error.  Input errors are
+decided in one place, `_InputErrorBoundary`: the commands let the library's
+exceptions propagate, and the boundary turns each into one stderr line.
 """
 
 from __future__ import annotations
@@ -26,44 +28,43 @@ from .independence import (DegenerateFormError, coefficient_conditions,
                            classify_step_subgroups, symmetrized_convolution)
 from .montecarlo import (empirical_independence, sample_line_gaussian,
                          sample_torus_twisted, save_samples_csv)
-from .solenoid import IncompatibleAutoError, pullback_residual
+from .solenoid import pullback_residual
 
 PASS_TOL = 1e-10
 
+# What the library raises on bad input.  A fault on valid input (say an
+# AttributeError or an AssertionError) is not listed, so it keeps its traceback.
+_INPUT_ERRORS = (OSError, LookupError, TypeError, ValueError, ArithmeticError,
+                ConstructionError, InconclusiveError, click.UsageError)
+
+
+class _InputErrorBoundary(click.Group):
+    """Exit 2 with one `error: <command>: <message>` line for any input error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _INPUT_ERRORS as exc:
+            text = exc.format_message() if isinstance(exc, click.UsageError) else str(exc)
+            if isinstance(exc, (LookupError, ArithmeticError)) or not text:
+                text = f"{type(exc).__name__}: {text}"  # "KeyError: 're'", not "'re'"
+            _log(f"error: {ctx.invoked_subcommand or ctx.info_name}: {' '.join(text.split())}")
+            sys.exit(2)
+
 
 def _emit(report: dict) -> None:
-    try:
-        text = json.dumps(report, indent=2, allow_nan=False)
-    except ValueError as exc:
-        _fail_input(f"report holds a non-finite number: {exc}")
-    click.echo(text)
+    click.echo(json.dumps(report, indent=2, allow_nan=False))
 
 
 def _log(message: str) -> None:
     click.echo(message, err=True)
 
 
-def _fail_input(message: str):
-    _log(f"error: {message}")
-    sys.exit(2)
-
-
-def _load_json(path: str):
-    try:
-        return serialize.load(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail_input(f"cannot read {path}: {exc}")
-
-
 def _load_fixture(path: str) -> Family:
-    obj = _load_json(path)
-    try:
-        return serialize.family_from_fixture(obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        _fail_input(f"malformed fixture {path}: {exc}")
+    return serialize.family_from_fixture(serialize.load(path))
 
 
-@click.group()
+@click.group(cls=_InputErrorBoundary)
 def main():
     """Verification toolkit for independent linear statistics on the cylinder."""
 
@@ -75,27 +76,22 @@ def main():
 @click.option("--out", "out_path", required=True, type=click.Path())
 def construct(family_name, params_path, out_path):
     """Build a certified fixture from a JSON parameter file."""
-    params = _load_json(params_path)
-    try:
-        if family_name == "line-gaussian":
-            fam = line_gaussian_family(
-                params["omega"],
-                params["a1"], params["a2"], params["b1"], params["b2"],
-                params.get("p1", 1), params.get("p2", 1),
-                params.get("q1", 1), params.get("q2", 1),
-                params.get("sigma_scale", 1),
-            )
-        elif family_name == "twisted-pair":
-            fam = twisted_torus_pair(
-                params["sigma"], params.get("theta1", 0),
-                params.get("theta2", 0), params.get("kappa", 0),
-            )
-        else:
-            fam = four_statistic_family(params["sigma"], params["kappa"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        _fail_input(f"bad parameters: {exc}")
-    except ConstructionError as exc:
-        _fail_input(str(exc))
+    params = serialize.load(params_path)
+    if family_name == "line-gaussian":
+        fam = line_gaussian_family(
+            params["omega"],
+            params["a1"], params["a2"], params["b1"], params["b2"],
+            params.get("p1", 1), params.get("p2", 1),
+            params.get("q1", 1), params.get("q2", 1),
+            params.get("sigma_scale", 1),
+        )
+    elif family_name == "twisted-pair":
+        fam = twisted_torus_pair(
+            params["sigma"], params.get("theta1", 0),
+            params.get("theta2", 0), params.get("kappa", 0),
+        )
+    else:
+        fam = four_statistic_family(params["sigma"], params["kappa"])
     serialize.dump(serialize.family_to_fixture(fam), out_path)
     _log(f"wrote certified fixture to {out_path}")
     _emit({"family": fam.label, "out": str(out_path), "certified": True})
@@ -151,12 +147,9 @@ def check(fixture_path, grid_name, workers):
     """Run every applicable exact checker against a fixture."""
     fam = _load_fixture(fixture_path)
     grid = default_grid(fam.n, fam.kind, dense=(grid_name == "dense"))
-    try:
-        blocks, twist_sum = independence_blocks(fam.cfs, fam.matrix)
-        residual, worst_tuple = independence_residual(
-            fam.cfs, fam.matrix, grid=grid, workers=workers, return_worst=True)
-    except (ValueError, OverflowError) as exc:
-        _fail_input(str(exc))
+    blocks, twist_sum = independence_blocks(fam.cfs, fam.matrix)
+    residual, worst_tuple = independence_residual(
+        fam.cfs, fam.matrix, grid=grid, workers=workers, return_worst=True)
     if fam.kind == "cylinder":
         worst_json = [[serialize.scalar_to_json(y.s), y.n] for y in worst_tuple]
     else:
@@ -191,11 +184,7 @@ def check(fixture_path, grid_name, workers):
 @click.option("--b2", required=True)
 def conditions(a1, a2, b1, b2):
     """Exact condition report for a reduced coefficient tuple."""
-    try:
-        report = coefficient_conditions(Fraction(a1), Fraction(a2),
-                                        Fraction(b1), Fraction(b2))
-    except (ValueError, ZeroDivisionError) as exc:
-        _fail_input(f"bad coefficients: {exc}")
+    report = coefficient_conditions(Fraction(a1), Fraction(a2), Fraction(b1), Fraction(b2))
     _emit({
         "a1": a1, "a2": a2, "b1": b1, "b2": b2,
         "cubic_identity": str(report.cubic),
@@ -219,14 +208,7 @@ def conditions(a1, a2, b1, b2):
 @click.option("--max-degree", default=6, type=int)
 def reduce(input_paths, mode, fixture_path, tol, max_degree):
     """Finite-difference reductions of grid-sampled functions."""
-    paths = [p.strip() for p in input_paths.split(",") if p.strip()]
-    for p in paths:
-        if not Path(p).exists():
-            _fail_input(f"no such grid CSV: {p}")
-    try:
-        grids = [load_grid_csv(p) for p in paths]
-    except (ValueError, OSError) as exc:
-        _fail_input(f"cannot load grid: {exc}")
+    grids = [load_grid_csv(p.strip()) for p in input_paths.split(",") if p.strip()]
 
     if mode == "degree":
         deg = polynomial_degree(grids[0], max_deg=max_degree, tol=tol)
@@ -248,14 +230,11 @@ def reduce(input_paths, mode, fixture_path, tol, max_degree):
         sys.exit(0)
     # triple mode
     if len(grids) != 3:
-        _fail_input("triple mode needs three comma-separated grid CSVs")
+        raise click.UsageError("triple mode needs three comma-separated grid CSVs")
     if fixture_path is None:
-        _fail_input("triple mode needs --fixture for the statistic matrix")
+        raise click.UsageError("triple mode needs --fixture for the statistic matrix")
     fam = _load_fixture(fixture_path)
-    try:
-        tags = classify_step_subgroups(fam.matrix)
-    except (ValueError, DegenerateFormError) as exc:
-        _fail_input(f"cannot classify fixture matrix: {exc}")
+    tags = classify_step_subgroups(fam.matrix)
     residuals = verify_triple_differences(grids, fam.matrix, tags)
     _emit({
         "mode": "triple",
@@ -273,25 +252,20 @@ def _sample_family(fam: Family, count: int, seed: int):
     if fam.kind == "torus":
         return [sample_torus_twisted(cf, count, seed + j)
                 for j, cf in enumerate(fam.cfs)]
-    _fail_input(f"fixture family {fam.label!r} is not supported by the sampler")
+    raise ValueError(f"fixture family {fam.label!r} is not supported by the sampler")
 
 
 @main.command()
 @click.option("--fixture", "fixture_path", required=True, type=click.Path(exists=True))
 @click.option("--count", default=100_000, type=int)
 @click.option("--seed", default=0, type=int)
-@click.option("--bootstrap", default=200, type=int)
+@click.option("--bootstrap", default=200, type=click.IntRange(min=0))
 @click.option("--samples-out", "samples_dir", type=click.Path(), default=None,
               help="Directory for per-variable sample CSVs (t, theta).")
 def simulate(fixture_path, count, seed, bootstrap, samples_dir):
     """Monte-Carlo corroboration of a fixture's independence."""
-    if bootstrap < 0:
-        _fail_input(f"--bootstrap must be >= 0, got {bootstrap}")
     fam = _load_fixture(fixture_path)
-    try:
-        samples = _sample_family(fam, count, seed)
-    except (ValueError, OverflowError, InconclusiveError) as exc:
-        _fail_input(f"cannot sample fixture: {exc}")
+    samples = _sample_family(fam, count, seed)
     if samples_dir is not None:
         out = Path(samples_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -314,16 +288,11 @@ def simulate(fixture_path, count, seed, bootstrap, samples_dir):
 @click.option("--depth", default=6, type=int)
 def solenoid(base_path, fixture_path, depth):
     """Re-run the independence equation on the rational dual of a solenoid."""
-    base = serialize.base_from_json(_load_json(base_path))
+    base = serialize.base_from_json(serialize.load(base_path))
     fam = _load_fixture(fixture_path)
     if fam.kind != "cylinder":
-        _fail_input("solenoid pullback applies to cylinder fixtures")
-    try:
-        residual = pullback_residual(fam.cfs, fam.matrix, base, grid_depth=depth)
-    except IncompatibleAutoError as exc:
-        _fail_input(f"incompatible fixture: {exc}")
-    except ValueError as exc:
-        _fail_input(str(exc))
+        raise ValueError("solenoid pullback applies to cylinder fixtures")
+    residual = pullback_residual(fam.cfs, fam.matrix, base, grid_depth=depth)
     ok = residual <= PASS_TOL
     _emit({
         "fixture": str(fixture_path),

@@ -26,8 +26,8 @@ from fractions import Fraction
 from .charfn import (CylinderCF, InconclusiveError, TorusCF, Z2SignedMeasure,
                      is_gaussian, is_valid_probability, support_line)
 from .groups import CylinderAuto, is_exact
-from .independence import (StatMatrix, family_kind, gaussian_system_check,
-                           independence_blocks, solve_sigmas)
+from .independence import (StatMatrix, _as_fraction, family_kind,
+                           gaussian_system_check, independence_blocks, solve_sigmas)
 
 
 class ConstructionError(RuntimeError):
@@ -53,18 +53,10 @@ class Family:
         return family_kind(self.cfs, self.matrix)
 
 
-def _coerce_rational(value, name: str):
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return Fraction(value)
-    raise TypeError(f"{name} must be an exact rational (int, Fraction, or 'p/q' string)")
-
-
 def _coerce_scalar(value, name: str):
     """A Fraction for ints, Fractions and 'p/q' strings; a float otherwise."""
     if is_exact(value) or isinstance(value, str):
-        return _coerce_rational(value, name)
+        return _as_fraction(value, name)
     return float(value)
 
 
@@ -89,7 +81,7 @@ def line_gaussian_family(omega, a1, a2, b1, b2, p1=1, p2=1, q1=1, q2=1,
     solution, and certifies the full parameter system (the independence
     certificate) and the support line of every member before returning.
     """
-    a1, a2, b1, b2 = (_coerce_rational(v, n) for v, n in
+    a1, a2, b1, b2 = (_as_fraction(v, n) for v, n in
                       ((a1, "a1"), (a2, "a2"), (b1, "b1"), (b2, "b2")))
     p1, p2, q1, q2 = (_coerce_sign(v, n) for v, n in
                       ((p1, "p1"), (p2, "p2"), (q1, "q1"), (q2, "q2")))

@@ -113,13 +113,6 @@ def delta(f: GridFunction, h) -> GridFunction:
     return GridFunction(new_s_start, f.s_step, new_n_start, vals)
 
 
-def iterated_delta(f: GridFunction, h, order: int) -> GridFunction:
-    out = f
-    for _ in range(order):
-        out = delta(out, h)
-    return out
-
-
 DEGREE_TEST_STEPS = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1))
 
 

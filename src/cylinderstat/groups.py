@@ -41,7 +41,9 @@ def exact_div(num, den):
 def reduce_angle(theta) -> float:
     """Reduce an angle to [0, 2*pi)."""
     r = math.fmod(float(theta), TWO_PI)
-    return r + TWO_PI if r < 0.0 else r
+    if r < 0.0:
+        r += TWO_PI
+    return r if r < TWO_PI else 0.0  # -1e-151 + 2*pi rounds to 2*pi
 
 
 @dataclass(frozen=True)

@@ -70,9 +70,12 @@ def sample_line_gaussian(sigma, omega, count: int, seed: int,
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     std = math.sqrt(2.0 * sigma)
+    if not math.isfinite(std):
+        raise ValueError(f"sigma {sigma!r} is too large to sample")
     parts = [rng.normal(0.0, std, size) for rng, size in _chunk_generators(seed, count)]
     t = np.concatenate(parts)
-    theta = float(omega) * t
+    with np.errstate(over="raise"):  # FloatingPointError for a huge omega
+        theta = float(omega) * t
     if shift is not None:
         t = t + shift.t
         theta = theta + shift.theta
@@ -130,20 +133,25 @@ def empirical_cf(samples: SampleSet, y) -> complex:
 
 
 def statistic_samples(samples, matrix: StatMatrix):
-    """Apply the statistic matrix rowwise to per-variable sample sets."""
+    """Apply the statistic matrix rowwise to per-variable sample sets.
+
+    Raises FloatingPointError, an ArithmeticError, when a statistic overflows
+    a float, as a huge matrix entry can make it do.
+    """
     if len(samples) != matrix.n:
         raise ValueError(f"need {matrix.n} sample sets, got {len(samples)}")
     counts = {s.count for s in samples}
     if len(counts) != 1:
         raise ValueError("sample sets must have equal counts")
     out = []
-    for row in matrix.rows:
-        t = np.zeros(samples[0].count)
-        theta = np.zeros(samples[0].count)
-        for entry, xi in zip(row, samples):
-            t += float(entry.a) * xi.t
-            theta += float(entry.c) * xi.t + entry.p * xi.theta
-        out.append(SampleSet(t, theta))
+    with np.errstate(over="raise", invalid="raise"):
+        for row in matrix.rows:
+            t = np.zeros(samples[0].count)
+            theta = np.zeros(samples[0].count)
+            for entry, xi in zip(row, samples):
+                t += float(entry.a) * xi.t
+                theta += float(entry.c) * xi.t + entry.p * xi.theta
+            out.append(SampleSet(t, theta))
     return out
 
 
@@ -166,11 +174,11 @@ def default_probes(n_slots: int, kind: str = "cylinder", count: int = 16,
     return probes
 
 
-def _probe_characters(stats, probes, kind: str, dtype=complex) -> np.ndarray:
+def _probe_characters(stats, probes, kind: str) -> np.ndarray:
     """Array (n_stats, count, n_probes) of character values; one exp per distinct slot point."""
     n_stats = len(stats)
     count = stats[0].count
-    out = np.empty((n_stats, count, len(probes)), dtype=dtype)
+    out = np.empty((n_stats, count, len(probes)), dtype=complex)
     for i in range(n_stats):
         columns = {}
         for pi, probe in enumerate(probes):

@@ -70,7 +70,9 @@ def cf_to_json(cf) -> dict:
     raise TypeError(f"cannot serialize {type(cf).__name__}")
 
 
-def cf_from_json(obj: dict):
+def cf_from_json(obj: dict, where: str = "CF entry"):
+    if not isinstance(obj, dict):
+        raise TypeError(f"{where} must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "cylinder":
         return CylinderCF(
@@ -112,7 +114,7 @@ def family_to_fixture(family: Family) -> dict:
 
 def family_from_fixture(obj: dict) -> Family:
     matrix = matrix_from_json(obj["matrix"])
-    cfs = tuple(cf_from_json(cf) for cf in obj["cfs"])
+    cfs = tuple(cf_from_json(cf, f"cfs[{j}]") for j, cf in enumerate(obj["cfs"]))
     omega = scalar_from_json(obj["omega"]) if "omega" in obj else None
     family = Family(obj.get("family", "custom"), matrix, cfs, omega=omega)
     if family.kind != obj.get("kind"):

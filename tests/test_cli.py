@@ -344,6 +344,42 @@ def _table_fixture(name: str) -> dict:
         return family_to_fixture(line_gaussian_family(1, *REF_COEFFS, sigma_scale=10**400))
     if name == "huge-exact-sigma-params":
         return {"sigma": "1" + "0" * 400, "kappa": "1/20"}
+    if name == "reference-params":
+        return REF_PARAMS
+    if name == "reference-without-omega":
+        return {k: v for k, v in ref.items() if k != "omega"}
+    if name == "huge-exact-theta-reference":
+        return dict(ref, cfs=[dict(ref["cfs"][0], theta="1" + "0" * 400), *ref["cfs"][1:]])
+    if name == "integer-cfs":
+        return dict(ref, cfs=[1, 2, 3])
+    raise ValueError(name)
+
+
+def _write_table_input(tmp_path, name: str) -> str:
+    """Path of the input an `@name` argument of the exit-code table stands for."""
+    if name == "base-with-unit-entry":
+        return write_json(tmp_path / "base.json", {"base": [1, 2]})
+    if name == "base-without-key":
+        return write_json(tmp_path / "base.json", {"foo": 1})
+    if name == "base-string":
+        return write_json(tmp_path / "base.json", "abc")
+    if name == "csv-without-re-im":
+        path = tmp_path / "values.csv"
+        path.write_text("s,n,value\n0.0,0,1.0\n")
+        return str(path)
+    if name.startswith("csv-2x2"):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("s,n,re,im\n" + "".join(f"{s},{n},1.0,0.0\n"
+                                                for s in (0.0, 0.5) for n in (0, 1)))
+        return str(path)
+    if name == "existing-file":
+        path = tmp_path / "taken"
+        path.write_text("")
+        return str(path)
+    if name == "directory":
+        return str(tmp_path)
+    if name == "missing":
+        return str(tmp_path / "missing.json")
     raise ValueError(name)
 
 
@@ -365,6 +401,20 @@ def _reject_constant(name):
     ("huge-exact-sigma-params", ["construct", "-f", "twisted-pair"], 2, None),
     ("huge-exact-sigma-params", ["construct", "-f", "four-statistic"], 2, None),
     ("huge-exact-sigma-reference", ["simulate", "--count", "2000", "--bootstrap", "5"], 2, None),
+    ("reference", ["solenoid", "--base", "@base-with-unit-entry", "--depth", "2"], 2, None),
+    ("reference", ["solenoid", "--base", "@base-without-key", "--depth", "2"], 2, None),
+    ("reference", ["solenoid", "--base", "@base-string", "--depth", "2"], 2, None),
+    ("reference-without-omega", ["simulate", "--count", "2000", "--bootstrap", "5"], 2, None),
+    ("huge-exact-theta-reference", ["check"], 2, None),
+    ("integer-cfs", ["check"], 2, None),
+    (None, ["reduce", "--mode", "degree", "--input", "@csv-without-re-im"], 2, None),
+    (None, ["reduce", "--mode", "degree", "--input", "@csv-2x2"], 2, None),
+    ("reference", ["reduce", "--mode", "triple",
+                   "--input", "@csv-2x2-a,@csv-2x2-b,@csv-2x2-c"], 2, None),
+    ("reference", ["simulate", "--count", "2000", "--bootstrap", "5",
+                   "--samples-out", "@existing-file"], 2, None),
+    ("reference-params", ["construct", "-f", "line-gaussian", "--out", "@directory"], 2, None),
+    (None, ["check", "--fixture", "@missing"], 2, None),
 ])
 def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     """Malformed or extreme inputs get their contract exit code and never a traceback.
@@ -372,18 +422,26 @@ def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     Exit 2 is one line on stderr and nothing on stdout; exits 0 and 1 print
     strict JSON.
     """
-    path = write_json(tmp_path / "fixture.json", _table_fixture(fixture))
-    if args[0] == "solenoid":
-        args = args + ["--base", write_json(tmp_path / "base.json", {"base": list(range(2, 18))})]
-    if args[0] == "construct":
-        result = runner.invoke(main, [*args, "--params", path, "--out", str(tmp_path / "out.json")])
-    else:
-        result = runner.invoke(main, [args[0], "--fixture", path, *args[1:]])
+    args = [",".join(_write_table_input(tmp_path, p[1:]) for p in a.split(","))
+            if a.startswith("@") else a for a in args]
+    if fixture is not None:
+        path = write_json(tmp_path / "fixture.json", _table_fixture(fixture))
+        if args[0] == "solenoid" and "--base" not in args:
+            args = args + ["--base", write_json(tmp_path / "base.json",
+                                                {"base": list(range(2, 18))})]
+        if args[0] == "construct":
+            args = [*args, "--params", path]
+            if "--out" not in args:
+                args += ["--out", str(tmp_path / "out.json")]
+        else:
+            args = [args[0], "--fixture", path, *args[1:]]
+    result = runner.invoke(main, args)
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
     assert "Traceback" not in result.output
     assert result.exit_code == exit_code, result.output
     if exit_code == 2:
         assert result.stdout == "" and result.stderr.count("\n") == 1, result.output
+        assert result.stderr.startswith("error: "), result.stderr
     else:
         report = json.loads(result.stdout, parse_constant=_reject_constant)
         if gaussian is not None:

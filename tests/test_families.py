@@ -2,9 +2,12 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import REF_COEFFS
+from conftest import REF_COEFFS, random_valid_coefficients
 from cylinderstat.charfn import convolve, is_gaussian, support_line
 from cylinderstat.families import (ConstructionError, HADAMARD_SIGNS,
                                    four_statistic_family, line_gaussian_family,
@@ -14,7 +17,7 @@ from cylinderstat.charfn import TorusCF
 from cylinderstat.independence import (StatMatrix, default_grid,
                                        gaussian_system_check,
                                        independence_residual)
-from cylinderstat.serialize import family_from_fixture, family_to_fixture
+from cylinderstat.serialize import dump, family_from_fixture, family_to_fixture, load
 
 
 class TestLineGaussian:
@@ -171,3 +174,31 @@ class TestFixtureRoundtrip:
         fam = four_statistic_family(1, Fraction(1, 20))
         back = family_from_fixture(family_to_fixture(fam))
         assert back.matrix == fam.matrix and back.cfs == fam.cfs
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_dump_load_returns_equal_family(self, tmp_path_factory, data):
+        """family_to_fixture -> dump -> load -> family_from_fixture is the identity."""
+        exact = data.draw(st.booleans(), label="exact")
+
+        def scalar(lo, hi):
+            lo, hi = Fraction(lo), Fraction(hi)
+            if exact:
+                return data.draw(st.fractions(lo, hi, max_denominator=100))
+            return data.draw(st.floats(float(lo), float(hi)))
+
+        kind = data.draw(st.sampled_from(["line-gaussian", "twisted-pair", "four-statistic"]))
+        if kind == "line-gaussian":
+            seed = data.draw(st.integers(0, 2**32 - 1))
+            coeffs = random_valid_coefficients(np.random.default_rng(seed))
+            signs = data.draw(st.tuples(*[st.sampled_from((1, -1))] * 4))
+            fam = line_gaussian_family(scalar(-3, 3), *coeffs, *signs,
+                                       sigma_scale=scalar("1/2", 4))
+        elif kind == "twisted-pair":
+            fam = twisted_torus_pair(scalar(1, 3), scalar(-7, 7), scalar(-7, 7),
+                                     scalar("-1/20", "1/20"))
+        else:
+            fam = four_statistic_family(scalar(1, 3), scalar("1/100", "1/20"))
+        path = tmp_path_factory.mktemp("roundtrip") / "fixture.json"
+        dump(family_to_fixture(fam), path)
+        assert family_from_fixture(load(path)) == fam

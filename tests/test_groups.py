@@ -6,16 +6,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cylinderstat.groups import (TWO_PI, CylinderAuto, CylinderPoint, DualPoint,
-                                 compose, pair)
+                                 compose, pair, reduce_angle)
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
 signs = st.sampled_from([1, -1])
 autos = st.builds(CylinderAuto, a=nonzero_rationals, c=rationals, p=signs)
+
+
+class TestReduceAngle:
+    @given(st.floats(-1e6, 1e6))
+    @example(-1e-151)  # fmod leaves it; adding 2*pi rounds to 2*pi itself
+    def test_lands_in_range_and_is_idempotent(self, theta):
+        r = reduce_angle(theta)
+        assert 0.0 <= r < TWO_PI
+        assert reduce_angle(r) == r
 
 
 class TestPairing:

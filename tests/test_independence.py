@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REF_COEFFS, random_rejected_coefficients, random_valid_coefficients
-from cylinderstat.charfn import CylinderCF, TorusCF, convolve
+from cylinderstat.charfn import CylinderCF, TorusCF, convolve, transform
 from cylinderstat.families import (four_statistic_family, line_gaussian_family,
                                    torus_triple_verdict, twisted_torus_pair)
 from cylinderstat.groups import CylinderAuto, DualPoint
@@ -611,3 +611,29 @@ class TestNormalForm:
         new_cfs = tr.transform_cfs(scrambled_cfs)
         assert independence_residual(new_cfs, reduced, grid) == 0.0
         assert max(gaussian_system_check(new_cfs, reduced).values()) == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_substitutions_keep_certificate(self, ref_family, data):
+        """Scrambling and then reducing keeps which certificate blocks are nonzero.
+
+        Variable substitutions (CFs transformed alongside the columns) and
+        statistic recombinations of the reference family, perturbed or not,
+        followed by `reduce_to_normal_form` and `transform_cfs`.
+        """
+        matrix = ref_family.matrix
+        if data.draw(st.booleans(), label="perturb"):
+            matrix = data.draw(perturbed_matrices(matrix))
+        autos = st.lists(st.builds(CylinderAuto, _small.filter(lambda a: a != 0), _small,
+                                   _signs), min_size=3, max_size=3)
+        col_subs, row_mults = data.draw(autos), data.draw(autos)
+        scrambled = StatMatrix.from_rows([[col_subs[j] @ matrix.entry(i, j) @ row_mults[i]
+                                           for j in range(3)] for i in range(3)])
+        scrambled_cfs = tuple(transform(cf, g.inverse())
+                              for cf, g in zip(ref_family.cfs, col_subs))
+        reduced, tr = reduce_to_normal_form(scrambled)
+        assert reduced.is_reduced()
+        expected = nonzero_blocks(independence_blocks(ref_family.cfs, matrix)[0])
+        for cfs, m in ((scrambled_cfs, scrambled), (tr.transform_cfs(scrambled_cfs), reduced)):
+            blocks, twist_sum = independence_blocks(cfs, m)
+            assert nonzero_blocks(blocks) == expected and twist_sum == 0
