@@ -10,7 +10,10 @@ so evaluation never vanishes, convolution is parameter addition, and all of
 the independence checkers can work in log space with no branch ambiguity.
 The twist term is the log-characteristic function of a (possibly signed)
 measure on the two-element subgroup {+-1} of the circle; it is the only
-non-Gaussian ingredient in the whole library.
+non-Gaussian ingredient in the whole library: a bundle is Gaussian exactly
+when its twist is zero.  A circle bundle is the s-free slice of a cylinder
+bundle (`TorusCF.cylinder`: sigma = kappa = tau = 0, lam the circle
+variance), so the bundle algebra is computed once, on cylinder bundles.
 
 Parameters are type preserving: Fraction parameters keep every log value
 exact.  `eval` goes through `cmath.exp` and is always a float complex.
@@ -21,7 +24,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -45,11 +47,6 @@ def _check_nonneg(name, value):
             raise ValueError(f"{name} must be >= 0, got {value}")
     elif value < -1e-12:
         raise ValueError(f"{name} must be >= 0, got {value}")
-
-
-def _parity_term(twist, n: int):
-    # twist * (1 - (-1)^n): 0 at even n, 2*twist at odd n.
-    return 2 * twist if n % 2 else 0
 
 
 @dataclass(frozen=True)
@@ -79,9 +76,11 @@ class CylinderCF:
     def log_parts(self, s, n: int):
         """Real and imaginary part of the log-CF at (s, n), type preserving."""
         re = -(self.sigma * s * s + self.kappa * s * n + self.lam * n * n)
-        if self.twist != 0:
-            re = re + _parity_term(self.twist, n)
-        im = self.tau * s + self.theta * n
+        if self.twist != 0:  # twist * (1 - (-1)^n): 0 at even n, 2*twist at odd n
+            re = re + (2 * self.twist if n % 2 else 0)
+        im = self.theta * n
+        if self.tau != 0:  # adding a zero tau*s would turn a phase of -0.0 into 0.0
+            im = self.tau * s + im
         return re, im
 
     def phi(self, s, n: int):
@@ -100,6 +99,11 @@ class CylinderCF:
     def shift_free(self) -> bool:
         return self.tau == 0 and self.theta == 0
 
+    @property
+    def cylinder(self) -> "CylinderCF":
+        """The bundle itself; a circle bundle embeds through `TorusCF.cylinder`."""
+        return self
+
 
 @dataclass(frozen=True)
 class TorusCF:
@@ -113,22 +117,16 @@ class TorusCF:
         _check_nonneg("sigma", self.sigma)
         object.__setattr__(self, "theta", _reduce_param_angle(self.theta))
 
-    def log_parts(self, n: int):
-        re = -(self.sigma * n * n)
-        if self.twist != 0:
-            re = re + _parity_term(self.twist, n)
-        return re, self.theta * n
+    @property
+    def cylinder(self) -> CylinderCF:
+        """The same law on {0} x T inside R x T: an s-free cylinder bundle."""
+        return CylinderCF(0, 0, self.sigma, 0, self.theta, self.twist)
 
-    def phi(self, n: int):
-        re, _ = self.log_parts(n)
-        return -re
+    def log_parts(self, n: int):
+        return self.cylinder.log_parts(0, n)
 
     def eval(self, n: int) -> complex:
-        re, im = self.log_parts(n)
-        return cmath.exp(complex(float(re), float(im)))
-
-    def shift_free(self) -> bool:
-        return self.theta == 0
+        return self.cylinder.eval((0, n))
 
 
 @dataclass(frozen=True)
@@ -162,38 +160,40 @@ class Z2SignedMeasure:
         return self.p1 < 0 or self.pm1 < 0
 
 
+def _cylinders(verb: str, *cfs) -> list:
+    """The cylinder bundles of `cfs`, which must all be CylinderCF or all TorusCF."""
+    if len({type(cf) for cf in cfs}) != 1 or not isinstance(cfs[0], (CylinderCF, TorusCF)):
+        raise TypeError(f"cannot {verb} {' with '.join(type(cf).__name__ for cf in cfs)}")
+    return [cf.cylinder for cf in cfs]
+
+
+def _like(cf, out: CylinderCF):
+    """`out` as a bundle of the type of `cf`: a circle bundle reads back its slice."""
+    return TorusCF(out.lam, out.theta, out.twist) if isinstance(cf, TorusCF) else out
+
+
 def convolve(cf1, cf2):
     """CF of the convolution: parameters add componentwise (masses multiply on Z(2))."""
-    if isinstance(cf1, CylinderCF) and isinstance(cf2, CylinderCF):
-        return CylinderCF(
-            cf1.sigma + cf2.sigma,
-            cf1.kappa + cf2.kappa,
-            cf1.lam + cf2.lam,
-            cf1.tau + cf2.tau,
-            _reduce_param_angle(cf1.theta + cf2.theta),
-            cf1.twist + cf2.twist,
-        )
-    if isinstance(cf1, TorusCF) and isinstance(cf2, TorusCF):
-        return TorusCF(
-            cf1.sigma + cf2.sigma,
-            _reduce_param_angle(cf1.theta + cf2.theta),
-            cf1.twist + cf2.twist,
-        )
     if isinstance(cf1, Z2SignedMeasure) and isinstance(cf2, Z2SignedMeasure):
         return Z2SignedMeasure(
             cf1.p1 * cf2.p1 + cf1.pm1 * cf2.pm1,
             cf1.p1 * cf2.pm1 + cf1.pm1 * cf2.p1,
         )
-    raise TypeError(f"cannot convolve {type(cf1).__name__} with {type(cf2).__name__}")
+    a, b = _cylinders("convolve", cf1, cf2)
+    return _like(cf1, CylinderCF(
+        a.sigma + b.sigma,
+        a.kappa + b.kappa,
+        a.lam + b.lam,
+        a.tau + b.tau,
+        _reduce_param_angle(a.theta + b.theta),
+        a.twist + b.twist,
+    ))
 
 
 def reflect(cf):
     """CF of the reflected distribution mu(-B): conjugate, i.e. negate the shifts."""
-    if isinstance(cf, CylinderCF):
-        return replace(cf, tau=-cf.tau, theta=_reduce_param_angle(-cf.theta))
-    if isinstance(cf, TorusCF):
-        return replace(cf, theta=_reduce_param_angle(-cf.theta))
-    raise TypeError(f"cannot reflect {type(cf).__name__}")
+    (b,) = _cylinders("reflect", cf)
+    return _like(cf, replace(b, tau=-b.tau, theta=_reduce_param_angle(-b.theta)))
 
 
 def symmetrize(cf):
@@ -206,74 +206,33 @@ def transform(cf, e: CylinderAuto):
 
     On the dual side this is l(e(s, n)); for a cylinder bundle the parameters
     map to (sigma*a^2, 2*sigma*a*c + kappa*a*p, sigma*c^2 + kappa*c*p + lam,
-    tau*a, tau*c + theta*p, twist).
+    tau*a, tau*c + theta*p, twist).  A circle bundle takes only the circle
+    automorphisms, a = 1 and c = 0.
     """
-    if isinstance(cf, CylinderCF):
-        a, c, p = e.a, e.c, e.p
-        return CylinderCF(
-            cf.sigma * a * a,
-            2 * cf.sigma * a * c + cf.kappa * a * p,
-            cf.sigma * c * c + cf.kappa * c * p + cf.lam,
-            cf.tau * a,
-            _reduce_param_angle(cf.tau * c + cf.theta * p),
-            cf.twist,
-        )
-    if isinstance(cf, TorusCF):
-        if e.a != 1 or e.c != 0:
-            raise ValueError("a circle automorphism must have a = 1 and c = 0")
-        return TorusCF(cf.sigma, _reduce_param_angle(cf.theta * e.p), cf.twist)
-    raise TypeError(f"cannot transform {type(cf).__name__}")
+    (b,) = _cylinders("transform", cf)
+    if isinstance(cf, TorusCF) and (e.a != 1 or e.c != 0):
+        raise ValueError("a circle automorphism must have a = 1 and c = 0")
+    a, c, p = e.a, e.c, e.p
+    return _like(cf, CylinderCF(
+        b.sigma * a * a,
+        2 * b.sigma * a * c + b.kappa * a * p,
+        b.sigma * c * c + b.kappa * c * p + b.lam,
+        b.tau * a,
+        _reduce_param_angle(b.tau * c + b.theta * p),
+        b.twist,
+    ))
 
 
-_GAUSS_GRID_CYL = [(0, 0), (1, 0), (0, 1), (-1, 1), (Fraction(1, 2), 2)]
-_GAUSS_GRID_TOR = [0, 1, -1, 2, 3]
-
-
-def _parallelogram_gap(phi, points):
-    """(max |phi(u+v) + phi(u-v) - 2*phi(u) - 2*phi(v)|, rounding scale) over point pairs.
-
-    The rounding scale is the largest |phi| the float gaps subtract; exact
-    gaps carry no rounding and add nothing to it.
-    """
-    worst = scale = 0.0
-    for u in points:
-        for v in points:
-            if isinstance(u, tuple):
-                up, um = (u[0] + v[0], u[1] + v[1]), (u[0] - v[0], u[1] - v[1])
-                values = (phi(*up), phi(*um), phi(*u), phi(*v))
-            else:
-                values = (phi(u + v), phi(u - v), phi(u), phi(v))
-            gap = values[0] + values[1] - 2 * values[2] - 2 * values[3]
-            worst = max(worst, abs(float(gap)))
-            if not is_exact(gap):
-                scale = max(scale, *map(abs, values))
-    return worst, scale
-
-
-def is_gaussian(cf, tol: float = 1e-9) -> bool:
+def is_gaussian(cf) -> bool:
     """Whether the bundle is Gaussian (degenerate distributions count as Gaussian).
 
-    The quadratic exponent always satisfies the parallelogram identity
-    phi(u+v) + phi(u-v) = 2*phi(u) + 2*phi(v); the twist term breaks it, so the
-    verdict is twist == 0.  A grid evaluation of the identity double-checks
-    the verdict against the actual exponent, within `tol` relative to the
-    larger of 1, the expected gap and the largest |phi| a float gap subtracts.
+    The quadratic exponent satisfies the parallelogram identity
+    phi(u+v) + phi(u-v) = 2*phi(u) + 2*phi(v) and the twist term breaks it,
+    so the verdict is twist == 0, in closed form.
     """
-    if isinstance(cf, CylinderCF):
-        gap, scale = _parallelogram_gap(cf.phi, _GAUSS_GRID_CYL)
-    elif isinstance(cf, TorusCF):
-        gap, scale = _parallelogram_gap(cf.phi, _GAUSS_GRID_TOR)
-    else:
+    if not isinstance(cf, (CylinderCF, TorusCF)):
         raise TypeError(f"is_gaussian expects a CF bundle, got {type(cf).__name__}")
-    verdict = cf.twist == 0
-    # The grid gap is exactly 8*|twist| at its worst pair; insist the numeric
-    # evidence agrees with the parameter verdict.
-    expected = 0.0 if verdict else 8.0 * abs(float(cf.twist))
-    if abs(gap - expected) > tol * max(1.0, expected, scale):
-        raise AssertionError(
-            f"parallelogram self-check disagrees with twist parameter: gap={gap}, twist={cf.twist}"
-        )
-    return verdict
+    return cf.twist == 0
 
 
 def is_valid_probability(cf: TorusCF, truncation: int = 64, tol: float = 1e-9,

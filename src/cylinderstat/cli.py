@@ -209,6 +209,8 @@ def conditions(a1, a2, b1, b2):
 def reduce(input_paths, mode, fixture_path, tol, max_degree):
     """Finite-difference reductions of grid-sampled functions."""
     grids = [load_grid_csv(p.strip()) for p in input_paths.split(",") if p.strip()]
+    if not grids:
+        raise click.UsageError(f"--input {input_paths!r} names no grid CSV")
 
     if mode == "degree":
         deg = polynomial_degree(grids[0], max_deg=max_degree, tol=tol)
@@ -247,6 +249,8 @@ def reduce(input_paths, mode, fixture_path, tol, max_degree):
 
 def _sample_family(fam: Family, count: int, seed: int):
     if fam.label == "line-gaussian":
+        if fam.omega is None:
+            raise ValueError('line-gaussian fixture has no "omega" key, which the sampler needs')
         return [sample_line_gaussian(float(cf.sigma), float(fam.omega), count, seed + j)
                 for j, cf in enumerate(fam.cfs)]
     if fam.kind == "torus":
@@ -259,7 +263,7 @@ def _sample_family(fam: Family, count: int, seed: int):
 @click.option("--fixture", "fixture_path", required=True, type=click.Path(exists=True))
 @click.option("--count", default=100_000, type=int)
 @click.option("--seed", default=0, type=int)
-@click.option("--bootstrap", default=200, type=click.IntRange(min=0))
+@click.option("--bootstrap", default=200, type=click.IntRange(min=1))
 @click.option("--samples-out", "samples_dir", type=click.Path(), default=None,
               help="Directory for per-variable sample CSVs (t, theta).")
 def simulate(fixture_path, count, seed, bootstrap, samples_dir):
@@ -278,8 +282,7 @@ def simulate(fixture_path, count, seed, bootstrap, samples_dir):
     report["seed"] = seed
     report["worst_probe"] = list(report["worst_probe"])
     _emit(report)
-    ok = report.get("consistent_with_zero", report["max_residual"] <= PASS_TOL)
-    sys.exit(0 if ok else 1)
+    sys.exit(0 if report["consistent_with_zero"] else 1)
 
 
 @main.command()

@@ -39,8 +39,8 @@ def exact_div(num, den):
 
 
 def reduce_angle(theta) -> float:
-    """Reduce an angle to [0, 2*pi)."""
-    r = math.fmod(float(theta), TWO_PI)
+    """Reduce an angle to [0, 2*pi), with 0.0 for -0.0 so that equal angles share their bits."""
+    r = math.fmod(float(theta), TWO_PI) + 0.0
     if r < 0.0:
         r += TWO_PI
     return r if r < TWO_PI else 0.0  # -1e-151 + 2*pi rounds to 2*pi

@@ -193,19 +193,18 @@ def independence_blocks(cfs, matrix: StatMatrix):
     arithmetic: Fractions stay exact, floats stay floats.  Raises ValueError
     when a float entry or T is not finite.
     """
-    kind = family_kind(cfs, matrix)
-    # A circle bundle is the s-free slice: A_j = [[0, 0], [0, sigma_j]].
-    forms = [(0, 0, cf.sigma) if kind == "torus" else (cf.sigma, cf.kappa, cf.lam)
-             for cf in cfs]
+    family_kind(cfs, matrix)
+    # A circle bundle enters as its s-free slice: A_j = [[0, 0], [0, sigma_j]].
+    bundles = [cf.cylinder for cf in cfs]
     blocks = {}
     for i, k in itertools.combinations(range(matrix.n), 2):
         c00 = c01 = c10 = c11 = 0
-        for (sigma, kappa, lam), e, f in zip(forms, matrix.rows[i], matrix.rows[k]):
-            c00 += 2 * sigma * e.a * f.a
-            c01 += e.a * (2 * sigma * f.c + kappa * f.p)
-            c10 += f.a * (2 * sigma * e.c + kappa * e.p)
-            c11 += (2 * sigma * e.c * f.c + kappa * (e.c * f.p + e.p * f.c)
-                    + 2 * lam * e.p * f.p)
+        for b, e, f in zip(bundles, matrix.rows[i], matrix.rows[k]):
+            c00 += 2 * b.sigma * e.a * f.a
+            c01 += e.a * (2 * b.sigma * f.c + b.kappa * f.p)
+            c10 += f.a * (2 * b.sigma * e.c + b.kappa * e.p)
+            c11 += (2 * b.sigma * e.c * f.c + b.kappa * (e.c * f.p + e.p * f.c)
+                    + 2 * b.lam * e.p * f.p)
         blocks[(i, k)] = ((c00, c01), (c10, c11))
     twist_sum = sum(cf.twist for cf in cfs)
     entries = [v for block in blocks.values() for row in block for v in row] + [twist_sum]

@@ -13,7 +13,10 @@ from cylinderstat.charfn import (CylinderCF, InconclusiveError, TorusCF,
                                  Z2SignedMeasure, classify_support, convolve,
                                  is_gaussian, is_valid_probability, reflect,
                                  support_line, symmetrize, transform)
-from cylinderstat.groups import TWO_PI, CylinderAuto, DualPoint
+from cylinderstat.groups import TWO_PI, CylinderAuto, DualPoint, is_exact
+from oracle_charfn import (GAUSS_GRID_CYL, GAUSS_GRID_TOR, oracle_convolve,
+                           oracle_eval, oracle_log_parts, oracle_reflect,
+                           oracle_transform, parallelogram_gap)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 
@@ -139,6 +142,112 @@ class TestGaussianity:
     def test_degenerate_is_gaussian(self):
         assert is_gaussian(CylinderCF(0, tau=5, theta=1))
         assert is_gaussian(TorusCF(0, 1.0, 0))
+
+
+def _scalar(lo, hi):
+    """An exact (int or Fraction) or float scalar in [lo, hi]; floats include -0.0."""
+    return st.one_of(st.integers(math.ceil(lo), math.floor(hi)),
+                     st.fractions(lo, hi, max_denominator=12),
+                     st.floats(lo, hi))
+
+
+def circle_bundles():
+    """Circle bundles with exact, float or mixed fields, angles outside [0, 2*pi) too."""
+    return st.builds(TorusCF, st.one_of(_scalar(0, 4), st.floats(-1e-12, 0)),
+                     st.one_of(st.just(0), st.just(0.0), _scalar(-10, 10)),
+                     st.one_of(st.just(0), _scalar(-2, 2)))
+
+
+def _bits(z: complex):
+    return z.real.hex(), z.imag.hex()
+
+
+def _assert_same_circle_bundle(op, oracle, *args):
+    """op(*args) equals oracle(*args) field for field, or both raise the same error type."""
+    try:
+        ref = oracle(*args)
+    except ValueError:  # a sum of slightly negative float variances
+        with pytest.raises(ValueError):
+            op(*args)
+        return
+    out = op(*args)
+    assert type(out) is type(ref) is TorusCF
+    assert out == ref
+    fields = ("sigma", "theta", "twist")
+    assert [type(getattr(out, f)) for f in fields] == [type(getattr(ref, f)) for f in fields]
+    for n in range(-8, 9):
+        assert _bits(out.eval(n)) == _bits(oracle_eval(ref, n)), (out, n)
+
+
+class TestCircleOracle:
+    """Circle bundles computed through the cylinder code against the old circle branches."""
+
+    @given(circle_bundles(), circle_bundles(), st.sampled_from([1, -1]))
+    @settings(max_examples=300, deadline=None)
+    def test_algebra_matches_circle_branches(self, a, b, p):
+        for n in range(-8, 9):
+            assert _bits(a.eval(n)) == _bits(oracle_eval(a, n))
+            parts, ref = a.log_parts(n), oracle_log_parts(a, n)
+            assert parts == ref and list(map(type, parts)) == list(map(type, ref))
+        _assert_same_circle_bundle(convolve, oracle_convolve, a, b)
+        _assert_same_circle_bundle(reflect, oracle_reflect, a)
+        _assert_same_circle_bundle(symmetrize, lambda cf: oracle_convolve(cf, oracle_reflect(cf)), a)
+        _assert_same_circle_bundle(transform, oracle_transform, a, CylinderAuto.sign(p))
+
+    @pytest.mark.parametrize("e", [CylinderAuto(2), CylinderAuto(1, Fraction(1, 2), -1)])
+    def test_non_circle_automorphism_rejected(self, e):
+        cf = TorusCF(1, 0.5, Fraction(1, 5))
+        for op in (transform, oracle_transform):
+            with pytest.raises(ValueError, match="circle automorphism"):
+                op(cf, e)
+
+    def test_mixed_bundle_types_rejected(self):
+        for op in (convolve, oracle_convolve):
+            with pytest.raises(TypeError, match="cannot convolve TorusCF with CylinderCF"):
+                op(TorusCF(1), CylinderCF(1))
+        with pytest.raises(TypeError, match="cannot reflect Z2SignedMeasure"):
+            reflect(Z2SignedMeasure(1, 0))
+        with pytest.raises(TypeError, match="cannot transform int"):
+            transform(3, CylinderAuto.sign(-1))
+
+
+def _float_cylinder(cf):
+    return CylinderCF(*(float(getattr(cf, f)) for f in
+                        ("sigma", "kappa", "lam", "tau", "theta", "twist")))
+
+
+def cylinder_bundles():
+    """PSD cylinder bundles, twist often zero, with exact or float parameters."""
+    exact = st.builds(
+        lambda x, y, r, tau, theta, tw: CylinderCF(x * x, 2 * x * y * r, y * y, tau, theta, tw),
+        x=rationals, y=rationals,
+        r=st.fractions(min_value=-1, max_value=1, max_denominator=4),
+        tau=rationals, theta=rationals, tw=st.one_of(st.just(0), rationals))
+    return st.one_of(exact, exact.map(_float_cylinder))
+
+
+class TestGaussianityOracle:
+    """The grid evaluation of the parallelogram identity agrees with twist == 0."""
+
+    @given(st.one_of(cylinder_bundles(), circle_bundles()))
+    @settings(max_examples=300, deadline=None)
+    def test_gap_is_eight_twists_exactly_when_not_gaussian(self, cf):
+        if isinstance(cf, CylinderCF):
+            gap, scale = parallelogram_gap(cf.phi, GAUSS_GRID_CYL)
+        else:
+            gap, scale = parallelogram_gap(lambda n: -cf.log_parts(n)[0], GAUSS_GRID_TOR)
+        gaussian = is_gaussian(cf)
+        assert gaussian == (cf.twist == 0)
+        expected = 0.0 if gaussian else 8.0 * abs(float(cf.twist))
+        if all(is_exact(getattr(cf, f)) for f in ("sigma", "lam", "kappa", "twist")
+               if hasattr(cf, f)):
+            assert (gap, scale) == (expected, 0.0)
+        else:
+            assert abs(gap - expected) <= 1e-9 * max(1.0, expected, scale)
+
+    def test_rejects_non_bundles(self):
+        with pytest.raises(TypeError, match="is_gaussian expects a CF bundle"):
+            is_gaussian(Z2SignedMeasure(1, 0))
 
 
 class TestValidity:

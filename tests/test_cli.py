@@ -446,3 +446,22 @@ def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
         report = json.loads(result.stdout, parse_constant=_reject_constant)
         if gaussian is not None:
             assert [m["gaussian"] for m in report["members"]] == gaussian
+
+
+@pytest.mark.parametrize("fixture,args,named", [
+    ("reference-without-omega", ["simulate", "--count", "2000", "--bootstrap", "5"], '"omega"'),
+    (None, ["reduce", "--mode", "degree", "--input", ","], "--input"),
+    ("reference", ["simulate", "--count", "2000", "--bootstrap", "0"], "--bootstrap"),
+])
+def test_input_error_names_the_problem(tmp_path, runner, fixture, args, named):
+    """A missing sampler key, an empty --input and a null band of no resamples exit 2.
+
+    The one stderr line names the key or option at fault.
+    """
+    if fixture is not None:
+        args = [args[0], "--fixture", write_json(tmp_path / "fixture.json",
+                                                 _table_fixture(fixture)), *args[1:]]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.stdout == "" and result.stderr.count("\n") == 1, result.output
+    assert result.stderr.startswith(f"error: {args[0]}: ") and named in result.stderr, result.stderr

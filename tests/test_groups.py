@@ -26,6 +26,10 @@ class TestReduceAngle:
         assert 0.0 <= r < TWO_PI
         assert reduce_angle(r) == r
 
+    @pytest.mark.parametrize("theta", [-0.0, -TWO_PI, 0.0])
+    def test_zero_angles_reduce_to_positive_zero(self, theta):
+        assert reduce_angle(theta).hex() == "0x0.0p+0"
+
 
 class TestPairing:
     def test_identity_point(self):
