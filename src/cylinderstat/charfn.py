@@ -41,12 +41,19 @@ def _reduce_param_angle(theta):
     return reduce_angle(theta)
 
 
-def _check_nonneg(name, value):
+def _nonneg(name, value):
+    """`value` checked to be >= 0; a float in the slack [-1e-12, 0) becomes 0.0.
+
+    Storing the slack as 0.0 keeps sums of accepted parameters accepted, so
+    convolution stays inside the bundles the constructors admit.
+    """
     if is_exact(value):
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
-    elif value < -1e-12:
+        return value
+    if value < -1e-12:
         raise ValueError(f"{name} must be >= 0, got {value}")
+    return 0.0 if value < 0 else value
 
 
 @dataclass(frozen=True)
@@ -61,15 +68,16 @@ class CylinderCF:
     twist: object = 0
 
     def __post_init__(self):
-        _check_nonneg("sigma", self.sigma)
-        _check_nonneg("lam", self.lam)
+        object.__setattr__(self, "sigma", _nonneg("sigma", self.sigma))
+        object.__setattr__(self, "lam", _nonneg("lam", self.lam))
         disc = 4 * self.sigma * self.lam - self.kappa * self.kappa
         if is_exact(disc):
             if disc < 0:
                 raise ValueError(f"quadratic form not PSD: 4*sigma*lam - kappa^2 = {disc}")
         else:
-            slack = 1e-12 * max(1.0, abs(float(self.kappa)) ** 2, 4.0 * float(self.sigma) * float(self.lam))
-            if float(disc) < -slack:
+            # A slack relative to kappa^2 admits the cone 4*sigma*lam >= (1 - 1e-12)*kappa^2,
+            # which is closed under the parameter sums of convolution.
+            if float(disc) < -1e-12 * abs(float(self.kappa)) ** 2:
                 raise ValueError(f"quadratic form not PSD: 4*sigma*lam - kappa^2 = {float(disc)}")
         object.__setattr__(self, "theta", _reduce_param_angle(self.theta))
 
@@ -114,7 +122,7 @@ class TorusCF:
     twist: object = 0
 
     def __post_init__(self):
-        _check_nonneg("sigma", self.sigma)
+        object.__setattr__(self, "sigma", _nonneg("sigma", self.sigma))
         object.__setattr__(self, "theta", _reduce_param_angle(self.theta))
 
     @property

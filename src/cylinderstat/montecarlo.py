@@ -7,9 +7,13 @@ is scheduled.  The empirical independence check estimates
     | E prod_i (L_i, y_i) - prod_i E (L_i, y_i) |
 
 over a probe grid of dual tuples and calibrates "consistent with zero" by a
-null bootstrap: resampling each statistic's rows independently enforces
-independence while preserving marginals, and the reported band is the
-observed residual shifted by the 2.5%/97.5% quantiles of that null statistic.
+Gaussian null.  Characters multiply, c(y) * conj c(y') = c(y - y'), so under
+independence (with the empirical marginals) joint - prod(marginals) is, by the
+delta method, asymptotically a complex Gaussian whose covariance is a closed
+form in the empirical CFs at probe differences and sums (Csorgo 1985, "Testing
+for independence by the empirical characteristic function").  Draws of the
+max-modulus statistic from that law, on their own derived stream, give the
+reported band: the observed residual shifted by their 2.5%/97.5% quantiles.
 A band containing zero means the observed residual is explained by sampling
 noise.
 """
@@ -190,16 +194,71 @@ def _probe_characters(stats, probes, kind: str) -> np.ndarray:
     return out
 
 
-def _residuals_from_chars(chars: np.ndarray) -> np.ndarray:
+def _residuals(chars: np.ndarray, means) -> np.ndarray:
     """|mean of products - product of means| per probe, chars (n_stats, count, P)."""
     prod = chars[0].copy()
     for i in range(1, chars.shape[0]):
         prod *= chars[i]
     joint = prod.mean(axis=0)
-    marginal = chars[0].mean(axis=0)
-    for i in range(1, chars.shape[0]):
-        marginal = marginal * chars[i].mean(axis=0)
+    marginal = means[0]
+    for m in means[1:]:
+        marginal = marginal * m
     return np.abs(joint - marginal)
+
+
+def _null_covariance(chars: np.ndarray, means) -> np.ndarray:
+    """Covariance of (Re D, Im D), D = joint - prod of marginals, under independence.
+
+    By the delta method D is, to first order, the row mean of
+    prod_i x_i - M - sum_i w_i (x_i - m_i), with M = prod_i m_i and
+    w_i = prod_{j != i} m_j.  Independence makes the second moments of the
+    product the entrywise product of per-statistic Gram matrices
+    G_i = X_i^T conj(X_i) / N (and H_i = X_i^T X_i / N for the pseudo-covariance),
+    whose entries are the empirical CFs at probe differences (and sums).
+    """
+    count = chars.shape[1]
+    means = np.array(means)
+    total = means.prod(axis=0)
+    gram_prod = pseudo_prod = 1.0
+    gram_lin = pseudo_lin = 0.0
+    for i, (x, m) in enumerate(zip(chars, means)):
+        g = x.T @ x.conj() / count
+        h = x.T @ x / count
+        w = np.delete(means, i, axis=0).prod(axis=0)
+        gram_prod = gram_prod * g
+        pseudo_prod = pseudo_prod * h
+        gram_lin = gram_lin + np.outer(w, w.conj()) * (g - np.outer(m, m.conj()))
+        pseudo_lin = pseudo_lin + np.outer(w, w) * (h - np.outer(m, m))
+    gamma = (gram_prod - np.outer(total, total.conj()) - gram_lin) / count
+    pseudo = (pseudo_prod - np.outer(total, total) - pseudo_lin) / count
+    return np.block([[(gamma + pseudo).real, (pseudo - gamma).imag],
+                     [(pseudo + gamma).imag, (gamma - pseudo).real]]) / 2
+
+
+# Null draws per block: bounds the work array at _NULL_BLOCK x 2P floats.
+# Blocks consume the generator in order, so the draws do not depend on it.
+_NULL_BLOCK = 4096
+
+
+def _null_maxima(cov: np.ndarray, draws: int, rng) -> np.ndarray:
+    """max_p |D| for `draws` vectors of the centred Gaussian with covariance `cov`.
+
+    Negative eigenvalues are rounding (the matrix is singular for one row,
+    repeated probes or constant statistics) and are clipped to 0.
+    """
+    vals, vecs = np.linalg.eigh(cov)
+    factor = (vecs * np.sqrt(np.clip(vals, 0.0, None))).T
+    half = cov.shape[0] // 2
+    out = np.empty(draws)
+    for start in range(0, draws, _NULL_BLOCK):
+        z = rng.standard_normal((min(_NULL_BLOCK, draws - start), cov.shape[0]))
+        # z @ factor, summed in a fixed order: a matmul rounds each row
+        # differently depending on how many rows the block has.
+        x = np.zeros_like(z)
+        for j, row in enumerate(factor):
+            x += z[:, j, None] * row
+        out[start:start + len(z)] = np.hypot(x[:, :half], x[:, half:]).max(axis=1)
+    return out
 
 
 def empirical_independence(samples, matrix: StatMatrix, probes=None,
@@ -207,10 +266,9 @@ def empirical_independence(samples, matrix: StatMatrix, probes=None,
     """Empirical independence report for the statistics defined by the matrix.
 
     Returns a dict with the max residual over the probe grid, the worst
-    probe, and (when bootstrap > 0) the null band described in the module
-    docstring together with the verdict `consistent_with_zero`.  The
-    replicates reuse two gather buffers; the band is bit-for-bit that of
-    a fresh gather per replicate.
+    probe, and (when bootstrap > 0) the Gaussian null described in the module
+    docstring: `bootstrap` null draws give the band, the verdict
+    `consistent_with_zero` and a one-sided `p_value`.
     """
     if kind is None:
         kind = "torus" if matrix.is_sign_matrix() and all(
@@ -220,8 +278,9 @@ def empirical_independence(samples, matrix: StatMatrix, probes=None,
     stats = statistic_samples(samples, matrix)
     count = stats[0].count
     chars = _probe_characters(stats, probes, kind)
+    means = [x.mean(axis=0) for x in chars]
 
-    residuals = _residuals_from_chars(chars)
+    residuals = _residuals(chars, means)
     worst = int(residuals.argmax())
     max_residual = float(residuals[worst])
 
@@ -234,30 +293,13 @@ def empirical_independence(samples, matrix: StatMatrix, probes=None,
         "bootstrap": bootstrap,
     }
     if bootstrap > 0:
-        # Null resampling: independent row draws per statistic preserve the
-        # marginals but enforce independence, giving the noise distribution of
-        # the max-residual statistic under the null hypothesis.  Single
-        # precision is plenty for quantiles of ~1e-3-scale noise.
-        chars32 = chars.astype(np.complex64)
-        del chars
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0057]))
-        # Two reused (count, P) buffers, same order as _residuals_from_chars;
-        # mode="clip" skips the output copy of "raise" (indices are in range).
-        # The marginal product stays out of place: numpy rounds in-place and
-        # out-of-place complex products differently.
-        prod, buf = np.empty_like(chars32[:2])
-        null_stats = np.empty(bootstrap)
-        for b in range(bootstrap):
-            np.take(chars32[0], rng.integers(0, count, size=count), axis=0, out=prod, mode="clip")
-            marginal = prod.mean(axis=0)
-            for i in range(1, len(stats)):
-                np.take(chars32[i], rng.integers(0, count, size=count), axis=0, out=buf, mode="clip")
-                marginal = marginal * buf.mean(axis=0)
-                prod *= buf
-            null_stats[b] = float(np.abs(prod.mean(axis=0) - marginal).max())
+        null_stats = _null_maxima(_null_covariance(chars, means), bootstrap, rng)
         lo, hi = np.quantile(null_stats, [0.025, 0.975])
         band = (max_residual - float(hi), max_residual - float(lo))
+        report["null"] = "gaussian"
         report["null_band"] = band
+        report["p_value"] = (1 + int(np.count_nonzero(null_stats >= max_residual))) / (1 + bootstrap)
         report["consistent_with_zero"] = band[0] <= 0.0 <= band[1]
     return report
 

@@ -1,10 +1,11 @@
-"""Reference for the empirical independence report: the per-replicate gather loop.
+"""Reference for the empirical independence report: the resampled null.
 
 `oracle_empirical_independence` is `montecarlo.empirical_independence` as it
-was before the bootstrap reused its buffers: it computes one character column
-per probe and slot, and each replicate allocates a fresh gathered array filled
-by mixed advanced indexing.  The library must give equal reports (`==`, the
-null band included).
+was before the Gaussian null: it computes one character column per probe and
+slot, and calibrates the band by resampling each statistic's rows
+independently, one freshly gathered array per replicate.  The library must
+give equal residuals (`==`); its band, drawn from the delta-method Gaussian,
+must match the resampled quantiles within their Monte-Carlo error.
 """
 
 import numpy as np
@@ -28,8 +29,8 @@ def _probe_characters(stats, probes, kind: str, dtype=complex) -> np.ndarray:
     return out
 
 
-def _residuals_from_chars(chars: np.ndarray) -> np.ndarray:
-    """|mean of products - product of means| per probe, chars (n_stats, count, P)."""
+def _differences_from_chars(chars: np.ndarray) -> np.ndarray:
+    """Mean of products - product of means per probe, chars (n_stats, count, P)."""
     prod = chars[0].copy()
     for i in range(1, chars.shape[0]):
         prod *= chars[i]
@@ -37,7 +38,36 @@ def _residuals_from_chars(chars: np.ndarray) -> np.ndarray:
     marginal = chars[0].mean(axis=0)
     for i in range(1, chars.shape[0]):
         marginal = marginal * chars[i].mean(axis=0)
-    return np.abs(joint - marginal)
+    return joint - marginal
+
+
+def _residuals_from_chars(chars: np.ndarray) -> np.ndarray:
+    """|mean of products - product of means| per probe, chars (n_stats, count, P)."""
+    return np.abs(_differences_from_chars(chars))
+
+
+def oracle_null_differences(chars: np.ndarray, bootstrap: int, seed: int) -> np.ndarray:
+    """Joint - product of marginals, (bootstrap, P), for null resamplings of chars.
+
+    Independent row draws per statistic preserve the marginals but enforce
+    independence, giving the noise distribution of the residual under the
+    null hypothesis.  Single precision is plenty for ~1e-3-scale noise.
+    """
+    chars32 = chars.astype(np.complex64)
+    count = chars.shape[1]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0057]))
+    out = np.empty((bootstrap, chars.shape[2]), dtype=np.complex64)
+    for b in range(bootstrap):
+        gathered = np.empty_like(chars32)
+        for i in range(chars.shape[0]):
+            gathered[i] = chars32[i, rng.integers(0, count, size=count)]
+        out[b] = _differences_from_chars(gathered)
+    return out
+
+
+def oracle_null_maxima(chars: np.ndarray, bootstrap: int, seed: int) -> np.ndarray:
+    """The max-residual statistic of each null resampling."""
+    return np.abs(oracle_null_differences(chars, bootstrap, seed)).max(axis=1).astype(float)
 
 
 def oracle_empirical_independence(samples, matrix: StatMatrix, probes=None,
@@ -70,19 +100,7 @@ def oracle_empirical_independence(samples, matrix: StatMatrix, probes=None,
         "bootstrap": bootstrap,
     }
     if bootstrap > 0:
-        # Null resampling: independent row draws per statistic preserve the
-        # marginals but enforce independence, giving the noise distribution of
-        # the max-residual statistic under the null hypothesis.  Single
-        # precision is plenty for quantiles of ~1e-3-scale noise.
-        chars32 = chars.astype(np.complex64)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0057]))
-        n_stats = len(stats)
-        null_stats = np.empty(bootstrap)
-        for b in range(bootstrap):
-            gathered = np.empty_like(chars32)
-            for i in range(n_stats):
-                gathered[i] = chars32[i, rng.integers(0, count, size=count)]
-            null_stats[b] = float(_residuals_from_chars(gathered).max())
+        null_stats = oracle_null_maxima(chars, bootstrap, seed)
         lo, hi = np.quantile(null_stats, [0.025, 0.975])
         band = (max_residual - float(hi), max_residual - float(lo))
         report["null_band"] = band

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from cylinderstat.charfn import (CylinderCF, InconclusiveError, TorusCF,
@@ -30,6 +30,26 @@ def psd_cylinder_cfs():
         r=st.fractions(min_value=-1, max_value=1, max_denominator=4),
         tau=rationals, tw=rationals,
     )
+
+
+# Nonnegative parameters crowding the float slack [-1e-12, 0) as well as exact ones.
+slack_nonneg = st.one_of(st.floats(-1e-12, 0.0), st.floats(0.0, 4.0),
+                         st.fractions(min_value=0, max_value=4, max_denominator=8))
+
+
+@st.composite
+def accepted_bundles(draw, kind):
+    """Bundles the constructors accept, with kappa^2 crowding 4*sigma*lam."""
+    sigma, lam = draw(slack_nonneg), draw(slack_nonneg)
+    theta, twist = draw(st.floats(-7, 7)), draw(st.floats(-1, 1))
+    try:
+        if kind == "circle":
+            return TorusCF(lam, theta, twist)
+        edge = 2 * math.sqrt(max(float(sigma), 0.0) * max(float(lam), 0.0))
+        kappa = draw(st.floats(-1, 1)) * edge + draw(st.floats(-1e-6, 1e-6))
+        return CylinderCF(sigma, kappa, lam, draw(st.floats(-3, 3)), theta, twist)
+    except ValueError:
+        reject()
 
 
 class TestEval:
@@ -347,11 +367,28 @@ class TestPSD:
             CylinderCF(-1, 0, 0)
         with pytest.raises(ValueError):
             CylinderCF(1, 0, -2)
+        with pytest.raises(ValueError):  # the float slack is relative to kappa^2
+            CylinderCF(0.0, 1e-6, 0.0)
+
+    def test_float_slack_stored_as_zero(self):
+        cf = CylinderCF(-1e-13, 0, -1e-12)
+        assert (cf.sigma, cf.lam) == (0.0, 0.0)
+        assert TorusCF(-1e-13).sigma == 0.0
 
     @given(psd_cylinder_cfs(), psd_cylinder_cfs())
     @settings(max_examples=80, deadline=None)
     def test_convolution_stays_valid(self, a, b):
         convolve(a, b)  # constructor re-checks the PSD invariant
+
+    @given(st.sampled_from(["circle", "cylinder"]).flatmap(
+        lambda kind: st.tuples(accepted_bundles(kind), accepted_bundles(kind))))
+    @example((TorusCF(-9.343470532819704e-13), TorusCF(-9.343470532819704e-13)))
+    @example((CylinderCF(-9.343470532819704e-13, 0, 1), CylinderCF(-9.343470532819704e-13, 0, 1)))
+    @settings(max_examples=300, deadline=None)
+    def test_closed_on_accepted_bundles(self, pair):
+        # The float slack that admits each operand admits their convolution.
+        out = convolve(*pair)
+        assert type(out) is type(pair[0])
 
 
 class TestTransform:

@@ -266,8 +266,10 @@ class TestSimulate:
             "--samples-out", str(tmp_path / "samples"),
         ])
         assert result.exit_code == 0, result.output
-        report = json.loads(result.stdout)
+        report = json.loads(result.stdout, parse_constant=_reject_constant)
         assert report["consistent_with_zero"] is True
+        assert report["null"] == "gaussian"
+        assert 0 < report["p_value"] <= 1
         assert (tmp_path / "samples" / "xi1.csv").exists()
 
     def test_torus_simulation(self, tmp_path, runner):

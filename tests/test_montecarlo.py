@@ -1,20 +1,28 @@
 """Samplers and the empirical independence check (seeded, deterministic)."""
 
+import json
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cylinderstat import montecarlo
 from cylinderstat.charfn import TorusCF
+from cylinderstat.families import four_statistic_family
 from cylinderstat.groups import TWO_PI, CylinderAuto, CylinderPoint, DualPoint
 from cylinderstat.independence import StatMatrix
 from cylinderstat.montecarlo import (_CYL_PROBE_BASE, _TOR_PROBE_BASE, SampleSet,
                                      empirical_cf, empirical_independence,
-                                     sample_line_gaussian, sample_torus_twisted,
-                                     save_samples_csv, statistic_samples)
-from oracle_montecarlo import oracle_empirical_independence
+                                     default_probes, sample_line_gaussian,
+                                     sample_torus_twisted, save_samples_csv,
+                                     statistic_samples)
+from oracle_montecarlo import _probe_characters as oracle_probe_characters
+from oracle_montecarlo import (oracle_empirical_independence, oracle_null_differences,
+                               oracle_null_maxima)
 
 
 class TestLineSampler:
@@ -119,12 +127,16 @@ class TestEmpiricalIndependence:
         report = empirical_independence([zero] * 3, ref_family.matrix, bootstrap=0)
         assert report["max_residual"] == pytest.approx(0.0, abs=1e-12)
 
-    def test_deterministic_report(self, ref_family):
+    def test_deterministic_report(self, ref_family, monkeypatch):
         samples = [sample_line_gaussian(1.0, 1.0, 5000, seed=40 + j)
                    for j in range(3)]
         r1 = empirical_independence(samples, ref_family.matrix, bootstrap=50, seed=7)
         r2 = empirical_independence(samples, ref_family.matrix, bootstrap=50, seed=7)
         assert r1 == r2
+        assert empirical_independence(samples, ref_family.matrix, bootstrap=50, seed=8) != r1
+        # Null draws in blocks of 7 consume the stream as one block of 50 does.
+        monkeypatch.setattr(montecarlo, "_NULL_BLOCK", 7)
+        assert empirical_independence(samples, ref_family.matrix, bootstrap=50, seed=7) == r1
 
     def test_statistic_samples_apply_rows(self, ref_family):
         samples = [sample_line_gaussian(1.0, 1.0, 100, seed=50 + j)
@@ -215,32 +227,123 @@ def oracle_cases(draw):
                 kind=draw(st.sampled_from([kind, None])))
 
 
+_ORACLE_KEYS = ("count", "probes", "max_residual", "worst_probe", "residuals", "bootstrap")
+
+
+def _checked_report(case):
+    """The library's report: residuals equal to the oracle's, a sound Gaussian band.
+
+    The band is drawn from the delta-method null, not resampled, so it is
+    checked for soundness here and against the resampled quantiles in
+    `test_gaussian_quantiles_match_resampled`.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = empirical_independence(**case)
+    want = oracle_empirical_independence(**case)
+    assert {k: got[k] for k in _ORACLE_KEYS} == {k: want[k] for k in _ORACLE_KEYS}
+    if case["bootstrap"] == 0:
+        assert got == want
+        return got
+    lo, hi = got["null_band"]
+    assert math.isfinite(lo) and math.isfinite(hi)
+    assert lo <= hi <= got["max_residual"]
+    assert got["consistent_with_zero"] == (lo <= 0.0 <= hi)
+    assert got["null"] == "gaussian"
+    assert 1 / (1 + case["bootstrap"]) <= got["p_value"] <= 1
+    json.dumps(got, allow_nan=False)
+    return got
+
+
+def _quantile_se(draws, p):
+    """Monte-Carlo standard error of the p-quantile of `draws`, distribution free.
+
+    The sample quantiles at p -+ 2*sqrt(p(1-p)/B) are the order statistics
+    two binomial standard deviations either side of the p-quantile's rank,
+    so they lie about two standard errors either side of it.
+    """
+    delta = 2 * math.sqrt(p * (1 - p) / len(draws))
+    lo, hi = np.quantile(draws, [p - delta, p + delta])
+    return (hi - lo) / 4
+
+
 class TestOracle:
-    """The reused-buffer bootstrap against the per-replicate gather loop it replaced."""
+    """The Gaussian null band against the resampling loop it replaced."""
 
     @settings(max_examples=80, deadline=None)
     @given(oracle_cases())
-    def test_reports_equal_oracle(self, case):
-        assert empirical_independence(**case) == oracle_empirical_independence(**case)
+    def test_reports_match_oracle(self, case):
+        _checked_report(case)
 
-    def test_reference_fixture_equal_oracle(self, ref_family):
+    def test_reference_fixture_matches_oracle(self, ref_family):
         samples = [sample_line_gaussian(float(cf.sigma), 1.0, 4000, seed=80 + j)
                    for j, cf in enumerate(ref_family.cfs)]
-        got = empirical_independence(samples, ref_family.matrix, bootstrap=20, seed=3)
-        assert got == oracle_empirical_independence(samples, ref_family.matrix,
-                                                     bootstrap=20, seed=3)
-        assert "null_band" in got
+        got = _checked_report(dict(samples=samples, matrix=ref_family.matrix,
+                                   bootstrap=20, seed=3))
+        assert got["consistent_with_zero"]
 
     def test_single_row_equal_statistics(self):
         # All four statistics are the same single value, so joint and marginal
-        # differ only by rounding: numpy's in-place and out-of-place complex
-        # products round differently, and the band must follow the oracle's.
+        # differ only by rounding, and so does the null covariance from zero:
+        # its eigenvalues of rounding size include negative ones to clip.
         samples = [SampleSet(np.array([t]), np.array([theta])) for t, theta in
                    ((0.18859533, 1.69511992), (0.96063398, 0.1038462),
                     (-0.80350406, 5.73501243), (1.95600007, 4.58356207))]
         case = dict(samples=samples, matrix=StatMatrix.from_signs([[1] * 4] * 4),
                     probes=[((0.25, 0),) * 4], bootstrap=1, seed=0, kind="cylinder")
-        assert empirical_independence(**case) == oracle_empirical_independence(**case)
+        _checked_report(case)
+
+    def test_null_covariance_matches_resampled(self, ref_family):
+        """The closed-form covariance of (Re D, Im D) against resampled D.
+
+        Probes with small s put the marginal CFs near 1, where the linear
+        terms and the pseudo-covariance weigh most.  An entry of the second
+        moment of B centred Gaussian vectors has standard error
+        sqrt((S_ii S_jj + S_ij^2) / B); each entry may differ by 5 of those.
+        """
+        count, replicates = 2000, 4000
+        samples = [sample_line_gaussian(float(cf.sigma), 1.0, count, seed=90 + j)
+                   for j, cf in enumerate(ref_family.cfs)]
+        probes = [((0.1, 0),) * 3, ((0.2, 0), (-0.1, 0), (0.1, 0)),
+                  ((-0.1, 0), (0.2, 0), (0.2, 0)), ((0.1, 1), (0, 0), (0.2, -1))]
+        chars = oracle_probe_characters(statistic_samples(samples, ref_family.matrix),
+                                        probes, "cylinder")
+        cov = montecarlo._null_covariance(chars, [x.mean(axis=0) for x in chars])
+        d = oracle_null_differences(chars, replicates, seed=0)
+        v = np.concatenate([d.real, d.imag], axis=1).astype(float)
+        se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / replicates)
+        assert np.all(np.abs(v.T @ v / replicates - cov) <= 5 * se)
+
+    @pytest.mark.parametrize("fixture", ["reference", "four-statistic"])
+    def test_gaussian_quantiles_match_resampled(self, fixture, ref_family):
+        """Analytic and resampled 2.5%/97.5% null quantiles agree at count 1e4.
+
+        Tolerance: 4 standard errors of the difference.  The resampled
+        quantile from B = 400 replicates has the standard error se of
+        `_quantile_se`; the analytic one, from A = 40,000 draws of a law of
+        about the same shape, has about se * sqrt(B / A).  So the two may
+        differ by at most 4 * se * sqrt(1 + B / A).
+        """
+        count, replicates, draws = 10_000, 400, 40_000
+        if fixture == "reference":
+            fam = ref_family
+            samples = [sample_line_gaussian(float(cf.sigma), 1.0, count, seed=90 + j)
+                       for j, cf in enumerate(fam.cfs)]
+        else:
+            fam = four_statistic_family(1, Fraction(1, 20))
+            samples = [sample_torus_twisted(cf, count, seed=90 + j)
+                       for j, cf in enumerate(fam.cfs)]
+        report = empirical_independence(samples, fam.matrix, bootstrap=draws,
+                                        seed=0, kind=fam.kind)
+        stats = statistic_samples(samples, fam.matrix)
+        chars = oracle_probe_characters(stats, default_probes(fam.matrix.n, fam.kind),
+                                        fam.kind)
+        resampled = oracle_null_maxima(chars, replicates, seed=0)
+        top = report["max_residual"]
+        analytic = (top - report["null_band"][1], top - report["null_band"][0])
+        for p, got in zip((0.025, 0.975), analytic):
+            tol = 4 * _quantile_se(resampled, p) * math.sqrt(1 + replicates / draws)
+            assert abs(got - np.quantile(resampled, p)) <= tol, (p, got, tol)
 
 
 class TestCsvExport:
