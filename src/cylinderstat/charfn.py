@@ -25,8 +25,6 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .groups import TWO_PI, CylinderAuto, DualPoint, exact_div, is_exact, reduce_angle
 
 
@@ -272,6 +270,8 @@ def is_valid_probability(cf: TorusCF, truncation: int = 64, tol: float = 1e-9,
             f"Fourier tail bound {tail:.3e} exceeds tol={tol:.1e} at truncation={truncation}"
         )
 
+    import numpy as np
+
     _, density, imag = fourier_density(cf, truncation, grid_points)
     return float(density.min()) >= -tol and float(np.abs(imag).max()) <= tol
 
@@ -282,6 +282,8 @@ def fourier_density(cf: TorusCF, truncation: int, grid_points: int):
     The CF's Fourier series over the modes -truncation..truncation, summed at
     `grid_points` uniform angles in [0, 2*pi).
     """
+    import numpy as np
+
     ns = np.arange(-truncation, truncation + 1)
     coeffs = np.array([cf.eval(int(n)) for n in ns])
     angles = np.linspace(0.0, TWO_PI, grid_points, endpoint=False)

@@ -19,7 +19,7 @@ from . import serialize
 from .charfn import InconclusiveError, classify_support, is_gaussian, support_line
 from .families import (ConstructionError, Family, four_statistic_family,
                        line_gaussian_family, twisted_torus_pair)
-from .fdiff import (ProfileError, fit_quadratic_profile, load_grid_csv,
+from .fdiff import (ProfileError, check_tol, fit_quadratic_profile, load_grid_csv,
                     polynomial_degree, verify_triple_differences)
 from .independence import (DegenerateFormError, coefficient_conditions,
                            default_grid, gaussian_system_check,
@@ -235,6 +235,7 @@ def reduce(input_paths, mode, fixture_path, tol, max_degree):
         raise click.UsageError("triple mode needs three comma-separated grid CSVs")
     if fixture_path is None:
         raise click.UsageError("triple mode needs --fixture for the statistic matrix")
+    check_tol(tol)
     fam = _load_fixture(fixture_path)
     tags = classify_step_subgroups(fam.matrix)
     residuals = verify_triple_differences(grids, fam.matrix, tags)

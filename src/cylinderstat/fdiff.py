@@ -15,12 +15,15 @@ coefficient, odd kappa and even lambda.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .groups import DualPoint
 from .independence import StatMatrix, StepSubgroups, classify_step_subgroups
+
+# numpy is imported inside each function that uses it: the package imports
+# this module, and the exact commands (check, solenoid, construct,
+# conditions) must start without paying for numpy.
 
 
 class OffGridError(ValueError):
@@ -35,6 +38,15 @@ class SingularCornerError(ValueError):
     """Corner determinant vanished where a unique solution was required."""
 
 
+def check_tol(tol) -> None:
+    """Raise ValueError unless `tol` is a finite number >= 0.
+
+    A NaN tolerance would make every `gap > tol` false and pass any grid.
+    """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Samples of f(s, n) on a uniform s-grid times a contiguous n-range."""
@@ -45,6 +57,8 @@ class GridFunction:
     values: np.ndarray  # shape (len(s-grid), len(n-grid))
 
     def __post_init__(self):
+        import numpy as np
+
         v = np.asarray(self.values)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError("values must be a nonempty 2-D array")
@@ -54,14 +68,20 @@ class GridFunction:
 
     @property
     def s_values(self) -> np.ndarray:
+        import numpy as np
+
         return self.s_start + self.s_step * np.arange(self.values.shape[0])
 
     @property
     def n_values(self) -> np.ndarray:
+        import numpy as np
+
         return self.n_start + np.arange(self.values.shape[1])
 
     @classmethod
     def sample(cls, fn, s_values, n_values) -> "GridFunction":
+        import numpy as np
+
         s_values = np.asarray(s_values, dtype=float)
         n_values = np.asarray(n_values, dtype=int)
         steps = np.diff(s_values)
@@ -86,10 +106,14 @@ class GridFunction:
 
 
 def default_s_grid():
+    import numpy as np
+
     return np.arange(-5.0, 5.0 + 1e-9, 0.25)
 
 
 def default_n_grid():
+    import numpy as np
+
     return np.arange(-6, 7)
 
 
@@ -123,6 +147,11 @@ def polynomial_degree(f: GridFunction, max_deg: int = 6, tol: float = 1e-9):
     that mixed terms raise the detected degree.  Raises when the grid is too
     small to apply max_deg + 1 differences of some test step.
     """
+    import numpy as np
+
+    check_tol(tol)
+    if max_deg < 0:
+        raise ValueError(f"max_deg must be >= 0, got {max_deg!r}")
     steps = list(DEGREE_TEST_STEPS)
     S, N = f.values.shape
     for j, k in steps:
@@ -163,6 +192,9 @@ def fit_quadratic_profile(f: GridFunction, tol: float = 1e-9) -> ProfileFit:
     even; lambda is otherwise unconstrained.  Raises ProfileError when any of
     the structural requirements fails beyond tol.
     """
+    import numpy as np
+
+    check_tol(tol)
     vals = f.values
     if np.iscomplexobj(vals):
         if float(np.abs(vals.imag).max()) > tol:
@@ -223,6 +255,8 @@ def verify_triple_differences(psis, matrix: StatMatrix, tags: StepSubgroups = No
     2 cross with col2, function 3 col1 with col2), the outer step is free.
     Returns the residual triple.
     """
+    import numpy as np
+
     if len(psis) != 3:
         raise ValueError("expected three sampled log-CFs")
     if tags is None:
@@ -259,6 +293,9 @@ def verify_cross_linearity(kappas, n_values, a1, a2, b1, b2, kappa_total,
     ratio kappa_j(n)/n must be constant over n != 0.  Raises when the corner
     determinant (a1-1)(b2-1) - (a2-1)(b1-1) vanishes.
     """
+    import numpy as np
+
+    check_tol(tol)
     a1, a2, b1, b2 = (float(v) for v in (a1, a2, b1, b2))
     corner = (a1 - 1) * (b2 - 1) - (a2 - 1) * (b1 - 1)
     if corner == 0:
@@ -287,6 +324,8 @@ def verify_cross_linearity(kappas, n_values, a1, a2, b1, b2, kappa_total,
 
 
 def save_grid_csv(f: GridFunction, path) -> None:
+    import numpy as np
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s", "n", "re", "im"])
@@ -299,6 +338,8 @@ def save_grid_csv(f: GridFunction, path) -> None:
 
 
 def load_grid_csv(path) -> GridFunction:
+    import numpy as np
+
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)

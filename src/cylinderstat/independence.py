@@ -36,8 +36,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from .charfn import CylinderCF, TorusCF, convolve, symmetrize, transform
 from .groups import CylinderAuto, DualPoint, is_exact
 
@@ -136,6 +134,10 @@ def slot_points(kind: str = "cylinder", dense: bool = False):
     return [DualPoint(s, n) for s in ss for n in ns]
 
 
+# Grid tuples per numpy pass, in product_grid and _grid_maximum.
+_CHUNK = 8192
+
+
 def product_grid(points, n_slots: int, cap: int = 100_000, seed: int = 0):
     """Cartesian grid of dual tuples, stride-subsampled deterministically past `cap`.
 
@@ -147,15 +149,20 @@ def product_grid(points, n_slots: int, cap: int = 100_000, seed: int = 0):
     total = base ** n_slots
     if total <= cap:
         return [tuple(t) for t in itertools.product(points, repeat=n_slots)]
+    import numpy as np
+
     offset = int(np.random.default_rng(seed).integers(total))
     grid = []
-    for k in range(cap):
-        idx = (offset + (k * total) // cap) % total
-        tup = []
-        for _ in range(n_slots):
-            idx, r = divmod(idx, base)
-            tup.append(points[r])
-        grid.append(tuple(tup))
+    # Chunks keep the index arrays and digit lists small next to the grid.
+    for lo in range(0, cap, _CHUNK):
+        ks = range(lo, min(lo + _CHUNK, cap))
+        # integers(total) rejects total > 2**63, so every flat index (< total) fits in int64.
+        flat = np.fromiter(((offset + k * total // cap) % total for k in ks), np.int64, len(ks))
+        slots = []
+        for _ in range(n_slots):  # slot 0 is the least significant digit
+            flat, digits = np.divmod(flat, base)
+            slots.append(map(points.__getitem__, digits.tolist()))
+        grid.extend(zip(*slots))
     return grid
 
 
@@ -218,9 +225,6 @@ def nonzero_blocks(blocks) -> list:
     return [pair for pair, (row0, row1) in blocks.items() if any((*row0, *row1))]
 
 
-_CHUNK = 8192
-
-
 def _grid_maximum(blocks, twist_sum, grid, coords):
     """(max |LHS_log - RHS_log| over the grid, earliest index attaining it in float64).
 
@@ -228,6 +232,8 @@ def _grid_maximum(blocks, twist_sum, grid, coords):
     chunks of the grid, mapped to int16 table indices, gather and add those
     rows, and the rows behind the winning cell are re-summed by math.fsum.
     """
+    import numpy as np
+
     getters = [operator.itemgetter(i) for i in range(len(grid[0]))]
     points = [list({id(y): y for y in map(get, grid)}.values()) for get in getters]
     index = [{id(y): r for r, y in enumerate(pts)} for pts in points]

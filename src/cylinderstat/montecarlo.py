@@ -24,11 +24,13 @@ import csv
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .charfn import TorusCF, fourier_density, is_valid_probability
 from .groups import TWO_PI, CylinderPoint, DualPoint
 from .independence import StatMatrix
+
+# numpy is imported inside each function that uses it: the package imports
+# this module, and the exact commands (check, solenoid, construct,
+# conditions) must start without paying for numpy.
 
 _CHUNK = 1 << 14
 
@@ -41,6 +43,8 @@ class SampleSet:
     theta: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         t = np.asarray(self.t, dtype=float)
         theta = np.mod(np.asarray(self.theta, dtype=float), TWO_PI)
         if t.shape != theta.shape or t.ndim != 1:
@@ -54,6 +58,8 @@ class SampleSet:
 
 
 def _chunk_generators(seed: int, count: int):
+    import numpy as np
+
     n_chunks = (count + _CHUNK - 1) // _CHUNK
     seqs = np.random.SeedSequence(seed).spawn(n_chunks)
     sizes = [min(_CHUNK, count - i * _CHUNK) for i in range(n_chunks)]
@@ -68,6 +74,8 @@ def sample_line_gaussian(sigma, omega, count: int, seed: int,
     CF converge to exp(-sigma*(s + omega*n)^2); theta = omega*t exactly, so
     every sample sits on the line before shifting.
     """
+    import numpy as np
+
     if count < 1:
         raise ValueError("count must be >= 1")
     sigma = float(sigma)
@@ -87,6 +95,8 @@ def sample_line_gaussian(sigma, omega, count: int, seed: int,
 
 
 def _torus_inverse_cdf(cf: TorusCF, truncation: int, grid: int):
+    import numpy as np
+
     angles, density, _ = fourier_density(cf, truncation, grid)
     weights = np.clip(density, 0.0, None) * (TWO_PI / grid)
     cdf = np.concatenate([[0.0], np.cumsum(weights)])
@@ -102,6 +112,8 @@ def sample_torus_twisted(cf: TorusCF, count: int, seed: int,
     The density comes from Fourier inversion on a uniform angle grid; the
     degenerate and two-point (sigma = 0) cases are sampled exactly.
     """
+    import numpy as np
+
     if count < 1:
         raise ValueError("count must be >= 1")
     if not is_valid_probability(cf, truncation=truncation, tol=1e-9):
@@ -127,6 +139,8 @@ def sample_torus_twisted(cf: TorusCF, count: int, seed: int,
 
 def empirical_cf(samples: SampleSet, y) -> complex:
     """Empirical characteristic function at a dual point (or integer for the circle)."""
+    import numpy as np
+
     if isinstance(y, DualPoint):
         s, n = float(y.s), y.n
     elif isinstance(y, tuple):
@@ -142,6 +156,8 @@ def statistic_samples(samples, matrix: StatMatrix):
     Raises FloatingPointError, an ArithmeticError, when a statistic overflows
     a float, as a huge matrix entry can make it do.
     """
+    import numpy as np
+
     if len(samples) != matrix.n:
         raise ValueError(f"need {matrix.n} sample sets, got {len(samples)}")
     counts = {s.count for s in samples}
@@ -166,6 +182,8 @@ _TOR_PROBE_BASE = (1, -1, 2, -2, 3)
 def default_probes(n_slots: int, kind: str = "cylinder", count: int = 16,
                    seed: int = 2024):
     """A deterministic probe set of dual tuples, one (s, n) or integer per slot."""
+    import numpy as np
+
     base = _CYL_PROBE_BASE if kind == "cylinder" else _TOR_PROBE_BASE
     rng = np.random.default_rng(seed)
     probes = []
@@ -180,6 +198,8 @@ def default_probes(n_slots: int, kind: str = "cylinder", count: int = 16,
 
 def _probe_characters(stats, probes, kind: str) -> np.ndarray:
     """Array (n_stats, count, n_probes) of character values; one exp per distinct slot point."""
+    import numpy as np
+
     n_stats = len(stats)
     count = stats[0].count
     out = np.empty((n_stats, count, len(probes)), dtype=complex)
@@ -196,6 +216,8 @@ def _probe_characters(stats, probes, kind: str) -> np.ndarray:
 
 def _residuals(chars: np.ndarray, means) -> np.ndarray:
     """|mean of products - product of means| per probe, chars (n_stats, count, P)."""
+    import numpy as np
+
     prod = chars[0].copy()
     for i in range(1, chars.shape[0]):
         prod *= chars[i]
@@ -216,13 +238,19 @@ def _null_covariance(chars: np.ndarray, means) -> np.ndarray:
     G_i = X_i^T conj(X_i) / N (and H_i = X_i^T X_i / N for the pseudo-covariance),
     whose entries are the empirical CFs at probe differences (and sums).
     """
+    import numpy as np
+
     count = chars.shape[1]
     means = np.array(means)
     total = means.prod(axis=0)
     gram_prod = pseudo_prod = 1.0
     gram_lin = pseudo_lin = 0.0
+    # One conjugate buffer serves every statistic.  A fresh temporary per
+    # statistic made the peak RSS depend on heap history through glibc's
+    # dynamic mmap threshold (147 or 171 MB at count 1e5, three statistics).
+    conj = np.empty_like(chars[0])
     for i, (x, m) in enumerate(zip(chars, means)):
-        g = x.T @ x.conj() / count
+        g = x.T @ np.conjugate(x, out=conj) / count
         h = x.T @ x / count
         w = np.delete(means, i, axis=0).prod(axis=0)
         gram_prod = gram_prod * g
@@ -246,6 +274,8 @@ def _null_maxima(cov: np.ndarray, draws: int, rng) -> np.ndarray:
     Negative eigenvalues are rounding (the matrix is singular for one row,
     repeated probes or constant statistics) and are clipped to 0.
     """
+    import numpy as np
+
     vals, vecs = np.linalg.eigh(cov)
     factor = (vecs * np.sqrt(np.clip(vals, 0.0, None))).T
     half = cov.shape[0] // 2
@@ -270,6 +300,8 @@ def empirical_independence(samples, matrix: StatMatrix, probes=None,
     docstring: `bootstrap` null draws give the band, the verdict
     `consistent_with_zero` and a one-sided `p_value`.
     """
+    import numpy as np
+
     if kind is None:
         kind = "torus" if matrix.is_sign_matrix() and all(
             np.all(s.t == 0) for s in samples) else "cylinder"

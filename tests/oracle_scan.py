@@ -8,10 +8,16 @@ the grid maximum of |LHS_log - RHS_log| and the earliest tuple attaining it.
 
 `oracle_gaussian_system` is the hand expansion of the parameter system in
 the reduced coefficients, kept as the reference for `gaussian_system_check`.
+
+`oracle_product_grid` is the tuple-by-tuple stride subsample kept as the
+reference for `product_grid`.
 """
 
+import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from cylinderstat.charfn import CylinderCF
 from cylinderstat.groups import is_exact
@@ -287,3 +293,20 @@ def oracle_gaussian_system(cfs, matrix):
                     worst = v
     residuals["n-grid"] = worst
     return {name: abs(float(value)) for name, value in residuals.items()}
+
+
+def oracle_product_grid(points, n_slots: int, cap: int = 100_000, seed: int = 0):
+    base = len(points)
+    total = base ** n_slots
+    if total <= cap:
+        return [tuple(t) for t in itertools.product(points, repeat=n_slots)]
+    offset = int(np.random.default_rng(seed).integers(total))
+    grid = []
+    for k in range(cap):
+        idx = (offset + (k * total) // cap) % total
+        tup = []
+        for _ in range(n_slots):
+            idx, r = divmod(idx, base)
+            tup.append(points[r])
+        grid.append(tuple(tup))
+    return grid

@@ -1,14 +1,20 @@
 """End-to-end CLI behavior: commands, exit codes, JSON reports."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import cylinderstat
 from conftest import REF_COEFFS
 from cylinderstat.cli import main
 from cylinderstat.families import line_gaussian_family, twisted_torus_pair
+from cylinderstat.fdiff import GridFunction, default_n_grid, default_s_grid, save_grid_csv
 from cylinderstat.serialize import dump, family_to_fixture, load
 
 
@@ -328,6 +334,74 @@ class TestSolenoid:
         assert result.exit_code == 2
 
 
+# Runs commands through cli.main in a fresh interpreter and prints, per
+# command, its exit code, whether numpy is loaded after it, and its stdout.
+_STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+import cylinderstat
+after = {"import cylinderstat": [None, "numpy" in sys.modules, ""]}
+from cylinderstat import cli
+after["import cylinderstat.cli"] = [None, "numpy" in sys.modules, ""]
+for name, args in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main(args, standalone_mode=False)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    after[name] = [code, "numpy" in sys.modules, out.getvalue()]
+print(json.dumps(after))
+"""
+
+
+class TestStartup:
+    """The exact commands run without importing numpy; the others still load it."""
+
+    def test_exact_commands_leave_numpy_unloaded(self, tmp_path):
+        ref = family_to_fixture(line_gaussian_family(1, *REF_COEFFS))
+        perturbed = json.loads(json.dumps(ref))
+        perturbed["matrix"][1][0]["a"] = "21/10"
+        fixture = write_json(tmp_path / "ref.json", ref)
+        pair = write_json(tmp_path / "pair.json",
+                          family_to_fixture(twisted_torus_pair(1, kappa=Fraction(1, 20))))
+        base = write_json(tmp_path / "base.json", {"base": list(range(2, 18))})
+        params = write_json(tmp_path / "params.json", REF_PARAMS)
+        grid = tmp_path / "grid.csv"
+        save_grid_csv(GridFunction.sample(lambda s, n: s * s + n * n, default_s_grid(),
+                                          default_n_grid()), grid)
+        exact = [
+            ("conditions", ["conditions", "--a1", "2", "--a2", "-3",
+                            "--b1", "-4/5", "--b2", "-1/5"]),
+            ("construct", ["construct", "-f", "line-gaussian", "--params", params,
+                           "--out", str(tmp_path / "built.json")]),
+            ("check reference", ["check", "--fixture", fixture, "--grid", "default"]),
+            ("check pair", ["check", "--fixture", pair, "--grid", "default"]),
+            ("solenoid", ["solenoid", "--base", base, "--fixture", fixture]),
+        ]
+        rest = [
+            ("check perturbed", ["check", "--fixture",
+                                 write_json(tmp_path / "perturbed.json", perturbed)]),
+            ("reduce degree", ["reduce", "--input", str(grid), "--mode", "degree"]),
+        ]
+        src = str(Path(cylinderstat.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, json.dumps(exact + rest)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        after = json.loads(proc.stdout)
+        for name in ["import cylinderstat", "import cylinderstat.cli", *dict(exact)]:
+            assert after[name][1] is False, f"{name} loaded numpy"
+        assert [after[name][0] for name, _ in exact] == [0] * len(exact)
+        assert json.loads(after["check reference"][2])["independence"]["residual"] == 0.0
+        code, numpy_loaded, out = after["check perturbed"]
+        report = json.loads(out)
+        assert code == 1 and numpy_loaded
+        assert report["independence"]["residual"] > 1e-10 and report["independence"]["nonzero_blocks"]
+        assert after["reduce degree"][0] == 0 and json.loads(after["reduce degree"][2])["degree"] == 2
+
+
 def _table_fixture(name: str) -> dict:
     ref = family_to_fixture(line_gaussian_family(1, *REF_COEFFS))
     pair = family_to_fixture(twisted_torus_pair(1, kappa=Fraction(1, 20)))
@@ -374,6 +448,12 @@ def _write_table_input(tmp_path, name: str) -> str:
         path.write_text("s,n,re,im\n" + "".join(f"{s},{n},1.0,0.0\n"
                                                 for s in (0.0, 0.5) for n in (0, 1)))
         return str(path)
+    if name.startswith("csv-odd-quartic"):
+        # s**3 + 5*n**4 + 7*s is not even, so a valid tol rejects its profile.
+        path = tmp_path / f"{name}.csv"
+        save_grid_csv(GridFunction.sample(lambda s, n: s ** 3 + 5 * n ** 4 + 7 * s,
+                                          default_s_grid(), default_n_grid()), path)
+        return str(path)
     if name == "existing-file":
         path = tmp_path / "taken"
         path.write_text("")
@@ -413,6 +493,13 @@ def _reject_constant(name):
     (None, ["reduce", "--mode", "degree", "--input", "@csv-2x2"], 2, None),
     ("reference", ["reduce", "--mode", "triple",
                    "--input", "@csv-2x2-a,@csv-2x2-b,@csv-2x2-c"], 2, None),
+    (None, ["reduce", "--mode", "profile", "--tol", "nan", "--input", "@csv-odd-quartic"], 2, None),
+    (None, ["reduce", "--mode", "profile", "--tol", "inf", "--input", "@csv-odd-quartic"], 2, None),
+    (None, ["reduce", "--mode", "degree", "--tol", "-1", "--input", "@csv-odd-quartic"], 2, None),
+    (None, ["reduce", "--mode", "degree", "--max-degree", "-1",
+            "--input", "@csv-odd-quartic"], 2, None),
+    ("reference", ["reduce", "--mode", "triple", "--tol", "nan", "--input",
+                   "@csv-odd-quartic-a,@csv-odd-quartic-b,@csv-odd-quartic-c"], 2, None),
     ("reference", ["simulate", "--count", "2000", "--bootstrap", "5",
                    "--samples-out", "@existing-file"], 2, None),
     ("reference-params", ["construct", "-f", "line-gaussian", "--out", "@directory"], 2, None),
@@ -454,12 +541,17 @@ def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     ("reference-without-omega", ["simulate", "--count", "2000", "--bootstrap", "5"], '"omega"'),
     (None, ["reduce", "--mode", "degree", "--input", ","], "--input"),
     ("reference", ["simulate", "--count", "2000", "--bootstrap", "0"], "--bootstrap"),
+    (None, ["reduce", "--mode", "profile", "--tol", "nan", "--input", "@csv-odd-quartic"], "tol"),
+    (None, ["reduce", "--mode", "degree", "--max-degree", "-1",
+            "--input", "@csv-odd-quartic"], "max_deg"),
 ])
 def test_input_error_names_the_problem(tmp_path, runner, fixture, args, named):
-    """A missing sampler key, an empty --input and a null band of no resamples exit 2.
+    """A missing sampler key, an empty --input, a null band of no resamples and a
+    tolerance or degree bound out of range exit 2.
 
     The one stderr line names the key or option at fault.
     """
+    args = [_write_table_input(tmp_path, a[1:]) if a.startswith("@") else a for a in args]
     if fixture is not None:
         args = [args[0], "--fixture", write_json(tmp_path / "fixture.json",
                                                  _table_fixture(fixture)), *args[1:]]

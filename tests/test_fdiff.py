@@ -202,6 +202,29 @@ class TestCrossLinearity:
             verify_cross_linearity(zeros, n, 2.0, 3.0, 2.0, 3.0, 0.0)
 
 
+class TestTolerance:
+    """A tolerance that is NaN, infinite or negative, or a negative degree bound, is an input error."""
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_bad_tol_raises(self, tol):
+        f = sample(lambda s, n: 2 * s * s + n * s + n * n)
+        kappas = [2.0 * default_n_grid()] * 3
+        a1, a2, b1, b2 = (float(v) for v in REF_COEFFS)
+        with pytest.raises(ValueError, match="tol"):
+            polynomial_degree(f, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            fit_quadratic_profile(f, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            verify_cross_linearity(kappas, default_n_grid(), a1, a2, b1, b2, 6.0, tol=tol)
+
+    def test_negative_degree_bound_raises(self):
+        with pytest.raises(ValueError, match="max_deg"):
+            polynomial_degree(sample(lambda s, n: s * s), max_deg=-1)
+
+    def test_zero_tol_is_accepted(self):
+        assert polynomial_degree(sample(lambda s, n: 0.0), max_deg=0, tol=0.0) == 0
+
+
 class TestCsv:
     def test_roundtrip(self, tmp_path):
         f = sample(lambda s, n: s * s - 1j * n)

@@ -20,10 +20,11 @@ from cylinderstat.independence import (DegenerateFormError, SingularSystemError,
                                        default_grid, gaussian_system_check,
                                        independence_blocks, independence_residual,
                                        nonzero_blocks, nu_support_check,
-                                       reduce_to_normal_form, solve_sigmas,
+                                       product_grid, reduce_to_normal_form,
+                                       slot_points, solve_sigmas,
                                        support_identity_gap)
 from cylinderstat.solenoid import BaseSequence, rational_dual_grid
-from oracle_scan import oracle_gaussian_system, oracle_residual
+from oracle_scan import oracle_gaussian_system, oracle_product_grid, oracle_residual
 
 
 def _perturb_entry(matrix, i, j, dc):
@@ -50,6 +51,28 @@ class TestGrids:
     def test_covers_both_parities(self):
         grid = default_grid(2, "torus", cap=10)
         assert any(any(n % 2 for n in tup) for tup in grid)
+
+
+def _same_points(grid, reference):
+    """Equal tuples holding the very same point objects, slot by slot."""
+    return grid == reference and all(
+        y is z for tup, ref in zip(grid, reference) for y, z in zip(tup, ref))
+
+
+class TestGridOracle:
+    @pytest.mark.parametrize("n_slots", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cap", [7, 1000, 50_000])
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_matches_loop(self, n_slots, cap, seed):
+        points = slot_points("cylinder", dense=True)
+        grid = product_grid(points, n_slots, cap=cap, seed=seed)
+        assert _same_points(grid, oracle_product_grid(points, n_slots, cap=cap, seed=seed))
+
+    def test_exact_past_2_to_62(self):
+        points = [object() for _ in range(46_341)]
+        assert 2 ** 62 < len(points) ** 4 < 2 ** 63
+        grid = product_grid(points, 4, cap=2000, seed=3)
+        assert _same_points(grid, oracle_product_grid(points, 4, cap=2000, seed=3))
 
 
 class TestResidual:
