@@ -493,6 +493,10 @@ def _reject_constant(name):
     (None, ["reduce", "--mode", "degree", "--input", "@csv-2x2"], 2, None),
     ("reference", ["reduce", "--mode", "triple",
                    "--input", "@csv-2x2-a,@csv-2x2-b,@csv-2x2-c"], 2, None),
+    ("reference", ["simulate", "--count", "2000", "--bootstrap", "5",
+                   "--samples-out", "@existing-file"], 2, None),
+    ("reference-params", ["construct", "-f", "line-gaussian", "--out", "@directory"], 2, None),
+    (None, ["check", "--fixture", "@missing"], 2, None),
     (None, ["reduce", "--mode", "profile", "--tol", "nan", "--input", "@csv-odd-quartic"], 2, None),
     (None, ["reduce", "--mode", "profile", "--tol", "inf", "--input", "@csv-odd-quartic"], 2, None),
     (None, ["reduce", "--mode", "degree", "--tol", "-1", "--input", "@csv-odd-quartic"], 2, None),
@@ -500,10 +504,6 @@ def _reject_constant(name):
             "--input", "@csv-odd-quartic"], 2, None),
     ("reference", ["reduce", "--mode", "triple", "--tol", "nan", "--input",
                    "@csv-odd-quartic-a,@csv-odd-quartic-b,@csv-odd-quartic-c"], 2, None),
-    ("reference", ["simulate", "--count", "2000", "--bootstrap", "5",
-                   "--samples-out", "@existing-file"], 2, None),
-    ("reference-params", ["construct", "-f", "line-gaussian", "--out", "@directory"], 2, None),
-    (None, ["check", "--fixture", "@missing"], 2, None),
 ])
 def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     """Malformed or extreme inputs get their contract exit code and never a traceback.
