@@ -29,7 +29,7 @@ from .groups import TWO_PI, CylinderAuto, DualPoint, exact_div, is_exact, reduce
 
 
 class InconclusiveError(RuntimeError):
-    """A numeric certificate could not be produced at the requested truncation."""
+    """A numeric certificate could not be produced."""
 
 
 def _reduce_param_angle(theta):
@@ -241,54 +241,41 @@ def is_gaussian(cf) -> bool:
     return cf.twist == 0
 
 
-def is_valid_probability(cf: TorusCF, truncation: int = 64, tol: float = 1e-9,
-                         grid_points: int = 1024) -> bool:
+def is_valid_probability(cf: TorusCF) -> bool:
     """Whether the circle bundle is the CF of a genuine probability measure.
 
-    Decided by Fourier inversion: the density on a uniform angle grid must be
-    real and nonnegative up to `tol`.  The sigma = 0 case is decided exactly
-    (point mass convolved with the two-point measure, which is a probability
-    iff twist <= 0).  Raises InconclusiveError when the neglected tail of the
-    Fourier series is not provably below `tol`.
+    With W the wrapped normal of CF e^{-sigma*n^2}, the law has the density
+    a*W(x) + b*W(x + pi), rotated by theta, where a = (1 + e^{2t})/2 and
+    b = (1 - e^{2t})/2 for twist t.  So it is a probability measure exactly
+    when t <= 0 or tanh(t) <= W(pi)/W(0) = theta4/theta3(q), q = e^{-sigma}
+    (Jacobi triple product; Whittaker and Watson, ch. 21).  The two sides are
+    compared as negative logs: -log tanh(t) = 2*atanh(e^{-2t}), and
+    -log theta4/theta3(q) = 4*sum_{k odd} atanh(q^k) for sigma >= 1; below, the
+    imaginary transformation theta4/theta3(q) = theta2/theta3(p) with
+    p = e^{-pi^2/sigma} converges in a few terms and cannot underflow.  Raises
+    InconclusiveError when the two agree to 1e-9 relative.
     """
     if not isinstance(cf, TorusCF):
         raise TypeError("is_valid_probability expects a TorusCF")
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
+    if cf.twist <= 0:
+        return True
     if cf.sigma == 0:
-        # exp(twist*(1-(-1)^n)) is the CF of masses ((1+e^{2t})/2, (1-e^{2t})/2);
-        # the mass at -1 is negative exactly when twist > 0.
-        return cf.twist <= 0
-
-    sigma = float(cf.sigma)
-    twist = float(cf.twist)
-    # |CF(n)| <= exp(-sigma*n^2 + 2*max(twist, 0)); geometric tail bound past n = truncation.
-    ratio = math.exp(-2.0 * sigma * (truncation + 1))
-    tail = 2.0 * math.exp(2.0 * max(twist, 0.0)) * math.exp(-sigma * (truncation + 1) ** 2) / (1.0 - ratio)
-    if not tail <= tol:  # NaN (inf * 0) for an infinite twist bounds nothing
-        raise InconclusiveError(
-            f"Fourier tail bound {tail:.3e} exceeds tol={tol:.1e} at truncation={truncation}"
-        )
-
-    import numpy as np
-
-    _, density, imag = fourier_density(cf, truncation, grid_points)
-    return float(density.min()) >= -tol and float(np.abs(imag).max()) <= tol
-
-
-def fourier_density(cf: TorusCF, truncation: int, grid_points: int):
-    """(angles, density, imaginary part) of a circle bundle by Fourier inversion.
-
-    The CF's Fourier series over the modes -truncation..truncation, summed at
-    `grid_points` uniform angles in [0, 2*pi).
-    """
-    import numpy as np
-
-    ns = np.arange(-truncation, truncation + 1)
-    coeffs = np.array([cf.eval(int(n)) for n in ns])
-    angles = np.linspace(0.0, TWO_PI, grid_points, endpoint=False)
-    sums = (coeffs[None, :] * np.exp(-1j * np.outer(angles, ns))).sum(axis=1)
-    return angles, sums.real / TWO_PI, sums.imag / TWO_PI
+        # Point masses (1+e^{2t})/2 at theta and (1-e^{2t})/2 < 0 at theta + pi.
+        return False
+    t, sigma = float(cf.twist), float(cf.sigma)
+    twist_side = -math.log(math.tanh(t)) if t < 1 else 2 * math.atanh(math.exp(-2 * t))
+    if sigma >= 1:
+        q = math.exp(-sigma)
+        sigma_side = 4 * sum(math.atanh(q ** k) for k in range(1, 40, 2))
+    else:
+        # theta2/theta3(p) = 2 * p^{1/4} * prod_{n>=1} ((1 + p^{2n}) / (1 + p^{2n-1}))^2.
+        p = math.exp(-math.pi ** 2 / sigma)
+        sigma_side = (math.pi ** 2 / (4 * sigma) - math.log(2)
+                      - 2 * sum((-1) ** k * math.log1p(p ** k) for k in range(1, 5)))
+    if math.isclose(twist_side, sigma_side, rel_tol=1e-9):
+        raise InconclusiveError(f"log tanh(twist) and the log validity threshold agree to "
+                                f"1e-9 relative at sigma {cf.sigma}, twist {cf.twist}")
+    return twist_side > sigma_side
 
 
 def support_line(cf: CylinderCF, tol: float = 1e-10):

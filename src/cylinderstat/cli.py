@@ -16,7 +16,8 @@ from pathlib import Path
 import click
 
 from . import serialize
-from .charfn import InconclusiveError, classify_support, is_gaussian, support_line
+from .charfn import (InconclusiveError, classify_support, is_gaussian,
+                     is_valid_probability, support_line)
 from .families import (ConstructionError, Family, four_statistic_family,
                        line_gaussian_family, twisted_torus_pair)
 from .fdiff import (ProfileError, check_tol, fit_quadratic_profile, load_grid_csv,
@@ -126,15 +127,14 @@ def _check_cylinder_sections(fam: Family, report: dict) -> bool:
 
 
 def _check_torus_sections(fam: Family, report: dict) -> bool:
-    members = []
-    for cf in fam.cfs:
-        members.append({
-            "gaussian": bool(is_gaussian(cf)),
-            "twist": serialize.scalar_to_json(cf.twist),
-        })
+    members = [{
+        "gaussian": bool(is_gaussian(cf)),
+        "twist": serialize.scalar_to_json(cf.twist),
+        "valid": is_valid_probability(cf),
+    } for cf in fam.cfs]
     report["members"] = members
     report["twist_sum"] = float(sum(float(cf.twist) for cf in fam.cfs))
-    return True
+    return all(m["valid"] for m in members)
 
 
 @main.command()

@@ -19,12 +19,10 @@ Families:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charfn import (CylinderCF, InconclusiveError, TorusCF, Z2SignedMeasure,
-                     is_valid_probability, support_line)
+from .charfn import CylinderCF, TorusCF, Z2SignedMeasure, is_valid_probability, support_line
 from .groups import CylinderAuto, is_exact
 from .independence import (StatMatrix, _as_fraction, family_kind,
                            gaussian_system_check, independence_blocks, solve_sigmas)
@@ -127,24 +125,13 @@ def line_gaussian_family(omega, a1, a2, b1, b2, p1=1, p2=1, q1=1, q2=1,
     return Family("line-gaussian", matrix, cfs, omega=omega)
 
 
-def _twist_truncation(sigma: float) -> int:
-    # exp(-sigma*n^2) below ~1e-12 past n = sqrt(28/sigma); keep a margin.
-    if sigma <= 0:
-        return 64
-    return max(16, int(math.ceil(math.sqrt(30.0 / sigma))) + 4)
-
-
 def _certified_circle_family(label: str, matrix: StatMatrix, cfs, members) -> Family:
     """The family once each named member is a probability measure and the certificate vanishes.
 
     `members` pairs a name for error messages with each distinct bundle.
     """
     for pos, cf in members:
-        try:
-            ok = is_valid_probability(cf, truncation=_twist_truncation(float(cf.sigma)))
-        except InconclusiveError as exc:
-            raise ConstructionError(f"{pos} member validity inconclusive: {exc}") from exc
-        if not ok:
+        if not is_valid_probability(cf):
             raise ConstructionError(f"{pos} member is not a probability measure: {cf}")
     blocks, twist_sum = independence_blocks(cfs, matrix)
     entries = [v for block in blocks.values() for row in block for v in row]

@@ -24,7 +24,7 @@ import csv
 import math
 from dataclasses import dataclass
 
-from .charfn import TorusCF, fourier_density, is_valid_probability
+from .charfn import TorusCF, is_valid_probability
 from .groups import TWO_PI, CylinderPoint, DualPoint
 from .independence import StatMatrix
 
@@ -94,46 +94,50 @@ def sample_line_gaussian(sigma, omega, count: int, seed: int,
     return SampleSet(t, theta)
 
 
-def _torus_inverse_cdf(cf: TorusCF, truncation: int, grid: int):
+def fourier_density(cf: TorusCF, truncation: int, grid_points: int):
+    """(angles, density, imaginary part) of a circle bundle by Fourier inversion.
+
+    The CF's Fourier series over the modes -truncation..truncation, summed at
+    `grid_points` uniform angles in [0, 2*pi).
+    """
     import numpy as np
 
-    angles, density, _ = fourier_density(cf, truncation, grid)
-    weights = np.clip(density, 0.0, None) * (TWO_PI / grid)
-    cdf = np.concatenate([[0.0], np.cumsum(weights)])
-    cdf /= cdf[-1]
-    edges = np.concatenate([angles, [TWO_PI]])
-    return cdf, edges
+    ns = np.arange(-truncation, truncation + 1)
+    coeffs = np.array([cf.eval(int(n)) for n in ns])
+    angles = np.linspace(0.0, TWO_PI, grid_points, endpoint=False)
+    sums = (coeffs[None, :] * np.exp(-1j * np.outer(angles, ns))).sum(axis=1)
+    return angles, sums.real / TWO_PI, sums.imag / TWO_PI
 
 
-def sample_torus_twisted(cf: TorusCF, count: int, seed: int,
-                         truncation: int = 64, grid: int = 4096) -> SampleSet:
+def sample_torus_twisted(cf: TorusCF, count: int, seed: int) -> SampleSet:
     """Inverse-CDF draws from a valid twisted circle bundle.
 
-    The density comes from Fourier inversion on a uniform angle grid; the
-    degenerate and two-point (sigma = 0) cases are sampled exactly.
+    The sigma = 0 laws (a point mass, or two point masses at theta and
+    theta + pi) are sampled exactly.  Otherwise the density comes from Fourier
+    inversion at 4096 angles over the modes |n| <= sqrt(30/sigma) + 4, past
+    which e^{-sigma*n^2} is below 1e-12, and never fewer than 64.  Raises
+    ValueError when that needs more than 512 modes.
     """
     import numpy as np
 
     if count < 1:
         raise ValueError("count must be >= 1")
-    if not is_valid_probability(cf, truncation=truncation, tol=1e-9):
+    if not is_valid_probability(cf):
         raise ValueError(f"not a probability measure: {cf}")
-    theta0 = float(cf.theta)
+    u = np.concatenate([rng.random(size) for rng, size in _chunk_generators(seed, count)])
     if cf.sigma == 0:
-        if cf.twist == 0:
-            theta = np.full(count, theta0)
-        else:
-            # Two point masses at theta0 and theta0 + pi.
-            p1 = (1.0 + math.exp(2.0 * float(cf.twist))) / 2.0
-            parts = [rng.random(size) for rng, size in _chunk_generators(seed, count)]
-            u = np.concatenate(parts)
-            theta = np.where(u < p1, theta0, theta0 + math.pi)
-        return SampleSet(np.zeros(count), theta)
-
-    cdf, edges = _torus_inverse_cdf(cf, truncation, grid)
-    parts = [rng.random(size) for rng, size in _chunk_generators(seed, count)]
-    u = np.concatenate(parts)
-    theta = np.interp(u, cdf, edges)
+        theta0 = float(cf.theta)
+        p1 = (1.0 + math.exp(2.0 * float(cf.twist))) / 2.0
+        return SampleSet(np.zeros(count), np.where(u < p1, theta0, theta0 + math.pi))
+    reach = math.sqrt(30.0 / float(cf.sigma))
+    if reach > 508:
+        raise ValueError(f"sigma {cf.sigma} is too small to sample: its density needs "
+                         f"more than 512 Fourier modes")
+    grid = 4096
+    angles, density, _ = fourier_density(cf, max(64, math.ceil(reach) + 4), grid)
+    cdf = np.concatenate([[0.0], np.cumsum(np.clip(density, 0.0, None) * (TWO_PI / grid))])
+    cdf /= cdf[-1]
+    theta = np.interp(u, cdf, np.concatenate([angles, [TWO_PI]]))
     return SampleSet(np.zeros(count), theta)
 
 

@@ -8,14 +8,26 @@ give equal results of the same types, and bit-equal `eval` values.
 `parallelogram_gap` with the two point lists is the grid evaluation of the
 parallelogram identity that `is_gaussian` used to run as a self-check on its
 closed-form verdict twist == 0.
+
+`oracle_is_valid_probability` is the Fourier-inversion validity check that
+`is_valid_probability` ran before its closed form, kept verbatim.  It
+tolerates densities down to -tol, so near the threshold it accepts laws
+whose density is negative; `fourier_conclusive` says where its verdict
+decides.  `spatial_min_density` and `spatial_threshold` are the angle-domain
+references: the wrapped normal summed over its images, with no Fourier
+series and no theta function.
 """
 
 import cmath
+import math
 from dataclasses import replace
 from fractions import Fraction
 
-from cylinderstat.charfn import TorusCF, _reduce_param_angle
-from cylinderstat.groups import is_exact
+import numpy as np
+
+from cylinderstat.charfn import InconclusiveError, TorusCF, _reduce_param_angle
+from cylinderstat.groups import TWO_PI, is_exact
+from cylinderstat.montecarlo import fourier_density
 
 
 def _parity_term(twist, n: int):
@@ -87,3 +99,77 @@ def parallelogram_gap(phi, points):
             if not is_exact(gap):
                 scale = max(scale, *map(abs, values))
     return worst, scale
+
+
+def oracle_is_valid_probability(cf: TorusCF, truncation: int = 64, tol: float = 1e-9,
+                                grid_points: int = 1024) -> bool:
+    """Whether the circle bundle is the CF of a genuine probability measure.
+
+    Decided by Fourier inversion: the density on a uniform angle grid must be
+    real and nonnegative up to `tol`.  The sigma = 0 case is decided exactly
+    (point mass convolved with the two-point measure, which is a probability
+    iff twist <= 0).  Raises InconclusiveError when the neglected tail of the
+    Fourier series is not provably below `tol`.
+    """
+    if not isinstance(cf, TorusCF):
+        raise TypeError("is_valid_probability expects a TorusCF")
+    if truncation < 1:
+        raise ValueError("truncation must be >= 1")
+    if cf.sigma == 0:
+        # exp(twist*(1-(-1)^n)) is the CF of masses ((1+e^{2t})/2, (1-e^{2t})/2);
+        # the mass at -1 is negative exactly when twist > 0.
+        return cf.twist <= 0
+
+    sigma = float(cf.sigma)
+    twist = float(cf.twist)
+    # |CF(n)| <= exp(-sigma*n^2 + 2*max(twist, 0)); geometric tail bound past n = truncation.
+    ratio = math.exp(-2.0 * sigma * (truncation + 1))
+    tail = 2.0 * math.exp(2.0 * max(twist, 0.0)) * math.exp(-sigma * (truncation + 1) ** 2) / (1.0 - ratio)
+    if not tail <= tol:  # NaN (inf * 0) for an infinite twist bounds nothing
+        raise InconclusiveError(
+            f"Fourier tail bound {tail:.3e} exceeds tol={tol:.1e} at truncation={truncation}"
+        )
+
+    _, density, imag = fourier_density(cf, truncation, grid_points)
+    return float(density.min()) >= -tol and float(np.abs(imag).max()) <= tol
+
+
+def fourier_conclusive(cf: TorusCF, truncation: int = 64, tol: float = 1e-9,
+                       grid_points: int = 1024):
+    """The verdict of `oracle_is_valid_probability`, or None where it does not decide.
+
+    It does not decide when its tail bound exceeds `tol` or cannot be formed
+    (at a sigma so small that 1 - exp(-2*sigma*(truncation + 1)) is 0), or
+    when the least density on its grid is within `tol` of zero.
+    """
+    try:
+        verdict = oracle_is_valid_probability(cf, truncation, tol, grid_points)
+    except (InconclusiveError, ZeroDivisionError):
+        return None
+    if cf.sigma != 0 and abs(float(fourier_density(cf, truncation, grid_points)[1].min())) <= tol:
+        return None
+    return verdict
+
+
+def _wrapped_normal(sigma: float, x, images: int):
+    """W(x) for the CF e^{-sigma*n^2}: the normal of variance 2*sigma summed over x + 2*pi*k."""
+    k = np.arange(-images, images + 1)
+    with np.errstate(over="ignore"):  # (x/tiny)^2 is inf, and exp(-inf) is the right 0
+        terms = np.exp(-(np.asarray(x, dtype=float)[..., None] + TWO_PI * k) ** 2 / (4 * sigma))
+    return terms.sum(axis=-1) / math.sqrt(4 * math.pi * sigma)
+
+
+def spatial_min_density(sigma: float, twist: float, points: int = 512, images: int = 12) -> float:
+    """The least value of a*W(x) + b*W(x + pi) on `points` uniform angles.
+
+    a = (1 + e^{2t})/2 and b = -expm1(2t)/2, so a tiny twist keeps its weight.
+    """
+    x = np.linspace(0.0, TWO_PI, points, endpoint=False)
+    b = -math.expm1(2 * twist) / 2
+    density = (1 - b) * _wrapped_normal(sigma, x, images) + b * _wrapped_normal(sigma, x + math.pi, images)
+    return float(density.min())
+
+
+def spatial_threshold(sigma: float, images: int = 12) -> float:
+    """atanh(W(pi)/W(0)): the largest twist whose law is a probability measure."""
+    return math.atanh(float(_wrapped_normal(sigma, math.pi, images) / _wrapped_normal(sigma, 0.0, images)))

@@ -6,12 +6,56 @@ slot, and calibrates the band by resampling each statistic's rows
 independently, one freshly gathered array per replicate.  The library must
 give equal residuals (`==`); its band, drawn from the delta-method Gaussian,
 must match the resampled quantiles within their Monte-Carlo error.
+
+`oracle_sample_torus_twisted` is the circle sampler as it was before its
+mode count followed sigma, with the Fourier validity check of
+`oracle_charfn`: at the same mode count the library must draw bit-equal
+samples.
 """
+
+import math
 
 import numpy as np
 
+from cylinderstat.groups import TWO_PI
 from cylinderstat.independence import StatMatrix
-from cylinderstat.montecarlo import default_probes, statistic_samples
+from cylinderstat.montecarlo import (SampleSet, _chunk_generators, default_probes,
+                                     fourier_density, statistic_samples)
+from oracle_charfn import oracle_is_valid_probability
+
+
+def _torus_inverse_cdf(cf, truncation: int, grid: int):
+    angles, density, _ = fourier_density(cf, truncation, grid)
+    weights = np.clip(density, 0.0, None) * (TWO_PI / grid)
+    cdf = np.concatenate([[0.0], np.cumsum(weights)])
+    cdf /= cdf[-1]
+    edges = np.concatenate([angles, [TWO_PI]])
+    return cdf, edges
+
+
+def oracle_sample_torus_twisted(cf, count: int, seed: int,
+                                truncation: int = 64, grid: int = 4096) -> SampleSet:
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if not oracle_is_valid_probability(cf, truncation=truncation, tol=1e-9):
+        raise ValueError(f"not a probability measure: {cf}")
+    theta0 = float(cf.theta)
+    if cf.sigma == 0:
+        if cf.twist == 0:
+            theta = np.full(count, theta0)
+        else:
+            # Two point masses at theta0 and theta0 + pi.
+            p1 = (1.0 + math.exp(2.0 * float(cf.twist))) / 2.0
+            parts = [rng.random(size) for rng, size in _chunk_generators(seed, count)]
+            u = np.concatenate(parts)
+            theta = np.where(u < p1, theta0, theta0 + math.pi)
+        return SampleSet(np.zeros(count), theta)
+
+    cdf, edges = _torus_inverse_cdf(cf, truncation, grid)
+    parts = [rng.random(size) for rng, size in _chunk_generators(seed, count)]
+    u = np.concatenate(parts)
+    theta = np.interp(u, cdf, edges)
+    return SampleSet(np.zeros(count), theta)
 
 
 def _probe_characters(stats, probes, kind: str, dtype=complex) -> np.ndarray:

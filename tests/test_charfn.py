@@ -14,9 +14,10 @@ from cylinderstat.charfn import (CylinderCF, InconclusiveError, TorusCF,
                                  is_gaussian, is_valid_probability, reflect,
                                  support_line, symmetrize, transform)
 from cylinderstat.groups import TWO_PI, CylinderAuto, DualPoint, is_exact
-from oracle_charfn import (GAUSS_GRID_CYL, GAUSS_GRID_TOR, oracle_convolve,
-                           oracle_eval, oracle_log_parts, oracle_reflect,
-                           oracle_transform, parallelogram_gap)
+from oracle_charfn import (GAUSS_GRID_CYL, GAUSS_GRID_TOR, fourier_conclusive,
+                           oracle_convolve, oracle_eval, oracle_is_valid_probability,
+                           oracle_log_parts, oracle_reflect, oracle_transform,
+                           parallelogram_gap, spatial_min_density, spatial_threshold)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 
@@ -272,7 +273,7 @@ class TestGaussianityOracle:
 
 class TestValidity:
     def test_wrapped_gaussian(self):
-        assert is_valid_probability(TorusCF(1, 0, 0), truncation=50, tol=1e-9)
+        assert is_valid_probability(TorusCF(1, 0, 0))
 
     def test_zero_sigma_twist_is_signed(self):
         assert not is_valid_probability(TorusCF(0, 0, 0.2))
@@ -280,36 +281,66 @@ class TestValidity:
         assert is_valid_probability(TorusCF(0, 0, 0))
 
     def test_small_twist_is_valid(self):
-        assert is_valid_probability(TorusCF(1, 0, 0.05), truncation=50, tol=1e-9)
+        assert is_valid_probability(TorusCF(1, 0, 0.05))
 
     def test_large_twist_is_invalid(self):
         # Heavily twisted: density goes negative near the antipode.
-        assert not is_valid_probability(TorusCF(1, 0, 1.5), truncation=50, tol=1e-9)
+        assert not is_valid_probability(TorusCF(1, 0, 1.5))
 
-    def test_inconclusive_tail(self):
-        with pytest.raises(InconclusiveError):
-            is_valid_probability(TorusCF(0.001, 0, 0.05), truncation=10, tol=1e-9)
+    def test_small_sigma_twist_is_invalid(self):
+        # The threshold at sigma = 0.001 is about 2*exp(-pi^2/0.004), far below 0.05.
+        assert not is_valid_probability(TorusCF(0.001, 0, 0.05))
 
     def test_matches_spatial_domain_oracle(self):
-        # Independent oracle: wrapped-normal image sum plus two-point mixing,
-        # evaluated in the angle domain rather than by Fourier inversion.
-        def density_oracle(sigma, twist, theta):
-            p1 = (1 + math.exp(2 * twist)) / 2
-            pm1 = (1 - math.exp(2 * twist)) / 2
-
-            def wrapped(x):
-                return sum(
-                    math.exp(-(x + TWO_PI * k) ** 2 / (4 * sigma))
-                    for k in range(-6, 7)
-                ) / math.sqrt(4 * math.pi * sigma)
-
-            return p1 * wrapped(theta) + pm1 * wrapped(theta - math.pi)
-
         for sigma, twist in ((1.0, 0.05), (1.0, 1.5), (0.5, 0.3)):
-            min_density = min(density_oracle(sigma, twist, th)
-                              for th in np.linspace(0, TWO_PI, 512, endpoint=False))
-            verdict = is_valid_probability(TorusCF(sigma, 0, twist), truncation=60)
-            assert verdict == (min_density >= -1e-9)
+            verdict = is_valid_probability(TorusCF(sigma, 0, twist))
+            assert verdict == (spatial_min_density(sigma, twist) >= -1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sigma=st.one_of(st.floats(math.log(0.063), math.log(10.0)).map(math.exp),
+                           st.sampled_from([1e-300, 5e-324, 1e300])),
+           factor=st.floats(0.5, 1.5), fallback=st.floats(1e-300, 20.0),
+           exact=st.booleans())
+    def test_closed_form_matches_oracles(self, sigma, factor, fallback, exact):
+        """Away from the threshold the closed form agrees with both oracles.
+
+        The spatial oracle decides every draw; the Fourier oracle only where
+        it is conclusive.  Where the threshold underflows to 0 or is beyond
+        the float range (the sigma extremes) the twist is drawn directly.
+        """
+        threshold = spatial_threshold(sigma) if sigma < 1e300 else math.inf
+        twist = factor * threshold if 0 < threshold < math.inf else fallback
+        if abs(twist - threshold) <= 1e-6 * threshold:
+            reject()
+        spatial = spatial_min_density(sigma, twist) >= 0
+        assert spatial == (twist <= threshold)
+        cf = TorusCF(Fraction(sigma), 0, Fraction(twist)) if exact else TorusCF(sigma, 0, twist)
+        verdict = is_valid_probability(cf)
+        assert verdict == spatial
+        assert fourier_conclusive(TorusCF(sigma, 0, twist)) in (None, verdict)
+
+    def test_roadmap_example_rejected(self):
+        # The Fourier check accepted this law: its density dips to about -3e-11.
+        assert not is_valid_probability(TorusCF(0.10790131084271248, 0, 2.655959499046878e-10))
+        assert oracle_is_valid_probability(TorusCF(0.10790131084271248, 0, 2.655959499046878e-10))
+
+    @pytest.mark.parametrize("sigma", [0.2, 0.5, 1.0, 2.0, 5.0])
+    def test_inconclusive_inside_the_band(self, sigma):
+        threshold = spatial_threshold(sigma)
+        for twist in (threshold, threshold * (1 + 1e-12), threshold * (1 - 1e-12)):
+            with pytest.raises(InconclusiveError):
+                is_valid_probability(TorusCF(sigma, 0, twist))
+        assert is_valid_probability(TorusCF(sigma, 0, threshold * (1 - 1e-6)))
+        assert not is_valid_probability(TorusCF(sigma, 0, threshold * (1 + 1e-6)))
+
+    @pytest.mark.parametrize("twist", [5e-324, 1e-300, 0.5, 20.0])
+    def test_minus_infinite_log_threshold_is_invalid(self, twist):
+        # At sigma = 5e-324 the log threshold -pi^2/(4*sigma) is -inf: decided, not inconclusive.
+        assert is_valid_probability(TorusCF(5e-324, 0, twist)) is False
+
+    def test_rejects_circle_bundles_only(self):
+        with pytest.raises(TypeError, match="expects a TorusCF"):
+            is_valid_probability(CylinderCF(1))
 
 
 class TestSupportLine:

@@ -174,7 +174,17 @@ class TestCheck:
         report = json.loads(result.stdout)
         assert report["kind"] == "torus"
         assert all(m["gaussian"] is False for m in report["members"])
+        assert all(m["valid"] is True for m in report["members"])
         assert report["twist_sum"] == pytest.approx(0.0)
+
+    def test_invalid_member_fails_check(self, tmp_path, runner):
+        fixture = write_json(tmp_path / "over.json", _table_fixture("overtwisted-pair"))
+        result = runner.invoke(main, ["check", "--fixture", fixture])
+        assert result.exit_code == 1, result.output
+        report = json.loads(result.stdout)
+        assert report["independence"]["residual"] == 0.0
+        assert [m["valid"] for m in report["members"]] == [False, True]
+        assert report["pass"] is False
 
     def test_malformed_fixture_exits_2(self, tmp_path, runner):
         bad = tmp_path / "bad.json"
@@ -367,6 +377,7 @@ class TestStartup:
                           family_to_fixture(twisted_torus_pair(1, kappa=Fraction(1, 20))))
         base = write_json(tmp_path / "base.json", {"base": list(range(2, 18))})
         params = write_json(tmp_path / "params.json", REF_PARAMS)
+        pair_params = write_json(tmp_path / "pair_params.json", {"sigma": 1, "kappa": "1/20"})
         grid = tmp_path / "grid.csv"
         save_grid_csv(GridFunction.sample(lambda s, n: s * s + n * n, default_s_grid(),
                                           default_n_grid()), grid)
@@ -377,6 +388,10 @@ class TestStartup:
                            "--out", str(tmp_path / "built.json")]),
             ("check reference", ["check", "--fixture", fixture, "--grid", "default"]),
             ("check pair", ["check", "--fixture", pair, "--grid", "default"]),
+            ("construct pair", ["construct", "-f", "twisted-pair", "--params", pair_params,
+                                "--out", str(tmp_path / "built_pair.json")]),
+            ("construct four", ["construct", "-f", "four-statistic", "--params", pair_params,
+                                "--out", str(tmp_path / "built_four.json")]),
             ("solenoid", ["solenoid", "--base", base, "--fixture", fixture]),
         ]
         rest = [
@@ -428,6 +443,12 @@ def _table_fixture(name: str) -> dict:
         return dict(ref, cfs=[dict(ref["cfs"][0], theta="1" + "0" * 400), *ref["cfs"][1:]])
     if name == "integer-cfs":
         return dict(ref, cfs=[1, 2, 3])
+    if name == "overtwisted-pair":  # the validity threshold at sigma = 1 is about 0.171
+        return dict(pair, cfs=[dict(cf, twist=t) for cf, t in zip(pair["cfs"], ("3/2", "-3/2"))])
+    if name == "small-sigma-pair":  # 82 Fourier modes to sample
+        return family_to_fixture(twisted_torus_pair(Fraction(1, 200), kappa=0))
+    if name == "tiny-sigma-pair":  # more than 512 Fourier modes to sample
+        return family_to_fixture(twisted_torus_pair(1e-6, kappa=0))
     raise ValueError(name)
 
 
@@ -504,6 +525,9 @@ def _reject_constant(name):
             "--input", "@csv-odd-quartic"], 2, None),
     ("reference", ["reduce", "--mode", "triple", "--tol", "nan", "--input",
                    "@csv-odd-quartic-a,@csv-odd-quartic-b,@csv-odd-quartic-c"], 2, None),
+    ("overtwisted-pair", ["check"], 1, [False, False]),
+    ("small-sigma-pair", ["simulate", "--count", "20000", "--bootstrap", "50"], 0, None),
+    ("tiny-sigma-pair", ["simulate", "--count", "2000", "--bootstrap", "5"], 2, None),
 ])
 def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     """Malformed or extreme inputs get their contract exit code and never a traceback.
@@ -544,10 +568,11 @@ def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     (None, ["reduce", "--mode", "profile", "--tol", "nan", "--input", "@csv-odd-quartic"], "tol"),
     (None, ["reduce", "--mode", "degree", "--max-degree", "-1",
             "--input", "@csv-odd-quartic"], "max_deg"),
+    ("tiny-sigma-pair", ["simulate", "--count", "2000", "--bootstrap", "5"], "sigma"),
 ])
 def test_input_error_names_the_problem(tmp_path, runner, fixture, args, named):
-    """A missing sampler key, an empty --input, a null band of no resamples and a
-    tolerance or degree bound out of range exit 2.
+    """A missing sampler key, an empty --input, a null band of no resamples, a
+    tolerance or degree bound out of range and a sigma too small to sample exit 2.
 
     The one stderr line names the key or option at fault.
     """

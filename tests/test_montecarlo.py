@@ -22,7 +22,7 @@ from cylinderstat.montecarlo import (_CYL_PROBE_BASE, _TOR_PROBE_BASE, SampleSet
                                      statistic_samples)
 from oracle_montecarlo import _probe_characters as oracle_probe_characters
 from oracle_montecarlo import (oracle_empirical_independence, oracle_null_differences,
-                               oracle_null_maxima)
+                               oracle_null_maxima, oracle_sample_torus_twisted)
 
 
 class TestLineSampler:
@@ -100,6 +100,25 @@ class TestTorusSampler:
         a = sample_torus_twisted(TorusCF(1, 0, 0.05), 1000, seed=42)
         b = sample_torus_twisted(TorusCF(1, 0, 0.05), 1000, seed=42)
         assert np.array_equal(a.theta, b.theta)
+
+    @pytest.mark.parametrize("cf,truncation", [
+        (TorusCF(1, 0, 0.05), 64),
+        (TorusCF(0.8, 0.5, 0.03), 64),
+        (TorusCF(Fraction(1, 120), 2, Fraction(-1, 10)), 64),
+        (TorusCF(1e300, 1, 0.5), 64),
+        (TorusCF(0, 1.25, 0), 64),
+        (TorusCF(0, 0.5, -0.3), 64),
+        (TorusCF(Fraction(1, 200), 0, 0), 82),
+    ])
+    def test_matches_fixed_truncation_oracle(self, cf, truncation):
+        # Two chunks of the seeded stream; sigma >= 1/120 keeps the old 64 modes.
+        got = sample_torus_twisted(cf, 20_000, seed=3)
+        want = oracle_sample_torus_twisted(cf, 20_000, seed=3, truncation=truncation)
+        assert np.array_equal(got.theta, want.theta) and np.array_equal(got.t, want.t)
+
+    def test_too_small_sigma_named(self):
+        with pytest.raises(ValueError, match="sigma 1e-06 is too small"):
+            sample_torus_twisted(TorusCF(1e-6, 0, 0), 10, seed=0)
 
 
 class TestEmpiricalIndependence:
