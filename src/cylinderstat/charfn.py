@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .groups import TWO_PI, CylinderAuto, DualPoint, exact_div, is_exact, reduce_angle
 
@@ -100,7 +101,8 @@ class CylinderCF:
         else:
             s, n = y
         re, im = self.log_parts(s, n)
-        return cmath.exp(complex(float(re), float(im)))
+        # e^{-10^4} is 0.0 already; the clip keeps an exact exponent past the float range finite.
+        return cmath.exp(complex(float(max(re, -10_000)), float(im)))
 
     def shift_free(self) -> bool:
         return self.tau == 0 and self.theta == 0
@@ -249,11 +251,13 @@ def is_valid_probability(cf: TorusCF) -> bool:
     b = (1 - e^{2t})/2 for twist t.  So it is a probability measure exactly
     when t <= 0 or tanh(t) <= W(pi)/W(0) = theta4/theta3(q), q = e^{-sigma}
     (Jacobi triple product; Whittaker and Watson, ch. 21).  The two sides are
-    compared as negative logs: -log tanh(t) = 2*atanh(e^{-2t}), and
+    compared as logs of negative logs: -log tanh(t) = 2*atanh(e^{-2t}), and
     -log theta4/theta3(q) = 4*sum_{k odd} atanh(q^k) for sigma >= 1; below, the
     imaginary transformation theta4/theta3(q) = theta2/theta3(p) with
-    p = e^{-pi^2/sigma} converges in a few terms and cannot underflow.  Raises
-    InconclusiveError when the two agree to 1e-9 relative.
+    p = e^{-pi^2/sigma} converges in a few terms and cannot underflow.  For t, sigma >= 1
+    the logs are log 2 - 2t + ... and log 4 - sigma + ..., with sigma - 2t taken exactly,
+    so sides outside the float range are still decided.  Raises
+    InconclusiveError when the two sides agree to 1e-9 relative.
     """
     if not isinstance(cf, TorusCF):
         raise TypeError("is_valid_probability expects a TorusCF")
@@ -262,20 +266,36 @@ def is_valid_probability(cf: TorusCF) -> bool:
     if cf.sigma == 0:
         # Point masses (1+e^{2t})/2 at theta and (1-e^{2t})/2 < 0 at theta + pi.
         return False
-    t, sigma = float(cf.twist), float(cf.sigma)
-    twist_side = -math.log(math.tanh(t)) if t < 1 else 2 * math.atanh(math.exp(-2 * t))
-    if sigma >= 1:
+    # The difference of the logs is gap + rest: gap = sigma - 2t over the terms with t, sigma >= 1,
+    # and rest, the remaining terms, which are the same for any t or sigma past 1000.
+    t, sigma = float(min(cf.twist, 1000)), float(min(cf.sigma, 1000))
+    a = cf.sigma if sigma >= 1 else 0
+    b = 2 * cf.twist if t >= 1 else 0
+    # Any |gap| past 10^4 decides; comparing first keeps a side past the float range off float().
+    if a > b + 10_000:
+        gap = 10_000.0
+    elif b > a + 10_000:
+        gap = -10_000.0
+    else:  # both finite, or both infinite
+        gap = float(Fraction(a) - Fraction(b)) if a != b else 0.0
+    if t < 1:
+        rest = math.log(-math.log(math.tanh(t)))
+    else:  # -log tanh(t) = 2 * atanh(x) with x = e^{-2t}, whose log is in gap
+        x = math.exp(-2 * t)
+        rest = math.log(2 * (math.atanh(x) / x if x else 1.0))
+    if sigma >= 1:  # the sum is q * (1 + O(q^2)) with q = e^{-sigma}, whose log is in gap
         q = math.exp(-sigma)
-        sigma_side = 4 * sum(math.atanh(q ** k) for k in range(1, 40, 2))
+        rest -= math.log(4 * (sum(math.atanh(q ** k) for k in range(1, 40, 2)) / q if q else 1.0))
     else:
         # theta2/theta3(p) = 2 * p^{1/4} * prod_{n>=1} ((1 + p^{2n}) / (1 + p^{2n-1}))^2.
         p = math.exp(-math.pi ** 2 / sigma)
-        sigma_side = (math.pi ** 2 / (4 * sigma) - math.log(2)
-                      - 2 * sum((-1) ** k * math.log1p(p ** k) for k in range(1, 5)))
-    if math.isclose(twist_side, sigma_side, rel_tol=1e-9):
+        rest -= math.log(math.pi ** 2 / (4 * sigma) - math.log(2)
+                         - 2 * sum((-1) ** k * math.log1p(p ** k) for k in range(1, 5)))
+    diff = gap + rest
+    if -math.expm1(-abs(diff)) <= 1e-9:
         raise InconclusiveError(f"log tanh(twist) and the log validity threshold agree to "
                                 f"1e-9 relative at sigma {cf.sigma}, twist {cf.twist}")
-    return twist_side > sigma_side
+    return diff > 0
 
 
 def support_line(cf: CylinderCF, tol: float = 1e-10):

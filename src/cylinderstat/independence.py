@@ -16,8 +16,8 @@ acting on y = (s, n) as M = [[a, c], [0, p]], the two sides differ by
 with C_ik = sum_j M_ij^T (2 A_j) M_kj and T = sum_j twist_j; the linear parts
 cancel identically.  This certificate holds on all of R x Z, and on every
 subgroup such as the rational dual of a solenoid, exactly when every C_ik
-and T vanish.  `independence_residual` reports it with the largest
-|LHS_log - RHS_log| over a dual grid and the earliest tuple attaining it.
+and T vanish.  `independence_residual` reports it with the largest |LHS_log - RHS_log|
+over a `DualGrid`, an index space of dual tuples, and the earliest tuple attaining it.
 
 The module also houses the exact real-coefficient condition suite for the
 reduced three-statistic problem, the positive-variance solver, the full
@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -134,41 +133,70 @@ def slot_points(kind: str = "cylinder", dense: bool = False):
     return [DualPoint(s, n) for s in ss for n in ns]
 
 
-# Grid tuples per numpy pass, in product_grid and _grid_maximum.
+# Grid tuples per numpy pass, in DualGrid.index_chunks.
 _CHUNK = 8192
 
 
-def product_grid(points, n_slots: int, cap: int = 100_000, seed: int = 0):
-    """Cartesian grid of dual tuples, stride-subsampled deterministically past `cap`.
+@dataclass(frozen=True)
+class DualGrid:
+    """Dual tuples over one point set as an index space: tuple k is computed when asked for.
 
-    The subsample is stratified (indices evenly spaced through the full
-    product) with a seeded offset, so results are reproducible and cover both
-    parities of every integer slot.
+    Tuple k holds the points named by the base-len(points) digits of the flat index
+    (offset + k*total//len) % total, total = len(points)**n_slots, len = min(total, cap):
+    the whole product up to the cap, past it a stratified subsample with offset
+    numpy.random.default_rng(seed).integers(total), reproducible and covering both parities
+    of every integer slot.  The product reads slot 0 from the most significant digit
+    (itertools.product order), the subsample from the least significant: the orders these
+    grids have always had, kept so that reported worst tuples do not change.
     """
-    base = len(points)
-    total = base ** n_slots
-    if total <= cap:
-        return [tuple(t) for t in itertools.product(points, repeat=n_slots)]
-    import numpy as np
 
-    offset = int(np.random.default_rng(seed).integers(total))
-    grid = []
-    # Chunks keep the index arrays and digit lists small next to the grid.
-    for lo in range(0, cap, _CHUNK):
-        ks = range(lo, min(lo + _CHUNK, cap))
-        # integers(total) rejects total > 2**63, so every flat index (< total) fits in int64.
-        flat = np.fromiter(((offset + k * total // cap) % total for k in ks), np.int64, len(ks))
-        slots = []
-        for _ in range(n_slots):  # slot 0 is the least significant digit
-            flat, digits = np.divmod(flat, base)
-            slots.append(map(points.__getitem__, digits.tolist()))
-        grid.extend(zip(*slots))
-    return grid
+    points: tuple
+    n_slots: int
+    cap: int = 100_000
+    seed: int = 0
+    total: int = field(init=False, repr=False)
+    offset: int = field(init=False, repr=False, default=0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "total", len(self.points) ** self.n_slots)
+        if self.total > self.cap:
+            import numpy as np
+            rng = np.random.default_rng(self.seed)
+            object.__setattr__(self, "offset", int(rng.integers(self.total)))
+
+    def __len__(self) -> int:
+        return min(self.total, self.cap)
+
+    def _flat(self, ks) -> list:
+        """The flat indices, as exact ints, of the tuples at positions ks."""
+        offset, total, n = self.offset, self.total, len(self)
+        return [(offset + k * total // n) % total for k in ks]
+
+    def _digits(self, flat) -> list:
+        """Per-slot point indices of a flat index, or of an int64 array of them."""
+        order = range(self.n_slots - 1, -1, -1) if self.total <= self.cap else range(self.n_slots)
+        return [flat // len(self.points) ** j % len(self.points) for j in order]
+
+    def __getitem__(self, k: int) -> tuple:
+        # Iteration runs through here too, and ends at the IndexError.
+        if not 0 <= k < len(self):
+            raise IndexError(f"grid index {k} outside [0, {len(self)})")
+        return tuple(self.points[d] for d in self._digits(self._flat([k])[0]))
+
+    def index_chunks(self):
+        """(first index, per-slot int64 arrays of point indices) for chunks of _CHUNK tuples."""
+        import numpy as np
+
+        for lo in range(0, len(self), _CHUNK):
+            flat = self._flat(range(lo, min(lo + _CHUNK, len(self))))
+            # integers(total) rejects total > 2**63, so every flat index fits in int64.
+            yield lo, self._digits(np.array(flat, np.int64))
 
 
 def default_grid(n_slots: int, kind: str = "cylinder", dense: bool = False,
-                 cap: int = 100_000, seed: int = 0):
-    return product_grid(slot_points(kind, dense), n_slots, cap=cap, seed=seed)
+                 cap: int = 100_000, seed: int = 0) -> DualGrid:
+    return DualGrid(slot_points(kind, dense), n_slots, cap=cap, seed=seed)
 
 
 # --------------------------------------------------------------------------
@@ -225,29 +253,21 @@ def nonzero_blocks(blocks) -> list:
     return [pair for pair, (row0, row1) in blocks.items() if any((*row0, *row1))]
 
 
-def _grid_maximum(blocks, twist_sum, grid, coords):
+def _grid_maximum(blocks, twist_sum, grid: DualGrid, coords):
     """(max |LHS_log - RHS_log| over the grid, earliest index attaining it in float64).
 
-    Each block becomes a table of -y^T C_ik z over two slots' distinct points;
-    chunks of the grid, mapped to int16 table indices, gather and add those
-    rows, and the rows behind the winning cell are re-summed by math.fsum.
+    Each block becomes a table of -y^T C_ik z over the grid's points, gathered at each
+    chunk's point indices; the entries behind the winning cell are re-summed by math.fsum.
     """
     import numpy as np
 
-    getters = [operator.itemgetter(i) for i in range(len(grid[0]))]
-    points = [list({id(y): y for y in map(get, grid)}.values()) for get in getters]
-    index = [{id(y): r for r, y in enumerate(pts)} for pts in points]
-    dtype = np.int16 if max(map(len, points)) <= np.iinfo(np.int16).max else np.intp
-    ys = [np.array([coords(y) for y in pts], dtype=float) for pts in points]
+    ys = np.array([coords(y) for y in grid.points], dtype=float)
     best, best_idx, best_rows = -1.0, 0, []
     with np.errstate(over="ignore", invalid="ignore"):
-        tables = [(i, k, -ys[i] @ np.array(block, dtype=float) @ ys[k].T)
+        tables = [(i, k, -ys @ np.array(block, dtype=float) @ ys.T)
                   for (i, k), block in blocks.items()]
-        for lo in range(0, len(grid), _CHUNK):
-            chunk = grid[lo:lo + _CHUNK]
-            idx = [np.fromiter(map(ix.__getitem__, map(id, map(get, chunk))), dtype, len(chunk))
-                   for ix, get in zip(index, getters)]
-            odd = sum(y[j, 1] % 2 for y, j in zip(ys, idx))
+        for lo, idx in grid.index_chunks():
+            odd = sum(ys[j, 1] % 2 for j in idx)
             rows = [table[idx[i], idx[k]] for i, k, table in tables]
             rows.append(2 * float(twist_sum) * (odd % 2 - odd))
             value = np.abs(sum(rows))
@@ -259,13 +279,13 @@ def _grid_maximum(blocks, twist_sum, grid, coords):
     return abs(math.fsum(best_rows)), best_idx
 
 
-def independence_residual(cfs, matrix: StatMatrix, grid=None, workers: int = 1,
+def independence_residual(cfs, matrix: StatMatrix, grid: DualGrid = None, workers: int = 1,
                           return_worst: bool = False):
-    """Max deviation of the independence functional equation over a dual grid.
+    """Max deviation of the independence functional equation over a DualGrid.
 
     The verdict is the certificate of `independence_blocks`: when it is zero
     the residual is exactly 0.0 on the whole dual group and the worst tuple
-    is grid[0], without evaluating the grid.  Otherwise the result is the
+    is grid[0], the only tuple computed.  Otherwise the result is the
     largest modulus of the closed form over the grid, re-summed by math.fsum
     so it does not depend on summation order, and the earliest tuple
     attaining it in float64; tuples with equal exact residuals can round apart
@@ -275,6 +295,8 @@ def independence_residual(cfs, matrix: StatMatrix, grid=None, workers: int = 1,
     kind = family_kind(cfs, matrix)
     if grid is None:
         grid = default_grid(matrix.n, kind)
+    if not isinstance(grid, DualGrid):
+        raise TypeError(f"grid must be a DualGrid, got {type(grid).__name__}")
     if not grid:
         raise ValueError("empty evaluation grid")
     blocks, twist_sum = independence_blocks(cfs, matrix)

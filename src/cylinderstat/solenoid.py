@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import DualPoint
-from .independence import StatMatrix, independence_residual, product_grid
+from .independence import DualGrid, StatMatrix, independence_residual
 
 
 class IncompatibleAutoError(ValueError):
@@ -212,8 +212,8 @@ def validate_matrix(matrix: StatMatrix, base: BaseSequence, generator_depth: int
 
 
 def rational_dual_grid(base: BaseSequence, depth: int, n_slots: int,
-                       n_values=(-2, -1, 0, 1, 2), cap: int = 100_000):
-    """Grid of dual tuples whose s-coordinates are rationals of depth <= depth."""
+                       n_values=(-2, -1, 0, 1, 2), cap: int = 100_000) -> DualGrid:
+    """DualGrid of tuples whose s-coordinates are rationals of depth <= depth."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if depth >= len(base):
@@ -229,7 +229,7 @@ def rational_dual_grid(base: BaseSequence, depth: int, n_slots: int,
         if s not in seen:
             seen.append(s)
     points = [DualPoint(s, n) for s in seen for n in n_values]
-    return product_grid(points, n_slots, cap=cap, seed=0)
+    return DualGrid(points, n_slots, cap=cap)
 
 
 def pullback_residual(cfs, matrix: StatMatrix, base: BaseSequence, grid_depth: int,

@@ -16,6 +16,11 @@ whose density is negative; `fourier_conclusive` says where its verdict
 decides.  `spatial_min_density` and `spatial_threshold` are the angle-domain
 references: the wrapped normal summed over its images, with no Fourier
 series and no theta function.
+
+`oracle_float_sides` is the first closed form of `is_valid_probability`,
+kept verbatim as a reference: it compares the two negative-log sides as
+floats, so it is right only where both are normal floats (it called
+sigma 800, twist 400 inconclusive, both sides having underflowed to 0).
 """
 
 import cmath
@@ -132,6 +137,25 @@ def oracle_is_valid_probability(cf: TorusCF, truncation: int = 64, tol: float = 
 
     _, density, imag = fourier_density(cf, truncation, grid_points)
     return float(density.min()) >= -tol and float(np.abs(imag).max()) <= tol
+
+
+def oracle_float_sides(cf: TorusCF):
+    """(verdict of the float closed form, -log tanh(t), -log theta4/theta3(e^{-sigma})).
+
+    The verdict is None where the closed form raised InconclusiveError.
+    """
+    t, sigma = float(cf.twist), float(cf.sigma)
+    twist_side = -math.log(math.tanh(t)) if t < 1 else 2 * math.atanh(math.exp(-2 * t))
+    if sigma >= 1:
+        q = math.exp(-sigma)
+        sigma_side = 4 * sum(math.atanh(q ** k) for k in range(1, 40, 2))
+    else:
+        p = math.exp(-math.pi ** 2 / sigma)
+        sigma_side = (math.pi ** 2 / (4 * sigma) - math.log(2)
+                      - 2 * sum((-1) ** k * math.log1p(p ** k) for k in range(1, 5)))
+    if math.isclose(twist_side, sigma_side, rel_tol=1e-9):
+        return None, twist_side, sigma_side
+    return twist_side > sigma_side, twist_side, sigma_side
 
 
 def fourier_conclusive(cf: TorusCF, truncation: int = 64, tol: float = 1e-9,

@@ -10,7 +10,7 @@ the grid maximum of |LHS_log - RHS_log| and the earliest tuple attaining it.
 the reduced coefficients, kept as the reference for `gaussian_system_check`.
 
 `oracle_product_grid` is the tuple-by-tuple stride subsample kept as the
-reference for `product_grid`.
+reference for `DualGrid`.
 """
 
 import itertools

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,8 @@ from cylinderstat.charfn import (CylinderCF, InconclusiveError, TorusCF,
                                  support_line, symmetrize, transform)
 from cylinderstat.groups import TWO_PI, CylinderAuto, DualPoint, is_exact
 from oracle_charfn import (GAUSS_GRID_CYL, GAUSS_GRID_TOR, fourier_conclusive,
-                           oracle_convolve, oracle_eval, oracle_is_valid_probability,
+                           oracle_convolve, oracle_eval, oracle_float_sides,
+                           oracle_is_valid_probability,
                            oracle_log_parts, oracle_reflect, oracle_transform,
                            parallelogram_gap, spatial_min_density, spatial_threshold)
 
@@ -337,6 +339,54 @@ class TestValidity:
     def test_minus_infinite_log_threshold_is_invalid(self, twist):
         # At sigma = 5e-324 the log threshold -pi^2/(4*sigma) is -inf: decided, not inconclusive.
         assert is_valid_probability(TorusCF(5e-324, 0, twist)) is False
+
+    @settings(max_examples=300, deadline=None)
+    @given(sigma=st.floats(math.log(0.01), math.log(700.0)).map(math.exp),
+           twist=st.one_of(st.floats(1e-6, 350.0),
+                           st.sampled_from([-3e-9, -1e-9 / 2, 1e-9 / 2, 3e-9])))
+    def test_float_sides_verdicts_kept(self, sigma, twist):
+        """Where both sides are normal floats the verdict and the 1e-9 band are the float form's.
+
+        A draw in the second list is a relative offset of the sigma side: the
+        twist is placed just inside or just outside the inconclusive band.
+        """
+        if twist < 1e-6:  # -log tanh(t) = side  <=>  t = atanh(e^{-side}) = -log tanh(side/2) / 2
+            side = oracle_float_sides(TorusCF(sigma, 0, 1.0))[2] * (1 + twist)
+            twist = math.atanh(math.exp(-side)) if side > 1 else -math.log(math.tanh(side / 2)) / 2
+        cf = TorusCF(sigma, 0, twist)
+        verdict, twist_side, sigma_side = oracle_float_sides(cf)
+        if min(twist_side, sigma_side) < sys.float_info.min:
+            reject()
+        if verdict is None:
+            with pytest.raises(InconclusiveError):
+                is_valid_probability(cf)
+        else:
+            assert is_valid_probability(cf) == verdict
+
+    @pytest.mark.parametrize("sigma,twist,valid", [
+        (800, 400, False),  # 2e^{-800} < 4e^{-800}: both sides underflow to 0 as floats
+        (800, 399, True),
+        (800.0, 400.0, False),
+        (10 ** 400, Fraction(1, 20), True),
+        (10 ** 400, 10 ** 400 // 2 - 1, True),  # sigma - 2t = 2 > log 2
+        (10 ** 400, 10 ** 400 // 2, False),  # sigma - 2t = 0 < log 2
+        (Fraction(1, 2), 10 ** 400, False),
+        (10 ** 400, 1.5, True),  # an exact side and a float side
+        (2.0, 10 ** 400, False),
+        (1e300, Fraction(1e300) / 2 - 1, True),  # sigma - 2t = 2, but 0 in float arithmetic
+    ])
+    def test_sides_outside_the_float_range(self, sigma, twist, valid):
+        assert is_valid_probability(TorusCF(sigma, 0, twist)) is valid
+
+    def test_inconclusive_where_the_sides_underflow(self):
+        # sigma = 2t + log 2 puts both sides at 4e^{-sigma}, far below the float range,
+        # where the float form called every law inconclusive.
+        assert oracle_float_sides(TorusCF(800, 0, 400))[0] is None
+        twist = (800 - math.log(2)) / 2
+        with pytest.raises(InconclusiveError):
+            is_valid_probability(TorusCF(800, 0, twist))
+        assert is_valid_probability(TorusCF(800, 0, twist - 1e-6))
+        assert not is_valid_probability(TorusCF(800, 0, twist + 1e-6))
 
     def test_rejects_circle_bundles_only(self):
         with pytest.raises(TypeError, match="expects a TorusCF"):

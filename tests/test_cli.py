@@ -15,6 +15,7 @@ from conftest import REF_COEFFS
 from cylinderstat.cli import main
 from cylinderstat.families import line_gaussian_family, twisted_torus_pair
 from cylinderstat.fdiff import GridFunction, default_n_grid, default_s_grid, save_grid_csv
+from cylinderstat.independence import DualGrid
 from cylinderstat.serialize import dump, family_to_fixture, load
 
 
@@ -110,6 +111,23 @@ class TestCheck:
         report = json.loads(result.stdout)
         assert report["independence"]["grid_size"] == 100_000
         assert report["independence"]["residual"] == 0.0
+
+    @pytest.mark.parametrize("command", ["default", "dense", "solenoid"])
+    def test_zero_certificate_computes_one_tuple(self, ref_fixture_path, tmp_path, runner,
+                                                 monkeypatch, command):
+        """The grid only sizes the report: at most grid[0] is ever computed."""
+        indexed = []
+        getitem = DualGrid.__getitem__
+        monkeypatch.setattr(DualGrid, "__getitem__",
+                            lambda grid, k: indexed.append(k) or getitem(grid, k))
+        if command == "solenoid":
+            base = write_json(tmp_path / "base.json", {"base": list(range(2, 18))})
+            args = ["solenoid", "--base", base, "--fixture", ref_fixture_path]
+        else:
+            args = ["check", "--fixture", ref_fixture_path, "--grid", command]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert indexed in ([], [0])
 
     def test_perturbed_fixture_fails_naming_equation(self, ref_fixture_path,
                                                      tmp_path, runner):
@@ -449,6 +467,10 @@ def _table_fixture(name: str) -> dict:
         return family_to_fixture(twisted_torus_pair(Fraction(1, 200), kappa=0))
     if name == "tiny-sigma-pair":  # more than 512 Fourier modes to sample
         return family_to_fixture(twisted_torus_pair(1e-6, kappa=0))
+    if name == "point-mass-pair":  # its residual (about 1e-12) lies below the whole null band
+        return family_to_fixture(twisted_torus_pair(0, Fraction(13, 10), Fraction(2, 5)))
+    if name == "huge-exact-sigma-pair":  # 64 Fourier modes sample it, as for any sigma >= 1/120
+        return family_to_fixture(twisted_torus_pair(10 ** 400, kappa=Fraction(1, 20)))
     raise ValueError(name)
 
 
@@ -501,8 +523,8 @@ def _reject_constant(name):
     ("reference", ["solenoid", "--depth", "-20"], 2, None),
     ("reference", ["simulate", "--count", "2000", "--bootstrap", "-1"], 2, None),
     ("reference", ["simulate", "--count", "2000", "--bootstrap", "-200"], 2, None),
-    ("huge-exact-sigma-params", ["construct", "-f", "twisted-pair"], 2, None),
-    ("huge-exact-sigma-params", ["construct", "-f", "four-statistic"], 2, None),
+    ("huge-exact-sigma-params", ["construct", "-f", "twisted-pair"], 0, None),
+    ("huge-exact-sigma-params", ["construct", "-f", "four-statistic"], 0, None),
     ("huge-exact-sigma-reference", ["simulate", "--count", "2000", "--bootstrap", "5"], 2, None),
     ("reference", ["solenoid", "--base", "@base-with-unit-entry", "--depth", "2"], 2, None),
     ("reference", ["solenoid", "--base", "@base-without-key", "--depth", "2"], 2, None),
@@ -528,6 +550,8 @@ def _reject_constant(name):
     ("overtwisted-pair", ["check"], 1, [False, False]),
     ("small-sigma-pair", ["simulate", "--count", "20000", "--bootstrap", "50"], 0, None),
     ("tiny-sigma-pair", ["simulate", "--count", "2000", "--bootstrap", "5"], 2, None),
+    ("point-mass-pair", ["simulate", "--count", "20000", "--bootstrap", "50"], 0, None),
+    ("huge-exact-sigma-pair", ["simulate", "--count", "2000", "--bootstrap", "5"], 0, None),
 ])
 def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     """Malformed or extreme inputs get their contract exit code and never a traceback.

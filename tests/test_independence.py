@@ -13,14 +13,14 @@ from cylinderstat.charfn import CylinderCF, TorusCF, convolve, transform
 from cylinderstat.families import (four_statistic_family, line_gaussian_family,
                                    torus_triple_verdict, twisted_torus_pair)
 from cylinderstat.groups import CylinderAuto, DualPoint
-from cylinderstat.independence import (DegenerateFormError, SingularSystemError,
-                                       StatMatrix, SubgroupTag,
+from cylinderstat.independence import (DegenerateFormError, DualGrid,
+                                       SingularSystemError, StatMatrix, SubgroupTag,
                                        classify_step_subgroups,
                                        coefficient_conditions, cubic_identity,
                                        default_grid, gaussian_system_check,
                                        independence_blocks, independence_residual,
                                        nonzero_blocks, nu_support_check,
-                                       product_grid, reduce_to_normal_form,
+                                       reduce_to_normal_form,
                                        slot_points, solve_sigmas,
                                        support_identity_gap)
 from cylinderstat.solenoid import BaseSequence, rational_dual_grid
@@ -44,9 +44,9 @@ class TestGrids:
         g1 = default_grid(3, "cylinder", dense=True, cap=50_000, seed=9)
         g2 = default_grid(3, "cylinder", dense=True, cap=50_000, seed=9)
         assert len(g1) == 50_000
-        assert g1 == g2
+        assert list(g1) == list(g2)
         g3 = default_grid(3, "cylinder", dense=True, cap=50_000, seed=10)
-        assert g1 != g3
+        assert list(g1) != list(g3)
 
     def test_covers_both_parities(self):
         grid = default_grid(2, "torus", cap=10)
@@ -65,14 +65,30 @@ class TestGridOracle:
     @pytest.mark.parametrize("seed", [0, 9])
     def test_matches_loop(self, n_slots, cap, seed):
         points = slot_points("cylinder", dense=True)
-        grid = product_grid(points, n_slots, cap=cap, seed=seed)
-        assert _same_points(grid, oracle_product_grid(points, n_slots, cap=cap, seed=seed))
+        grid = DualGrid(points, n_slots, cap=cap, seed=seed)
+        assert _same_points(list(grid), oracle_product_grid(points, n_slots, cap=cap, seed=seed))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 4), st.integers(1, 3000), st.integers(0, 2**32 - 1))
+    def test_any_shape_matches_loop(self, n_points, n_slots, cap, seed):
+        points = [object() for _ in range(n_points)]
+        grid = DualGrid(points, n_slots, cap=cap, seed=seed)
+        assert len(grid) == min(n_points ** n_slots, cap)
+        assert _same_points(list(grid), oracle_product_grid(points, n_slots, cap=cap, seed=seed))
 
     def test_exact_past_2_to_62(self):
         points = [object() for _ in range(46_341)]
         assert 2 ** 62 < len(points) ** 4 < 2 ** 63
-        grid = product_grid(points, 4, cap=2000, seed=3)
-        assert _same_points(grid, oracle_product_grid(points, 4, cap=2000, seed=3))
+        grid = DualGrid(points, 4, cap=2000, seed=3)
+        assert _same_points(list(grid), oracle_product_grid(points, 4, cap=2000, seed=3))
+
+    @pytest.mark.parametrize("cap", [7, 100_000])
+    def test_index_out_of_range(self, cap):
+        grid = default_grid(3, "torus", cap=cap)
+        assert grid[len(grid) - 1] == list(grid)[-1]
+        for k in (-1, len(grid), len(grid) + 5):
+            with pytest.raises(IndexError):
+                grid[k]
 
 
 class TestResidual:
@@ -137,7 +153,12 @@ class TestResidual:
         cfs = (TorusCF(1), TorusCF(1))
         m = StatMatrix.from_rows([[CylinderAuto(2, 0, 1)] * 2] * 2)
         with pytest.raises(ValueError):
-            independence_residual(cfs, m, [(0, 1)])
+            independence_residual(cfs, m, default_grid(2, "torus"))
+
+    def test_grid_must_be_a_dual_grid(self, ref_family):
+        grid = default_grid(3, "cylinder", cap=20)
+        with pytest.raises(TypeError, match="DualGrid"):
+            independence_residual(ref_family.cfs, ref_family.matrix, list(grid))
 
     def test_float_inputs_small_residual(self):
         fam = line_gaussian_family(1, *REF_COEFFS)
@@ -159,7 +180,9 @@ class TestResidual:
                       for c in ref_family.cfs)
         rows_f = [[CylinderAuto(float(e.a), float(e.c), e.p) for e in row]
                   for row in bad.rows]
-        grid_f = [tuple(DualPoint(float(y.s), y.n) for y in tup) for tup in grid]
+        grid_f = DualGrid([DualPoint(float(y.s), y.n) for y in grid.points], 3, cap=3000)
+        assert [[(y.s, y.n) for y in tup] for tup in grid_f] == [
+            [(float(y.s), y.n) for y in tup] for tup in grid]
         r_float = independence_residual(cfs_f, StatMatrix.from_rows(rows_f), grid_f)
         assert r_exact > 1.0
         assert r_float == pytest.approx(r_exact, rel=1e-12)
