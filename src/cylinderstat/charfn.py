@@ -15,8 +15,9 @@ when its twist is zero.  A circle bundle is the s-free slice of a cylinder
 bundle (`TorusCF.cylinder`: sigma = kappa = tau = 0, lam the circle
 variance), so the bundle algebra is computed once, on cylinder bundles.
 
-Parameters are type preserving: Fraction parameters keep every log value
-exact.  `eval` goes through `cmath.exp` and is always a float complex.
+Parameters are ints and Fractions (a float argument is read as the dyadic
+rational it is), so every log value is exact but for angles, which reduce as
+floats.  `eval` goes through `cmath.exp` and is always a float complex.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .groups import TWO_PI, CylinderAuto, DualPoint, exact_div, is_exact, reduce_angle
+from .groups import TWO_PI, CylinderAuto, DualPoint, as_exact, reduce_angle
 
 
 class InconclusiveError(RuntimeError):
@@ -34,30 +35,23 @@ class InconclusiveError(RuntimeError):
 
 
 def _reduce_param_angle(theta):
-    """Reduce an angle parameter, keeping exact values already in [0, 2*pi)."""
-    if is_exact(theta) and 0 <= theta < TWO_PI:
-        return theta
-    return reduce_angle(theta)
+    """Reduce an angle parameter as a float, keeping an exact one already in [0, 2*pi)."""
+    if isinstance(theta, float) or not 0 <= theta < TWO_PI:
+        return reduce_angle(theta)
+    return theta
 
 
 def _nonneg(name, value):
-    """`value` checked to be >= 0; a float in the slack [-1e-12, 0) becomes 0.0.
-
-    Storing the slack as 0.0 keeps sums of accepted parameters accepted, so
-    convolution stays inside the bundles the constructors admit.
-    """
-    if is_exact(value):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-        return value
-    if value < -1e-12:
+    """`value`, exact, checked to be >= 0."""
+    value = as_exact(value)
+    if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
-    return 0.0 if value < 0 else value
+    return value
 
 
 @dataclass(frozen=True)
 class CylinderCF:
-    """Log-CF bundle on R x T (dual variable y = (s, n))."""
+    """Log-CF bundle on R x T (dual variable y = (s, n)), PSD or not: see `is_valid_probability`."""
 
     sigma: object
     kappa: object = 0
@@ -67,21 +61,14 @@ class CylinderCF:
     twist: object = 0
 
     def __post_init__(self):
+        for name in ("kappa", "tau", "twist"):
+            object.__setattr__(self, name, as_exact(getattr(self, name)))
         object.__setattr__(self, "sigma", _nonneg("sigma", self.sigma))
         object.__setattr__(self, "lam", _nonneg("lam", self.lam))
-        disc = 4 * self.sigma * self.lam - self.kappa * self.kappa
-        if is_exact(disc):
-            if disc < 0:
-                raise ValueError(f"quadratic form not PSD: 4*sigma*lam - kappa^2 = {disc}")
-        else:
-            # A slack relative to kappa^2 admits the cone 4*sigma*lam >= (1 - 1e-12)*kappa^2,
-            # which is closed under the parameter sums of convolution.
-            if float(disc) < -1e-12 * abs(float(self.kappa)) ** 2:
-                raise ValueError(f"quadratic form not PSD: 4*sigma*lam - kappa^2 = {float(disc)}")
         object.__setattr__(self, "theta", _reduce_param_angle(self.theta))
 
     def log_parts(self, s, n: int):
-        """Real and imaginary part of the log-CF at (s, n), type preserving."""
+        """Real and imaginary part of the log-CF at (s, n), exact for an exact s."""
         re = -(self.sigma * s * s + self.kappa * s * n + self.lam * n * n)
         if self.twist != 0:  # twist * (1 - (-1)^n): 0 at even n, 2*twist at odd n
             re = re + (2 * self.twist if n % 2 else 0)
@@ -124,6 +111,7 @@ class TorusCF:
     def __post_init__(self):
         object.__setattr__(self, "sigma", _nonneg("sigma", self.sigma))
         object.__setattr__(self, "theta", _reduce_param_angle(self.theta))
+        object.__setattr__(self, "twist", as_exact(self.twist))
 
     @property
     def cylinder(self) -> CylinderCF:
@@ -145,21 +133,20 @@ class Z2SignedMeasure:
     exp(twist*(1 - (-1)^n)) for p1 = (1 + e^{2*twist})/2, pm1 = (1 - e^{2*twist})/2.
     """
 
-    p1: float
-    pm1: float
+    p1: Fraction
+    pm1: Fraction
 
     def __post_init__(self):
-        total = self.p1 + self.pm1
-        if is_exact(total):
-            if total != 1:
-                raise ValueError(f"masses must sum to 1, got {total}")
-        elif abs(float(total) - 1.0) > 1e-12:
-            raise ValueError(f"masses must sum to 1, got {total}")
+        object.__setattr__(self, "p1", as_exact(self.p1))
+        object.__setattr__(self, "pm1", as_exact(self.pm1))
+        if self.p1 + self.pm1 != 1:
+            raise ValueError(f"masses must sum to 1, got {self.p1 + self.pm1}")
 
     @classmethod
     def from_twist(cls, twist) -> "Z2SignedMeasure":
-        e = math.exp(2.0 * float(twist)) if twist != 0 else 1
-        return cls(exact_div(1 + e, 2), exact_div(1 - e, 2))
+        """The masses for e^{2*twist} rounded to a float; they sum to one exactly."""
+        e = Fraction(math.exp(2.0 * float(twist))) if twist != 0 else 1
+        return cls(Fraction(1 + e, 2), Fraction(1 - e, 2))
 
     def cf_value(self, n: int):
         return self.p1 + self.pm1 * (-1) ** (n % 2)
@@ -243,24 +230,44 @@ def is_gaussian(cf) -> bool:
     return cf.twist == 0
 
 
-def is_valid_probability(cf: TorusCF) -> bool:
-    """Whether the circle bundle is the CF of a genuine probability measure.
+def psd_gap(cf: CylinderCF, positive: bool = False):
+    """4*sigma*lam - kappa^2, >= 0 exactly on a PSD form; positive=True adds kappa^2 instead."""
+    return 4 * cf.sigma * cf.lam + (1 if positive else -1) * cf.kappa * cf.kappa
 
-    With W the wrapped normal of CF e^{-sigma*n^2}, the law has the density
-    a*W(x) + b*W(x + pi), rotated by theta, where a = (1 + e^{2t})/2 and
-    b = (1 - e^{2t})/2 for twist t.  So it is a probability measure exactly
-    when t <= 0 or tanh(t) <= W(pi)/W(0) = theta4/theta3(q), q = e^{-sigma}
+
+def _log(x) -> float:
+    """log of a positive int or Fraction, also where float(x) underflows."""
+    x = Fraction(x)
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+def is_valid_probability(cf) -> bool:
+    """Whether the cylinder or circle bundle is the CF of a genuine probability measure.
+
+    A cylinder bundle needs a PSD form; given the line coordinate, the circle one is
+    then wrapped normal of CF e^{-v*n^2} up to a shift, v = lam - kappa^2/(4*sigma)
+    (lam if sigma = 0), so as the twist acts on it alone, (v, twist) decides.
+
+    For a circle bundle, with W the wrapped normal of CF e^{-sigma*n^2}, the law
+    has the density a*W(x) + b*W(x + pi), rotated by theta, where a = (1 + e^{2t})/2
+    and b = (1 - e^{2t})/2 for twist t.  So it is a probability measure exactly when
+    t <= 0 or tanh(t) <= W(pi)/W(0) = theta4/theta3(q), q = e^{-sigma}
     (Jacobi triple product; Whittaker and Watson, ch. 21).  The two sides are
     compared as logs of negative logs: -log tanh(t) = 2*atanh(e^{-2t}), and
     -log theta4/theta3(q) = 4*sum_{k odd} atanh(q^k) for sigma >= 1; below, the
     imaginary transformation theta4/theta3(q) = theta2/theta3(p) with
     p = e^{-pi^2/sigma} converges in a few terms and cannot underflow.  For t, sigma >= 1
     the logs are log 2 - 2t + ... and log 4 - sigma + ..., with sigma - 2t taken exactly,
-    so sides outside the float range are still decided.  Raises
-    InconclusiveError when the two sides agree to 1e-9 relative.
+    and below 1 log t and log sigma are, so sides outside the float range are still
+    decided.  Raises InconclusiveError when the two sides agree to 1e-9 relative.
     """
+    if isinstance(cf, CylinderCF):
+        gap = psd_gap(cf)
+        if gap < 0:
+            return False
+        cf = TorusCF(Fraction(gap, 4 * cf.sigma) if cf.sigma else cf.lam, 0, cf.twist)
     if not isinstance(cf, TorusCF):
-        raise TypeError("is_valid_probability expects a TorusCF")
+        raise TypeError("is_valid_probability expects a CylinderCF or a TorusCF")
     if cf.twist <= 0:
         return True
     if cf.sigma == 0:
@@ -271,15 +278,10 @@ def is_valid_probability(cf: TorusCF) -> bool:
     t, sigma = float(min(cf.twist, 1000)), float(min(cf.sigma, 1000))
     a = cf.sigma if sigma >= 1 else 0
     b = 2 * cf.twist if t >= 1 else 0
-    # Any |gap| past 10^4 decides; comparing first keeps a side past the float range off float().
-    if a > b + 10_000:
-        gap = 10_000.0
-    elif b > a + 10_000:
-        gap = -10_000.0
-    else:  # both finite, or both infinite
-        gap = float(Fraction(a) - Fraction(b)) if a != b else 0.0
-    if t < 1:
-        rest = math.log(-math.log(math.tanh(t)))
+    # Any |gap| past 10^4 decides; clipping it exactly keeps a side past the float range finite.
+    gap = float(max(-10_000, min(a - b, 10_000)))
+    if t < 1:  # -log tanh(t) = -log t - log(tanh(t)/t)
+        rest = math.log(-_log(cf.twist) - math.log(math.tanh(t) / t if t else 1.0))
     else:  # -log tanh(t) = 2 * atanh(x) with x = e^{-2t}, whose log is in gap
         x = math.exp(-2 * t)
         rest = math.log(2 * (math.atanh(x) / x if x else 1.0))
@@ -287,10 +289,12 @@ def is_valid_probability(cf: TorusCF) -> bool:
         q = math.exp(-sigma)
         rest -= math.log(4 * (sum(math.atanh(q ** k) for k in range(1, 40, 2)) / q if q else 1.0))
     else:
-        # theta2/theta3(p) = 2 * p^{1/4} * prod_{n>=1} ((1 + p^{2n}) / (1 + p^{2n-1}))^2.
-        p = math.exp(-math.pi ** 2 / sigma)
-        rest -= math.log(math.pi ** 2 / (4 * sigma) - math.log(2)
-                         - 2 * sum((-1) ** k * math.log1p(p ** k) for k in range(1, 5)))
+        # theta2/theta3(p) = 2 * p^{1/4} * prod_{n>=1} ((1 + p^{2n}) / (1 + p^{2n-1}))^2, so
+        # the side is pi^2/(4*sigma) - c, whose log takes log sigma from the exact sigma.
+        p = math.exp(-math.pi ** 2 / sigma) if sigma else 0.0
+        c = math.log(2) + 2 * sum((-1) ** k * math.log1p(p ** k) for k in range(1, 5))
+        rest -= (math.log(math.pi ** 2 / 4) - _log(cf.sigma)
+                 + math.log1p(-4 * sigma * c / math.pi ** 2))
     diff = gap + rest
     if -math.expm1(-abs(diff)) <= 1e-9:
         raise InconclusiveError(f"log tanh(twist) and the log validity threshold agree to "
@@ -298,7 +302,7 @@ def is_valid_probability(cf: TorusCF) -> bool:
     return diff > 0
 
 
-def support_line(cf: CylinderCF, tol: float = 1e-10):
+def support_line(cf: CylinderCF):
     """Slope omega of the line subgroup carrying the distribution, if there is one.
 
     Requires a shift-free, twist-free bundle.  Returns kappa/(2*sigma) when
@@ -310,21 +314,15 @@ def support_line(cf: CylinderCF, tol: float = 1e-10):
         raise ValueError("support_line requires twist = 0")
     if not cf.shift_free():
         raise ValueError("support_line requires tau = theta = 0")
-    if cf.sigma == 0:
+    if cf.sigma == 0 or psd_gap(cf) != 0:
         return None
-    gap = 4 * cf.sigma * cf.lam - cf.kappa * cf.kappa
-    if is_exact(gap):
-        if gap != 0:
-            return None
-    elif abs(float(gap)) > tol:
-        return None
-    return exact_div(cf.kappa, 2 * cf.sigma)
+    return Fraction(cf.kappa, 2 * cf.sigma)
 
 
-def classify_support(cf: CylinderCF, tol: float = 1e-10) -> str:
+def classify_support(cf: CylinderCF) -> str:
     """Support shape of a shift-free, twist-free bundle: point, line, circle, or full."""
     if cf.sigma == 0 and cf.lam == 0 and cf.kappa == 0:
         return "point"
     if cf.sigma == 0:
         return "circle"
-    return "line" if support_line(cf, tol=tol) is not None else "full"
+    return "line" if support_line(cf) is not None else "full"

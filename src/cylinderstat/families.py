@@ -3,8 +3,8 @@
 Each constructor assembles a statistic matrix together with the matching
 characteristic functions and certifies its own advertised properties before
 returning (the closed-form independence certificate of `independence_blocks`,
-support shape, validity of every member), so downstream code can treat the
-outputs as certified fixtures.
+validity of every member; a line family's support line holds by construction),
+so downstream code can treat the outputs as certified fixtures.
 
 Families:
   * line-gaussian - three Gaussian bundles supported on the line
@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charfn import CylinderCF, TorusCF, Z2SignedMeasure, is_valid_probability, support_line
-from .groups import CylinderAuto, is_exact
-from .independence import (StatMatrix, _as_fraction, family_kind,
-                           gaussian_system_check, independence_blocks, solve_sigmas)
+from .charfn import CylinderCF, TorusCF, Z2SignedMeasure, is_valid_probability
+from .groups import CylinderAuto, as_exact
+from .independence import (StatMatrix, _as_fraction, family_kind, independence_blocks,
+                           nonzero_blocks, solve_sigmas)
 
 
 class ConstructionError(RuntimeError):
@@ -51,11 +51,9 @@ class Family:
         return family_kind(self.cfs, self.matrix)
 
 
-def _coerce_scalar(value, name: str):
-    """A Fraction for ints, Fractions and 'p/q' strings; a float otherwise."""
-    if is_exact(value) or isinstance(value, str):
-        return _as_fraction(value, name)
-    return float(value)
+def _coerce_scalar(value, name: str) -> Fraction:
+    """A Fraction for ints, Fractions, 'p/q' strings and floats, each read exactly."""
+    return _as_fraction(as_exact(value), name)
 
 
 def _coerce_sign(value, name: str) -> int:
@@ -77,14 +75,13 @@ def line_gaussian_family(omega, a1, a2, b1, b2, p1=1, p2=1, q1=1, q2=1,
 
     Raises ConstructionError when the variance system has no positive
     solution, and certifies the full parameter system (the independence
-    certificate) and the support line of every member before returning.
+    certificate) before returning; entries and members keep the line exactly.
     """
-    a1, a2, b1, b2 = (_as_fraction(v, n) for v, n in
+    a1, a2, b1, b2 = (_coerce_scalar(v, n) for v, n in
                       ((a1, "a1"), (a2, "a2"), (b1, "b1"), (b2, "b2")))
     p1, p2, q1, q2 = (_coerce_sign(v, n) for v, n in
                       ((p1, "p1"), (p2, "p2"), (q1, "q1"), (q2, "q2")))
     omega = _coerce_scalar(omega, "omega")
-    exact_omega = is_exact(omega)
     scale = _coerce_scalar(sigma_scale, "sigma_scale")
     if scale <= 0:
         raise ValueError("sigma_scale must be positive")
@@ -109,20 +106,16 @@ def line_gaussian_family(omega, a1, a2, b1, b2, p1=1, p2=1, q1=1, q2=1,
     cfs = tuple(CylinderCF(sigma=s, kappa=2 * s * omega, lam=s * omega * omega)
                 for s in sigmas)
 
-    tol = 1e-12 if exact_omega else 1e-9
-    worst_system = max(gaussian_system_check(cfs, matrix).values())
-    if worst_system > tol:
-        raise ConstructionError(f"certification failed: parameter system residual {worst_system}")
-    for j, cf in enumerate(cfs):
-        line = support_line(cf)
-        ok = line == omega if exact_omega else abs(float(line) - omega) <= 1e-9
-        if line is None or not ok:
-            raise ConstructionError(f"certification failed: member {j} not carried by slope {omega}")
-    for row in matrix.rows:
-        for entry in row:
-            if not entry.preserves_line(omega):
-                raise ConstructionError("certification failed: entry does not preserve the line")
+    _certify_independence(cfs, matrix)
     return Family("line-gaussian", matrix, cfs, omega=omega)
+
+
+def _certify_independence(cfs, matrix: StatMatrix) -> None:
+    """Raise ConstructionError unless the independence certificate vanishes exactly."""
+    blocks, twist_sum = independence_blocks(cfs, matrix)
+    if nonzero_blocks(blocks) or twist_sum != 0:
+        raise ConstructionError(f"certification failed: nonzero independence certificate "
+                                f"blocks {nonzero_blocks(blocks)}, twist sum {twist_sum}")
 
 
 def _certified_circle_family(label: str, matrix: StatMatrix, cfs, members) -> Family:
@@ -133,11 +126,7 @@ def _certified_circle_family(label: str, matrix: StatMatrix, cfs, members) -> Fa
     for pos, cf in members:
         if not is_valid_probability(cf):
             raise ConstructionError(f"{pos} member is not a probability measure: {cf}")
-    blocks, twist_sum = independence_blocks(cfs, matrix)
-    entries = [v for block in blocks.values() for row in block for v in row]
-    worst = max(abs(float(v)) for v in entries + [twist_sum])
-    if worst > 1e-12:
-        raise ConstructionError(f"certification failed: independence certificate entry {worst}")
+    _certify_independence(cfs, matrix)
     return Family(label, matrix, cfs)
 
 

@@ -9,9 +9,10 @@ with a != 0 real and p = +-1; the adjoint action on the cylinder is
 (t, theta) -> (a*t, c*t + p*theta mod 2*pi).  Both actions are carried by the
 same (a, c, p) triple.
 
-Scalars on the dual side are type preserving: feed `Fraction` values in and
-all algebra stays exact, which is what the algebraic checkers rely on.  The
-point side reduces angles mod 2*pi and is therefore float-valued.
+Scalars on the dual side are ints and Fractions: a float argument is read as
+the dyadic rational it is (`as_exact`), so all algebra stays exact, which is
+what the algebraic checkers rely on.  The point side reduces angles mod 2*pi
+and is therefore float-valued.
 """
 
 from __future__ import annotations
@@ -23,19 +24,10 @@ from fractions import Fraction
 
 TWO_PI = 2.0 * math.pi
 
-_EXACT_TYPES = (int, Fraction)
 
-
-def is_exact(*values) -> bool:
-    """True when every value is an int or a Fraction."""
-    return all(isinstance(v, _EXACT_TYPES) for v in values)
-
-
-def exact_div(num, den):
-    """Division that yields a Fraction whenever both operands are exact."""
-    if is_exact(num, den):
-        return Fraction(num) / Fraction(den)
-    return num / den
+def as_exact(value):
+    """A float as the Fraction it equals exactly; ints and Fractions unchanged."""
+    return Fraction(value) if isinstance(value, float) else value
 
 
 def reduce_angle(theta) -> float:
@@ -87,9 +79,6 @@ class DualPoint:
     def __sub__(self, other: "DualPoint") -> "DualPoint":
         return self + (-other)
 
-    def is_zero(self) -> bool:
-        return self.s == 0 and self.n == 0
-
 
 @dataclass(frozen=True)
 class CylinderAuto:
@@ -100,6 +89,8 @@ class CylinderAuto:
     p: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "a", as_exact(self.a))
+        object.__setattr__(self, "c", as_exact(self.c))
         if self.a == 0:
             raise ValueError("multiplier a must be nonzero")
         if self.p not in (1, -1):
@@ -135,19 +126,11 @@ class CylinderAuto:
         )
 
     def inverse(self) -> "CylinderAuto":
-        a_inv = exact_div(1, self.a)
-        return CylinderAuto(a_inv, -exact_div(self.c * self.p, self.a), self.p)
+        return CylinderAuto(Fraction(1, self.a), Fraction(-self.c * self.p, self.a), self.p)
 
-    def preserves_line(self, omega, tol: float = 1e-12) -> bool:
-        """Whether the line {(t, omega*t mod 2*pi)} is invariant: c = (a - p)*omega.
-
-        Exact inputs are compared exactly; otherwise an absolute tolerance is used.
-        """
-        lhs = self.c
-        rhs = (self.a - self.p) * omega
-        if is_exact(lhs, rhs):
-            return lhs == rhs
-        return abs(lhs - rhs) <= tol
+    def preserves_line(self, omega) -> bool:
+        """Whether the line {(t, omega*t mod 2*pi)} is invariant: c = (a - p)*omega, exactly."""
+        return self.c == (self.a - self.p) * as_exact(omega)
 
 
 def pair(x: CylinderPoint, y: DualPoint) -> complex:

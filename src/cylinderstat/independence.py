@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .charfn import CylinderCF, TorusCF, convolve, symmetrize, transform
-from .groups import CylinderAuto, DualPoint, is_exact
+from .charfn import CylinderCF, TorusCF, convolve, psd_gap, symmetrize, transform
+from .groups import CylinderAuto, DualPoint
 
 
 class SingularSystemError(ValueError):
@@ -101,9 +101,12 @@ class StatMatrix:
         return StatMatrix.from_rows([[row[j] for j in perm] for row in self.rows])
 
 
-def reduced_coefficients(matrix: StatMatrix):
-    """(a1, a2, b1, b2, c1, c2, d1, d2, p1, p2, q1, q2) of a reduced 3x3 matrix."""
-    if matrix.n != 3 or not matrix.is_reduced():
+def reduced_coefficients(matrix: StatMatrix, check: bool = True):
+    """(a1, a2, b1, b2, c1, c2, d1, d2, p1, p2, q1, q2) of a reduced 3x3 matrix.
+
+    check=False reads the same entries of any 3x3 matrix.
+    """
+    if matrix.n != 3 or (check and not matrix.is_reduced()):
         raise ValueError("expected a reduced 3x3 statistic matrix")
     al1, al2 = matrix.entry(1, 0), matrix.entry(1, 1)
     be1, be2 = matrix.entry(2, 0), matrix.entry(2, 1)
@@ -224,9 +227,8 @@ def family_kind(cfs, matrix: StatMatrix) -> str:
 def independence_blocks(cfs, matrix: StatMatrix):
     """The certificate ({(i, k): C_ik for i < k}, T) of the module docstring.
 
-    Each C_ik is ((c00, c01), (c10, c11)), computed in the inputs' own
-    arithmetic: Fractions stay exact, floats stay floats.  Raises ValueError
-    when a float entry or T is not finite.
+    Each C_ik is ((c00, c01), (c10, c11)), exact.  Every monomial of every
+    entry has a positive coefficient once each sign p is +1.
     """
     family_kind(cfs, matrix)
     # A circle bundle enters as its s-free slice: A_j = [[0, 0], [0, sigma_j]].
@@ -241,11 +243,7 @@ def independence_blocks(cfs, matrix: StatMatrix):
             c11 += (2 * b.sigma * e.c * f.c + b.kappa * (e.c * f.p + e.p * f.c)
                     + 2 * b.lam * e.p * f.p)
         blocks[(i, k)] = ((c00, c01), (c10, c11))
-    twist_sum = sum(cf.twist for cf in cfs)
-    entries = [v for block in blocks.values() for row in block for v in row] + [twist_sum]
-    if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
-        raise ValueError("independence certificate has a non-finite entry")
-    return blocks, twist_sum
+    return blocks, sum(cf.twist for cf in cfs)
 
 
 def nonzero_blocks(blocks) -> list:
@@ -526,17 +524,20 @@ def classify_step_subgroups(matrix: StatMatrix) -> StepSubgroups:
 # Support certificate for the symmetrized convolution
 
 
-def support_identity_gap(a1, a2, b1, b2) -> Fraction:
+def support_identity_gap(a1, a2, b1, b2, positive: bool = False) -> Fraction:
     """Exact gap of the quartic support identity; zero whenever the cubic identity holds.
 
     (a2*b1 - a1*b2) * ((1-b2)*(1-a2)*(a1-b1) + (1-b1)*(1-a1)*(b2-a2))
         + (b2-b1)*(a2-a1)*(a1-b1)*(b2-a2)
+
+    positive=True turns each difference into a sum, which on nonnegative inputs
+    dominates the gap's polynomial with every coefficient made positive.
     """
     a1, a2, b1, b2 = (Fraction(v) for v in (a1, a2, b1, b2))
-    lhs = (a2 * b1 - a1 * b2) * ((1 - b2) * (1 - a2) * (a1 - b1)
-                                 + (1 - b1) * (1 - a1) * (b2 - a2))
-    rhs = -(b2 - b1) * (a2 - a1) * (a1 - b1) * (b2 - a2)
-    return lhs - rhs
+    s = 1 if positive else -1  # the sign of every subtracted term
+    lhs = (a2 * b1 + s * a1 * b2) * ((1 + s * b2) * (1 + s * a2) * (a1 + s * b1)
+                                     + (1 + s * b1) * (1 + s * a1) * (b2 + s * a2))
+    return lhs + (b2 + s * b1) * (a2 + s * a1) * (a1 + s * b1) * (b2 + s * a2)
 
 
 def symmetrized_convolution(cfs) -> CylinderCF:
@@ -548,22 +549,15 @@ def symmetrized_convolution(cfs) -> CylinderCF:
     return out
 
 
-def nu_support_check(cfs, matrix: StatMatrix, tol: float = 1e-10) -> bool:
+def nu_support_check(cfs, matrix: StatMatrix) -> bool:
     """Certify that the symmetrized convolution degenerates onto a line.
 
     Checks 4*sigma*lam = kappa^2 for the symmetrized convolution (so its
     support is a one-parameter subgroup) and, independently, the exact quartic
     identity on the matrix multipliers that makes the degeneration automatic.
     """
-    nu = symmetrized_convolution(cfs)
-    gap = 4 * nu.sigma * nu.lam - nu.kappa * nu.kappa
-    if abs(float(gap)) > tol:
-        return False
-    a1, a2, b1, b2, *_rest = reduced_coefficients(matrix)
-    if is_exact(a1, a2, b1, b2):
-        return support_identity_gap(a1, a2, b1, b2) == 0
-    return abs(float(support_identity_gap(Fraction(a1), Fraction(a2),
-                                          Fraction(b1), Fraction(b2)))) <= tol
+    return (psd_gap(symmetrized_convolution(cfs)) == 0
+            and support_identity_gap(*reduced_coefficients(matrix)[:4]) == 0)
 
 
 # --------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def sample_torus_twisted(cf: TorusCF, count: int, seed: int) -> SampleSet:
         return SampleSet(np.zeros(count), np.where(u < p1, theta0, theta0 + math.pi))
     reach = math.sqrt(30.0 / float(min(cf.sigma, 1)))  # 64 modes serve every sigma >= 1/120
     if reach > 508:
-        raise ValueError(f"sigma {cf.sigma} is too small to sample: its density needs "
+        raise ValueError(f"sigma {float(cf.sigma):g} is too small to sample: its density needs "
                          f"more than 512 Fourier modes")
     grid = 4096
     angles, density, _ = fourier_density(cf, max(64, math.ceil(reach) + 4), grid)

@@ -2,7 +2,8 @@
 
 Exact rationals travel as "p/q" strings (integers as JSON numbers), so a
 fixture written by the constructors and read back keeps every certification
-exact.  Floats stay floats.
+exact.  A JSON float is read as the dyadic rational it is, and
+`rounding_bounds` bounds what its rounding can change in a verdict.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ def scalar_to_json(value):
 
 
 def scalar_from_json(value):
+    """An int as itself, a "p/q" string or a finite float as the Fraction it denotes."""
     if isinstance(value, str):
         return Fraction(value)
     if isinstance(value, bool):
@@ -38,7 +40,7 @@ def scalar_from_json(value):
     out = float(value)
     if not math.isfinite(out):
         raise ValueError(f"scalar {value!r} is not finite")
-    return out
+    return Fraction(out)
 
 
 def auto_to_json(e: CylinderAuto) -> dict:
@@ -70,24 +72,25 @@ def cf_to_json(cf) -> dict:
     raise TypeError(f"cannot serialize {type(cf).__name__}")
 
 
-def cf_from_json(obj: dict, where: str = "CF entry"):
+def cf_from_json(obj: dict, where: str = "CF entry", scalar=scalar_from_json):
+    """The bundle of a JSON object, each field read by `scalar`."""
     if not isinstance(obj, dict):
         raise TypeError(f"{where} must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "cylinder":
         return CylinderCF(
-            scalar_from_json(obj["sigma"]),
-            scalar_from_json(obj.get("kappa", 0)),
-            scalar_from_json(obj.get("lambda", 0)),
-            scalar_from_json(obj.get("tau", 0)),
-            scalar_from_json(obj.get("theta", 0)),
-            scalar_from_json(obj.get("twist", 0)),
+            scalar(obj["sigma"]),
+            scalar(obj.get("kappa", 0)),
+            scalar(obj.get("lambda", 0)),
+            scalar(obj.get("tau", 0)),
+            scalar(obj.get("theta", 0)),
+            scalar(obj.get("twist", 0)),
         )
     if kind == "torus":
         return TorusCF(
-            scalar_from_json(obj["sigma"]),
-            scalar_from_json(obj.get("theta", 0)),
-            scalar_from_json(obj.get("twist", 0)),
+            scalar(obj["sigma"]),
+            scalar(obj.get("theta", 0)),
+            scalar(obj.get("twist", 0)),
         )
     raise ValueError(f"unknown CF kind: {kind!r}")
 
@@ -123,16 +126,40 @@ def family_from_fixture(obj: dict) -> Family:
     return family
 
 
+def rounding_bounds(obj: dict, predicates, keys) -> dict:
+    """The input-rounding bound of each of a fixture's predicates(bundles, matrix, positive),
+    named by `keys`.
+
+    A JSON float x stands for any real within r = ulp(x)/2 of it, an exact scalar
+    for itself (r = 0).  With P+ the polynomial P with every coefficient made
+    positive, |P(x') - P(x)| <= P+(|x| + r) - P+(|x|) when |x' - x| <= r (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 2-3): P passes when |P(x)|
+    is at most that.  P+ is `predicates` with positive=True on the fixture read with
+    every scalar as |x| or |x| + r, every sign p as +1, circle bundles as slices.
+    With no JSON float among the scalars every bound is 0, and neither is evaluated.
+    """
+    scalars = [e[key] for row in obj["matrix"] for e in row for key in ("a", "c")]
+    scalars += [v for cf in obj["cfs"] for key, v in cf.items() if key != "kind"]
+    if not any(isinstance(v, float) for v in scalars):
+        return dict.fromkeys(keys, 0)
+
+    def side(k):
+        def read(value):  # half an ulp bounds the rounding of a JSON float
+            radius = Fraction(math.ulp(value)) / 2 if isinstance(value, float) else 0
+            return abs(scalar_from_json(value)) + k * radius
+        rows = [[CylinderAuto(read(e["a"]), read(e["c"]), 1) for e in row] for row in obj["matrix"]]
+        cfs = tuple(cf_from_json(cf, scalar=read).cylinder for cf in obj["cfs"])
+        return predicates(cfs, StatMatrix.from_rows(rows), positive=True)
+    hi, lo = side(1), side(0)
+    return {key: hi[key] - lo[key] for key in hi}
+
+
 def ha_rational_to_json(h: HaRational) -> dict:
     return {"value": str(h.value), "depth": h.depth}
 
 
 def ha_rational_from_json(obj: dict) -> HaRational:
     return HaRational(Fraction(obj["value"]), int(obj["depth"]))
-
-
-def base_to_json(base: BaseSequence) -> dict:
-    return {"base": list(base.entries)}
 
 
 def base_from_json(obj) -> BaseSequence:

@@ -201,10 +201,6 @@ def validate_matrix(matrix: StatMatrix, base: BaseSequence, generator_depth: int
     """Check every entry of a statistic matrix acts on the rational dual."""
     for i, row in enumerate(matrix.rows):
         for j, entry in enumerate(row):
-            if isinstance(entry.a, float) or isinstance(entry.c, float):
-                raise IncompatibleAutoError(
-                    f"entry ({i}, {j}) has float fields; exact rationals are required"
-                )
             try:
                 SolenoidAuto(entry.a, entry.c, entry.p).validate(base, generator_depth)
             except IncompatibleAutoError as exc:

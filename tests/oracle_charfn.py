@@ -31,8 +31,13 @@ from fractions import Fraction
 import numpy as np
 
 from cylinderstat.charfn import InconclusiveError, TorusCF, _reduce_param_angle
-from cylinderstat.groups import TWO_PI, is_exact
+from cylinderstat.groups import TWO_PI
 from cylinderstat.montecarlo import fourier_density
+
+
+def _all_exact(*values) -> bool:
+    """True when every value is an int or a Fraction."""
+    return all(isinstance(v, (int, Fraction)) for v in values)
 
 
 def _parity_term(twist, n: int):
@@ -101,7 +106,7 @@ def parallelogram_gap(phi, points):
                 values = (phi(u + v), phi(u - v), phi(u), phi(v))
             gap = values[0] + values[1] - 2 * values[2] - 2 * values[3]
             worst = max(worst, abs(float(gap)))
-            if not is_exact(gap):
+            if not _all_exact(gap):
                 scale = max(scale, *map(abs, values))
     return worst, scale
 

@@ -20,8 +20,12 @@ from fractions import Fraction
 import numpy as np
 
 from cylinderstat.charfn import CylinderCF
-from cylinderstat.groups import is_exact
 from cylinderstat.independence import reduced_coefficients
+
+
+def _all_exact(*values) -> bool:
+    """True when every value is an int or a Fraction."""
+    return all(isinstance(v, (int, Fraction)) for v in values)
 
 
 def _cf_params(cf):
@@ -49,12 +53,12 @@ def _exact_int_scanner(cfs, matrix, kind, slots):
     converted to float for the max.
     """
     n = matrix.n
-    if not all(is_exact(*_cf_params(cf)) for cf in cfs):
+    if not all(_all_exact(*_cf_params(cf)) for cf in cfs):
         return None
     if kind == "cylinder":
-        if not all(is_exact(e.a, e.c) for row in matrix.rows for e in row):
+        if not all(_all_exact(e.a, e.c) for row in matrix.rows for e in row):
             return None
-        if not all(is_exact(y.s) for slot in slots for y in slot.values()):
+        if not all(_all_exact(y.s) for slot in slots for y in slot.values()):
             return None
 
     M = math.lcm(*(Fraction(p).denominator for cf in cfs for p in _cf_params(cf)))

@@ -14,7 +14,7 @@ from cylinderstat.charfn import (CylinderCF, InconclusiveError, TorusCF,
                                  Z2SignedMeasure, classify_support, convolve,
                                  is_gaussian, is_valid_probability, reflect,
                                  support_line, symmetrize, transform)
-from cylinderstat.groups import TWO_PI, CylinderAuto, DualPoint, is_exact
+from cylinderstat.groups import TWO_PI, CylinderAuto, DualPoint
 from oracle_charfn import (GAUSS_GRID_CYL, GAUSS_GRID_TOR, fourier_conclusive,
                            oracle_convolve, oracle_eval, oracle_float_sides,
                            oracle_is_valid_probability,
@@ -35,23 +35,27 @@ def psd_cylinder_cfs():
     )
 
 
-# Nonnegative parameters crowding the float slack [-1e-12, 0) as well as exact ones.
-slack_nonneg = st.one_of(st.floats(-1e-12, 0.0), st.floats(0.0, 4.0),
-                         st.fractions(min_value=0, max_value=4, max_denominator=8))
+# Nonnegative parameters, floats (read as the dyadic rationals they are) and exact ones.
+nonneg = st.one_of(st.floats(0.0, 4.0), st.fractions(min_value=0, max_value=4, max_denominator=8))
 
 
 @st.composite
 def accepted_bundles(draw, kind):
-    """Bundles the constructors accept, with kappa^2 crowding 4*sigma*lam."""
-    sigma, lam = draw(slack_nonneg), draw(slack_nonneg)
+    """Bundles with float or exact fields, kappa^2 crowding 4*sigma*lam from both sides."""
+    sigma, lam = draw(nonneg), draw(nonneg)
     theta, twist = draw(st.floats(-7, 7)), draw(st.floats(-1, 1))
+    if kind == "circle":
+        return TorusCF(lam, theta, twist)
+    edge = 2 * math.sqrt(float(sigma) * float(lam))
+    kappa = draw(st.floats(-1, 1)) * edge + draw(st.floats(-1e-6, 1e-6))
+    return CylinderCF(sigma, kappa, lam, draw(st.floats(-3, 3)), theta, twist)
+
+
+def _valid(cf) -> bool:
+    """is_valid_probability, with draws inside its inconclusive band rejected."""
     try:
-        if kind == "circle":
-            return TorusCF(lam, theta, twist)
-        edge = 2 * math.sqrt(max(float(sigma), 0.0) * max(float(lam), 0.0))
-        kappa = draw(st.floats(-1, 1)) * edge + draw(st.floats(-1e-6, 1e-6))
-        return CylinderCF(sigma, kappa, lam, draw(st.floats(-3, 3)), theta, twist)
-    except ValueError:
+        return is_valid_probability(cf)
+    except InconclusiveError:
         reject()
 
 
@@ -168,7 +172,7 @@ class TestGaussianity:
 
 
 def _scalar(lo, hi):
-    """An exact (int or Fraction) or float scalar in [lo, hi]; floats include -0.0."""
+    """An int, Fraction or float scalar in [lo, hi]; floats include -0.0."""
     return st.one_of(st.integers(math.ceil(lo), math.floor(hi)),
                      st.fractions(lo, hi, max_denominator=12),
                      st.floats(lo, hi))
@@ -176,7 +180,7 @@ def _scalar(lo, hi):
 
 def circle_bundles():
     """Circle bundles with exact, float or mixed fields, angles outside [0, 2*pi) too."""
-    return st.builds(TorusCF, st.one_of(_scalar(0, 4), st.floats(-1e-12, 0)),
+    return st.builds(TorusCF, _scalar(0, 4),
                      st.one_of(st.just(0), st.just(0.0), _scalar(-10, 10)),
                      st.one_of(st.just(0), _scalar(-2, 2)))
 
@@ -186,13 +190,8 @@ def _bits(z: complex):
 
 
 def _assert_same_circle_bundle(op, oracle, *args):
-    """op(*args) equals oracle(*args) field for field, or both raise the same error type."""
-    try:
-        ref = oracle(*args)
-    except ValueError:  # a sum of slightly negative float variances
-        with pytest.raises(ValueError):
-            op(*args)
-        return
+    """op(*args) equals oracle(*args) field for field."""
+    ref = oracle(*args)
     out = op(*args)
     assert type(out) is type(ref) is TorusCF
     assert out == ref
@@ -240,7 +239,7 @@ def _float_cylinder(cf):
 
 
 def cylinder_bundles():
-    """PSD cylinder bundles, twist often zero, with exact or float parameters."""
+    """PSD cylinder bundles, twist often zero, with rational or float-rounded parameters."""
     exact = st.builds(
         lambda x, y, r, tau, theta, tw: CylinderCF(x * x, 2 * x * y * r, y * y, tau, theta, tw),
         x=rationals, y=rationals,
@@ -261,12 +260,9 @@ class TestGaussianityOracle:
             gap, scale = parallelogram_gap(lambda n: -cf.log_parts(n)[0], GAUSS_GRID_TOR)
         gaussian = is_gaussian(cf)
         assert gaussian == (cf.twist == 0)
+        # Float arguments are read exactly, so the gap carries no rounding.
         expected = 0.0 if gaussian else 8.0 * abs(float(cf.twist))
-        if all(is_exact(getattr(cf, f)) for f in ("sigma", "lam", "kappa", "twist")
-               if hasattr(cf, f)):
-            assert (gap, scale) == (expected, 0.0)
-        else:
-            assert abs(gap - expected) <= 1e-9 * max(1.0, expected, scale)
+        assert (gap, scale) == (expected, 0.0)
 
     def test_rejects_non_bundles(self):
         with pytest.raises(TypeError, match="is_gaussian expects a CF bundle"):
@@ -371,7 +367,7 @@ class TestValidity:
         (10 ** 400, 10 ** 400 // 2 - 1, True),  # sigma - 2t = 2 > log 2
         (10 ** 400, 10 ** 400 // 2, False),  # sigma - 2t = 0 < log 2
         (Fraction(1, 2), 10 ** 400, False),
-        (10 ** 400, 1.5, True),  # an exact side and a float side
+        (10 ** 400, 1.5, True),  # a float twist, read exactly
         (2.0, 10 ** 400, False),
         (1e300, Fraction(1e300) / 2 - 1, True),  # sigma - 2t = 2, but 0 in float arithmetic
     ])
@@ -388,9 +384,28 @@ class TestValidity:
         assert is_valid_probability(TorusCF(800, 0, twist - 1e-6))
         assert not is_valid_probability(TorusCF(800, 0, twist + 1e-6))
 
-    def test_rejects_circle_bundles_only(self):
-        with pytest.raises(TypeError, match="expects a TorusCF"):
-            is_valid_probability(CylinderCF(1))
+    def test_rejects_non_bundles(self):
+        with pytest.raises(TypeError, match="expects a CylinderCF or a TorusCF"):
+            is_valid_probability(Z2SignedMeasure(1, 0))
+
+    def test_exact_parameters_below_the_float_range(self):
+        # float() of either parameter is 0.0; the logs come from the exact values.
+        assert is_valid_probability(TorusCF(1, 0, Fraction(1, 10 ** 400)))
+        assert not is_valid_probability(TorusCF(Fraction(1, 10 ** 400), 0, Fraction(1, 20)))
+
+    def test_cylinder_needs_a_psd_form(self):
+        assert is_valid_probability(CylinderCF(1, 2, 1))
+        assert not is_valid_probability(CylinderCF(1, 2, 1 - Fraction(1, 100)))
+        assert not is_valid_probability(CylinderCF(0, Fraction(1, 10 ** 9), 1))
+
+    @pytest.mark.parametrize("sigma,kappa,lam", [
+        (1, 2, 1), (2, 1, 3), (0, 0, Fraction(1, 3)), (Fraction(1, 7), 1, 2), (3, 0, 0)])
+    @pytest.mark.parametrize("twist", [Fraction(-1, 2), Fraction(1, 50), Fraction(1, 10), 1])
+    def test_cylinder_reduces_to_the_conditional_circle_law(self, sigma, kappa, lam, twist):
+        """Given X the circle coordinate is wrapped normal of variance lam - kappa^2/(4*sigma)."""
+        conditional = lam - Fraction(kappa ** 2, 4 * sigma) if sigma else lam
+        assert (is_valid_probability(CylinderCF(sigma, kappa, lam, 1, 2, twist))
+                == is_valid_probability(TorusCF(conditional, 0, twist)))
 
 
 class TestSupportLine:
@@ -442,34 +457,42 @@ class TestSupportLine:
 
 class TestPSD:
     def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            CylinderCF(1, 3, 1)
+        # An indefinite form makes a bundle but not a probability measure.
+        assert not is_valid_probability(CylinderCF(1, 3, 1))
+        assert not is_valid_probability(CylinderCF(0.0, 1e-6, 0.0))
         with pytest.raises(ValueError):
             CylinderCF(-1, 0, 0)
         with pytest.raises(ValueError):
             CylinderCF(1, 0, -2)
-        with pytest.raises(ValueError):  # the float slack is relative to kappa^2
-            CylinderCF(0.0, 1e-6, 0.0)
 
-    def test_float_slack_stored_as_zero(self):
-        cf = CylinderCF(-1e-13, 0, -1e-12)
-        assert (cf.sigma, cf.lam) == (0.0, 0.0)
-        assert TorusCF(-1e-13).sigma == 0.0
+    def test_negative_float_variance_rejected(self):
+        # A float is read exactly, so there is no slack below zero.
+        with pytest.raises(ValueError, match="sigma must be >= 0"):
+            CylinderCF(-1e-13, 0, 0)
+        with pytest.raises(ValueError, match="lam must be >= 0"):
+            CylinderCF(0, 0, -1e-12)
+        with pytest.raises(ValueError, match="sigma must be >= 0"):
+            TorusCF(-1e-13)
+        assert CylinderCF(0.5, 0.25, 0.125) == CylinderCF(Fraction(1, 2), Fraction(1, 4),
+                                                          Fraction(1, 8))
 
     @given(psd_cylinder_cfs(), psd_cylinder_cfs())
     @settings(max_examples=80, deadline=None)
     def test_convolution_stays_valid(self, a, b):
-        convolve(a, b)  # constructor re-checks the PSD invariant
+        # The convolution of two probability measures is one.
+        if _valid(a) and _valid(b):
+            assert _valid(convolve(a, b))
 
     @given(st.sampled_from(["circle", "cylinder"]).flatmap(
         lambda kind: st.tuples(accepted_bundles(kind), accepted_bundles(kind))))
-    @example((TorusCF(-9.343470532819704e-13), TorusCF(-9.343470532819704e-13)))
-    @example((CylinderCF(-9.343470532819704e-13, 0, 1), CylinderCF(-9.343470532819704e-13, 0, 1)))
+    @example((TorusCF(9.343470532819704e-13), TorusCF(9.343470532819704e-13)))
+    @example((CylinderCF(9.343470532819704e-13, 0, 1), CylinderCF(9.343470532819704e-13, 0, 1)))
     @settings(max_examples=300, deadline=None)
     def test_closed_on_accepted_bundles(self, pair):
-        # The float slack that admits each operand admits their convolution.
         out = convolve(*pair)
         assert type(out) is type(pair[0])
+        if _valid(pair[0]) and _valid(pair[1]):
+            assert _valid(out)
 
 
 class TestTransform:

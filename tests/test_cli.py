@@ -7,16 +7,21 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cylinderstat
-from conftest import REF_COEFFS
+from conftest import REF_COEFFS, random_valid_coefficients
+from cylinderstat.charfn import CylinderCF
 from cylinderstat.cli import main
 from cylinderstat.families import line_gaussian_family, twisted_torus_pair
 from cylinderstat.fdiff import GridFunction, default_n_grid, default_s_grid, save_grid_csv
-from cylinderstat.independence import DualGrid
-from cylinderstat.serialize import dump, family_to_fixture, load
+from cylinderstat.groups import CylinderAuto
+from cylinderstat.independence import DualGrid, StatMatrix, independence_blocks
+from cylinderstat.serialize import dump, family_from_fixture, family_to_fixture, load
 
 
 @pytest.fixture
@@ -74,6 +79,14 @@ class TestConstruct:
         assert result.exit_code == 0, result.output
         twists = [cf["twist"] for cf in load(out)["cfs"]]
         assert twists[0] == "1/20" and "-1/20" in twists
+
+    def test_exact_sigma_below_the_float_range_is_not_a_probability_measure(self, tmp_path,
+                                                                            runner):
+        params = write_json(tmp_path / "p.json", _table_fixture("tiny-exact-sigma-params"))
+        result = runner.invoke(main, ["construct", "-f", "twisted-pair", "--params", params,
+                                      "--out", str(tmp_path / "out.json")])
+        assert result.exit_code == 2
+        assert "first member is not a probability measure" in result.stderr
 
     def test_no_positive_solution_exits_2(self, tmp_path, runner):
         params = write_json(tmp_path / "p.json",
@@ -362,6 +375,167 @@ class TestSolenoid:
         assert result.exit_code == 2
 
 
+def _float_fixture(fixture: dict) -> dict:
+    """The fixture with every scalar of its matrix, bundles and slope rounded to a JSON float."""
+    out = json.loads(json.dumps(fixture))
+    for row in out["matrix"]:
+        for cell in row:
+            cell["a"], cell["c"] = float(Fraction(cell["a"])), float(Fraction(cell["c"]))
+    for cf in out["cfs"]:
+        cf.update({k: float(Fraction(v)) for k, v in cf.items() if k != "kind"})
+    if "omega" in out:
+        out["omega"] = float(Fraction(out["omega"]))
+    return out
+
+
+def _run(runner, args) -> tuple:
+    """(exit code, JSON report) of a command; a certified support is never the full cylinder."""
+    result = runner.invoke(main, args)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+    report = json.loads(result.stdout, parse_constant=_reject_constant)
+    if report.get("support", {}).get("certified"):
+        assert report["support"]["kind"] != "full", report
+    return result.exit_code, report
+
+
+def _ref_fixture(**changes) -> dict:
+    """The reference fixture (slope 1) with member 0's fields changed by the given amounts."""
+    fixture = family_to_fixture(line_gaussian_family(1, *REF_COEFFS))
+    for key, delta in changes.items():
+        fixture["cfs"][0][key] = str(Fraction(fixture["cfs"][0][key]) + delta)
+    return fixture
+
+
+class TestInputRounding:
+    """A JSON float is read exactly, and each verdict allows for its rounding and no more."""
+
+    def test_exact_fixture_has_a_zero_bound(self, tmp_path, runner):
+        code, report = _run(runner, ["check", "--fixture",
+                                     write_json(tmp_path / "ref.json", _ref_fixture())])
+        assert code == 0 and report["inputs"] == "exact"
+        assert report["independence"]["bound"] == 0.0
+        assert report["support"]["relation_bound"] == 0.0
+        assert [m["valid"] for m in report["members"]] == [True] * 3
+
+    def test_bounds_evaluated_only_for_float_inputs(self, tmp_path, runner, monkeypatch):
+        """An exact fixture's predicates are evaluated once; a float one's also at both envelopes."""
+        from cylinderstat import cli
+        calls = []
+        monkeypatch.setattr(cli, "independence_blocks",
+                            lambda *args: calls.append(1) or independence_blocks(*args))
+        exact = _ref_fixture()
+        for fixture, count in ((exact, 1), (_float_fixture(exact), 3)):
+            calls.clear()
+            code, _ = _run(runner, ["check", "--fixture", write_json(tmp_path / "f.json", fixture)])
+            assert code == 0 and len(calls) == count
+
+    def test_exact_perturbation_below_the_old_tolerance_fails(self, tmp_path, runner):
+        # The residual (about 1e-11) is below 1e-10, but the certificate is not zero.
+        path = write_json(tmp_path / "nudged.json", _ref_fixture(sigma=Fraction(1, 10 ** 13)))
+        code, report = _run(runner, ["check", "--fixture", path])
+        assert code == 1 and report["inputs"] == "exact"
+        assert 0.0 < report["independence"]["residual"] < 1e-10
+        assert report["independence"]["nonzero_blocks"] == [[0, 1], [0, 2], [1, 2]]
+        assert report["support"]["kind"] == "full" and report["support"]["certified"] is False
+        base = write_json(tmp_path / "base.json", {"base": list(range(2, 18))})
+        code, report = _run(runner, ["solenoid", "--base", base, "--fixture", path])
+        assert code == 1 and report["pass"] is False and 0.0 < report["residual"] < 1e-10
+
+    def test_float_reference_reads_a_zero_certificate(self, tmp_path, runner):
+        fixture = family_to_fixture(line_gaussian_family(0, *REF_COEFFS, sigma_scale=1.5))
+        fixture["cfs"] = _float_fixture(fixture)["cfs"]
+        code, report = _run(runner, ["check", "--fixture",
+                                     write_json(tmp_path / "flat.json", fixture)])
+        assert code == 0 and report["inputs"] == "float"
+        assert report["independence"]["residual"] == 0.0
+
+    def test_member_outside_the_psd_cone(self, tmp_path, runner):
+        path = write_json(tmp_path / "low.json", _ref_fixture(**{"lambda": Fraction(-1, 100)}))
+        code, report = _run(runner, ["check", "--fixture", path])
+        assert code == 1
+        assert [m["valid"] for m in report["members"]] == [False, True, True]
+        result = runner.invoke(main, ["simulate", "--fixture", path, "--count", "2000",
+                                      "--bootstrap", "5"])
+        assert result.exit_code == 2
+        assert result.stderr == "error: simulate: member 0 is not a probability measure\n"
+
+    def test_twisted_line_member_is_not_valid(self, tmp_path, runner):
+        fixture = _ref_fixture()
+        fixture["cfs"][0]["twist"] = "1/20"
+        code, report = _run(runner, ["check", "--fixture",
+                                     write_json(tmp_path / "twisted.json", fixture)])
+        assert code == 1
+        assert [m["valid"] for m in report["members"]] == [False, True, True]
+        assert report["independence"]["nonzero_blocks"] == []
+
+    def test_fixture_computed_in_floats_is_held_to_its_inputs(self, tmp_path, runner):
+        """A float is the exact value it denotes, not the real it was meant to round.
+
+        Here the entries c = (a - p)*omega and lam = sigma*omega*omega are computed
+        in float arithmetic, so each is rounded twice, not once from its exact value.
+        Its certificate C_01 then lies outside the bound of its inputs' rounding
+        (the residual is about 1e-14): the fixture fails, while every member and
+        the support still pass.
+        """
+        omega = Fraction(-1, 3)
+        coeffs = (Fraction(37, 6), Fraction(-29, 4), -9, Fraction(-2697, 1373))
+        fixture = family_to_fixture(line_gaussian_family(omega, *coeffs, 1, -1, 1, 1))
+        w = float(omega)
+        for row in fixture["matrix"][1:]:
+            for cell in row[:2]:
+                cell["a"] = float(Fraction(cell["a"]))
+                cell["c"] = (cell["a"] - cell["p"]) * w
+        for cf in fixture["cfs"]:
+            s = float(Fraction(cf["sigma"]))
+            cf.update({"sigma": s, "kappa": 2 * s * w, "lambda": s * w * w})
+        code, report = _run(runner, ["check", "--fixture",
+                                     write_json(tmp_path / "computed.json", fixture)])
+        assert code == 1 and report["inputs"] == "float"
+        assert report["independence"]["nonzero_blocks"] == [[0, 1]]
+        assert 0.0 < report["independence"]["residual"] < 1e-10
+        assert [m["valid"] for m in report["members"]] == [True] * 3
+        assert report["support"]["certified"] is True
+
+    @settings(max_examples=25, deadline=None)
+    @given(coeffs=st.one_of(st.just(REF_COEFFS), st.integers(0, 2 ** 32 - 1).map(
+               lambda seed: random_valid_coefficients(np.random.default_rng(seed)))),
+           omega=st.builds(Fraction, st.integers(-12, 12), st.integers(1, 11)),
+           signs=st.tuples(*[st.sampled_from((1, -1))] * 4),
+           cell=st.sampled_from([(1, 0), (1, 1), (2, 0), (2, 1)]))
+    @example(coeffs=REF_COEFFS, omega=Fraction(1, 3), signs=(1, 1, 1, 1), cell=(1, 0))
+    @example(coeffs=REF_COEFFS, omega=Fraction(-7, 5), signs=(-1, 1, 1, -1), cell=(2, 1))
+    def test_rounded_independent_families_pass(self, tmp_path_factory, coeffs, omega, signs,
+                                               cell):
+        """Rounded to floats, an independent family passes; 10^3 bounds off, it fails.
+
+        The bound is a few ulps of the certificate's largest term: every entry has
+        degree 3, so its rounding moves it by at most about 3 * 2^-53 of its
+        terms, which with every sign +1 and every input |x| add up to that term.
+        Moving c of matrix entry (i, j) by d moves entry c01 of the block C_0i by
+        2*sigma_j*d, so d = 10^3 * bound / (2*sigma_j) puts it 10^3 bounds off.
+        """
+        runner, work = CliRunner(), tmp_path_factory.mktemp("rounded")
+        fixture = _float_fixture(family_to_fixture(line_gaussian_family(omega, *coeffs, *signs)))
+        code, report = _run(runner, ["check", "--fixture", write_json(work / "f.json", fixture)])
+        assert code == 0, report
+        assert report["inputs"] == "float"
+        fam = family_from_fixture(fixture)
+        terms, _ = independence_blocks(
+            [CylinderCF(cf.sigma, abs(cf.kappa), cf.lam) for cf in fam.cfs],
+            StatMatrix.from_rows([[CylinderAuto(abs(e.a), abs(e.c)) for e in row]
+                                  for row in fam.matrix.rows]))
+        largest = max(v for block in terms.values() for row in block for v in row)
+        assert 0 < report["independence"]["bound"] <= 2 ** -51 * largest
+        assert [m["valid"] for m in report["members"]] == [True] * 3
+        assert report["support"]["kind"] == "line" and report["support"]["certified"] is True
+        i, j = cell
+        shift = 1000 * Fraction(report["independence"]["bound"]) / (
+            2 * Fraction(fixture["cfs"][j]["sigma"]))
+        fixture["matrix"][i][j]["c"] = float(Fraction(fixture["matrix"][i][j]["c"]) + shift)
+        code, report = _run(runner, ["check", "--fixture", write_json(work / "g.json", fixture)])
+        assert code == 1 and [0, i] in report["independence"]["nonzero_blocks"]
+
+
 # Runs commands through cli.main in a fresh interpreter and prints, per
 # command, its exit code, whether numpy is loaded after it, and its stdout.
 _STARTUP_SCRIPT = """
@@ -471,6 +645,10 @@ def _table_fixture(name: str) -> dict:
         return family_to_fixture(twisted_torus_pair(0, Fraction(13, 10), Fraction(2, 5)))
     if name == "huge-exact-sigma-pair":  # 64 Fourier modes sample it, as for any sigma >= 1/120
         return family_to_fixture(twisted_torus_pair(10 ** 400, kappa=Fraction(1, 20)))
+    if name == "tiny-exact-twist-params":  # a twist below the float range: a valid law
+        return {"sigma": 1, "kappa": "1/1" + "0" * 400}
+    if name == "tiny-exact-sigma-params":  # a sigma below the float range: invalid at kappa 1/20
+        return {"sigma": "1/1" + "0" * 400, "kappa": "1/20"}
     raise ValueError(name)
 
 
@@ -552,6 +730,8 @@ def _reject_constant(name):
     ("tiny-sigma-pair", ["simulate", "--count", "2000", "--bootstrap", "5"], 2, None),
     ("point-mass-pair", ["simulate", "--count", "20000", "--bootstrap", "50"], 0, None),
     ("huge-exact-sigma-pair", ["simulate", "--count", "2000", "--bootstrap", "5"], 0, None),
+    ("tiny-exact-twist-params", ["construct", "-f", "twisted-pair"], 0, None),
+    ("tiny-exact-sigma-params", ["construct", "-f", "twisted-pair"], 2, None),
 ])
 def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     """Malformed or extreme inputs get their contract exit code and never a traceback.

@@ -157,8 +157,13 @@ class TestPreservesLine:
         assert CylinderAuto(-3, -4, -1).preserves_line(2)
         assert not CylinderAuto(2, 1, 1).preserves_line(2)
 
-    def test_float_tolerance(self):
-        assert CylinderAuto(2.0, 1.0 + 1e-13, 1).preserves_line(1.0)
+    def test_float_read_exactly(self):
+        # No tolerance: a float is the dyadic rational it is.
+        assert CylinderAuto(2.0, 1.0, 1).preserves_line(1.0)
+        assert CylinderAuto(2.0, 0.5, 1).preserves_line(Fraction(1, 2))
+        assert not CylinderAuto(2.0, 1.0 + 1e-13, 1).preserves_line(1.0)
+        assert CylinderAuto(2, 0.1, 1).preserves_line(0.1)
+        assert not CylinderAuto(2, Fraction(1, 10), 1).preserves_line(0.1)
 
     @given(autos, autos, rationals)
     @settings(max_examples=100, deadline=None)

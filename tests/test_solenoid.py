@@ -151,12 +151,17 @@ class TestPullback:
             pullback_residual(ref_family_flat.cfs, bad, base, grid_depth=6)
 
     def test_rejects_float_entries(self, ref_family_flat):
+        """A float entry is the dyadic rational it is: 2.0 is 2, and 0.1 needs 2^55."""
         base = BaseSequence.counting(16)
         rows = [list(r) for r in ref_family_flat.matrix.rows]
         rows[1][0] = CylinderAuto(2.0, 0.0, 1)
-        bad = StatMatrix.from_rows(rows)
-        with pytest.raises(IncompatibleAutoError, match="float"):
-            pullback_residual(ref_family_flat.cfs, bad, base, grid_depth=6)
+        assert pullback_residual(ref_family_flat.cfs, StatMatrix.from_rows(rows), base,
+                                 grid_depth=6) == 0.0
+        rows[1][0] = CylinderAuto(2, 0.1, 1)
+        with pytest.raises(IncompatibleAutoError, match=r"entry \(1, 0\): translation part "
+                                                        r"3602879701896397/36028797018963968"):
+            pullback_residual(ref_family_flat.cfs, StatMatrix.from_rows(rows), base,
+                              grid_depth=6)
 
     def test_degenerate_members(self, ref_family_flat):
         from cylinderstat.charfn import CylinderCF
