@@ -16,6 +16,10 @@ max-modulus statistic from that law, on their own derived stream, give the
 reported band: the observed residual shifted by their 2.5%/97.5% quantiles.
 The verdict is one-sided, like the p-value: the residual is consistent with
 zero unless it exceeds the null's 97.5% quantile, that is unless band[0] > 0.
+
+The characters are evaluated once per distinct slot point of each statistic
+and summed over blocks of rows, together with the Gram matrices the null
+needs, so the memory beyond the samples does not grow with count x probes.
 """
 
 from __future__ import annotations
@@ -189,6 +193,9 @@ def default_probes(n_slots: int, kind: str = "cylinder", count: int = 16,
     import numpy as np
 
     base = _CYL_PROBE_BASE if kind == "cylinder" else _TOR_PROBE_BASE
+    if count > len(base) ** n_slots:
+        raise ValueError(f"count {count} exceeds the {len(base) ** n_slots} distinct "
+                         f"{kind} probes of {n_slots} slots")
     rng = np.random.default_rng(seed)
     probes = []
     seen = set()
@@ -200,39 +207,70 @@ def default_probes(n_slots: int, kind: str = "cylinder", count: int = 16,
     return probes
 
 
-def _probe_characters(stats, probes, kind: str) -> np.ndarray:
-    """Array (n_stats, count, n_probes) of character values; one exp per distinct slot point."""
+# Rows per block of the character pass: its work arrays hold about
+# _ROW_BLOCK x (n_stats + 1) x P complex values, whatever the count.
+_ROW_BLOCK = 4096
+
+
+def _slot_points(probes, i: int, kind: str):
+    """Statistic i's distinct slot points as (s, n) arrays, and each probe's index into them."""
     import numpy as np
 
-    n_stats = len(stats)
-    count = stats[0].count
-    out = np.empty((n_stats, count, len(probes)), dtype=complex)
-    for i in range(n_stats):
-        columns = {}
-        for pi, probe in enumerate(probes):
-            y = probe[i]
-            key = (float(y[0]), int(y[1])) if kind == "cylinder" else (0.0, int(y))
-            columns.setdefault(key, []).append(pi)
-        for (s, n), cols in columns.items():
-            out[i][:, cols] = np.exp(1j * (s * stats[i].t + n * stats[i].theta))[:, None]
-    return out
+    points = {}
+    index = [points.setdefault((float(y[0]), int(y[1])) if kind == "cylinder" else (0.0, int(y)),
+                               len(points)) for y in (probe[i] for probe in probes)]
+    s, n = np.array(list(points), dtype=float).T
+    return s, n, np.array(index)
 
 
-def _residuals(chars: np.ndarray, means) -> np.ndarray:
-    """|mean of products - product of means| per probe, chars (n_stats, count, P)."""
+def _character_moments(stats, probes, kind: str):
+    """Row means and Gram matrices of the probe characters, summed over row blocks.
+
+    Statistic i's character at probe p is x_ip = exp(i(s t + n theta)) at
+    its slot point (s, n) of p.  Returns (joint, means, grams, pseudos): the
+    row means of prod_i x_i and of each x_i, shape (P,), and per statistic
+    G_i = X_i^T conj(X_i) / N and H_i = X_i^T X_i / N, shape (P, P).  A block
+    evaluates one exp per row and distinct slot point; the Grams are summed
+    over the distinct points and read off at each probe's.
+
+    The means equal full-array means bit for bit: numpy adds the rows of a
+    C-ordered array with two or more columns in order, so each block's sum
+    starts from the previous block's, carried as its first row.  A single
+    column is summed pairwise, so one probe takes a single block.
+    """
     import numpy as np
 
-    prod = chars[0].copy()
-    for i in range(1, chars.shape[0]):
-        prod *= chars[i]
-    joint = prod.mean(axis=0)
-    marginal = means[0]
-    for m in means[1:]:
-        marginal = marginal * m
-    return np.abs(joint - marginal)
+    count, n_stats = stats[0].count, len(stats)
+    block = _ROW_BLOCK if len(probes) > 1 else count
+    slots = [_slot_points(probes, i, kind) for i in range(n_stats)]
+    # Each statistic's characters, then their product; row 0 carries the sums.
+    cols = np.empty((n_stats + 1, min(block, count) + 1, len(probes)), dtype=complex)
+    grams = [0.0] * n_stats
+    pseudos = [0.0] * n_stats
+    sums = None
+    for start in range(0, count, block):
+        stop = min(start + block, count)
+        rows = slice(1, stop - start + 1)
+        for i, (stat, (s, n, index)) in enumerate(zip(stats, slots)):
+            x = np.exp(1j * (np.multiply.outer(stat.t[start:stop], s)
+                             + np.multiply.outer(stat.theta[start:stop], n)))
+            grams[i] = grams[i] + x.T @ x.conj()
+            pseudos[i] = pseudos[i] + x.T @ x
+            np.take(x, index, axis=1, out=cols[i, rows], mode="clip")
+        cols[-1, rows] = cols[0, rows]
+        for i in range(1, n_stats):
+            cols[-1, rows] *= cols[i, rows]
+        if sums is not None:
+            cols[:, 0] = sums
+            rows = slice(0, rows.stop)
+        sums = [c[rows].sum(axis=0) for c in cols]
+    means = np.array(sums[:-1]) / count
+    grams = [g[np.ix_(index, index)] / count for g, (_, _, index) in zip(grams, slots)]
+    pseudos = [h[np.ix_(index, index)] / count for h, (_, _, index) in zip(pseudos, slots)]
+    return sums[-1] / count, means, grams, pseudos
 
 
-def _null_covariance(chars: np.ndarray, means) -> np.ndarray:
+def _null_covariance(means, grams, pseudos, count: int) -> np.ndarray:
     """Covariance of (Re D, Im D), D = joint - prod of marginals, under independence.
 
     By the delta method D is, to first order, the row mean of
@@ -244,18 +282,11 @@ def _null_covariance(chars: np.ndarray, means) -> np.ndarray:
     """
     import numpy as np
 
-    count = chars.shape[1]
     means = np.array(means)
     total = means.prod(axis=0)
     gram_prod = pseudo_prod = 1.0
     gram_lin = pseudo_lin = 0.0
-    # One conjugate buffer serves every statistic.  A fresh temporary per
-    # statistic made the peak RSS depend on heap history through glibc's
-    # dynamic mmap threshold (147 or 171 MB at count 1e5, three statistics).
-    conj = np.empty_like(chars[0])
-    for i, (x, m) in enumerate(zip(chars, means)):
-        g = x.T @ np.conjugate(x, out=conj) / count
-        h = x.T @ x / count
+    for i, (g, h, m) in enumerate(zip(grams, pseudos, means)):
         w = np.delete(means, i, axis=0).prod(axis=0)
         gram_prod = gram_prod * g
         pseudo_prod = pseudo_prod * h
@@ -313,10 +344,11 @@ def empirical_independence(samples, matrix: StatMatrix, probes=None,
         probes = default_probes(matrix.n, kind)
     stats = statistic_samples(samples, matrix)
     count = stats[0].count
-    chars = _probe_characters(stats, probes, kind)
-    means = [x.mean(axis=0) for x in chars]
-
-    residuals = _residuals(chars, means)
+    joint, means, grams, pseudos = _character_moments(stats, probes, kind)
+    marginal = means[0]
+    for m in means[1:]:
+        marginal = marginal * m
+    residuals = np.abs(joint - marginal)
     worst = int(residuals.argmax())
     max_residual = float(residuals[worst])
 
@@ -330,7 +362,8 @@ def empirical_independence(samples, matrix: StatMatrix, probes=None,
     }
     if bootstrap > 0:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0057]))
-        null_stats = _null_maxima(_null_covariance(chars, means), bootstrap, rng)
+        cov = _null_covariance(means, grams, pseudos, count)
+        null_stats = _null_maxima(cov, bootstrap, rng)
         lo, hi = np.quantile(null_stats, [0.025, 0.975])
         band = (max_residual - float(hi), max_residual - float(lo))
         report["null"] = "gaussian"

@@ -2,12 +2,13 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cylinderstat import montecarlo
@@ -214,7 +215,7 @@ class TestEmpiricalIndependence:
 
 
 @st.composite
-def oracle_cases(draw):
+def oracle_cases(draw, max_count=3000):
     """Random samples, matrix, probes and bootstrap for either kind.
 
     Probes draw their slot points from the small default bases, so slot
@@ -222,7 +223,7 @@ def oracle_cases(draw):
     """
     kind = draw(st.sampled_from(["cylinder", "torus"]))
     n = draw(st.integers(2, 4))
-    count = draw(st.integers(1, 3000))
+    count = draw(st.integers(1, max_count))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "cylinder":
         samples = [SampleSet(rng.normal(0.0, 1.5, count), rng.uniform(0.0, TWO_PI, count))
@@ -312,6 +313,52 @@ class TestOracle:
                     probes=[((0.25, 0),) * 4], bootstrap=1, seed=0, kind="cylinder")
         _checked_report(case)
 
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=oracle_cases(max_count=40))
+    def test_row_blocks_match_oracle(self, block, case, monkeypatch):
+        # Rows of 1, 2 and 7 make the hypothesis counts cross block boundaries.
+        monkeypatch.setattr(montecarlo, "_ROW_BLOCK", block)
+        _checked_report(case)
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_row_block_edges_match_oracle(self, block, ref_family, monkeypatch):
+        """Counts below, at and past a block, with one probe (a single block) or several."""
+        monkeypatch.setattr(montecarlo, "_ROW_BLOCK", block)
+        self.test_single_row_equal_statistics()
+        for count in (1, block, block + 1, 3 * block + 2, 7, 8):
+            samples = [sample_line_gaussian(float(cf.sigma), 1.0, count, seed=count + j)
+                       for j, cf in enumerate(ref_family.cfs)]
+            for n_probes in (1, 2, 16):
+                _checked_report(dict(samples=samples, matrix=ref_family.matrix,
+                                     probes=default_probes(3, count=n_probes),
+                                     bootstrap=3, seed=count))
+
+    def test_reference_fixture_at_full_count_equals_oracle(self, ref_family):
+        # Count 1e5 spans many row blocks of the default size.
+        samples = [sample_line_gaussian(float(cf.sigma), 1.0, 100_000, seed=80 + j)
+                   for j, cf in enumerate(ref_family.cfs)]
+        case = dict(samples=samples, matrix=ref_family.matrix, bootstrap=0)
+        got = empirical_independence(**case)
+        assert got["residuals"] == oracle_empirical_independence(**case)["residuals"]
+
+    def test_block_sums_match_full_arrays(self, ref_family, monkeypatch):
+        """Means equal the full-array means (`==`), Grams within 1e-12 relative."""
+        monkeypatch.setattr(montecarlo, "_ROW_BLOCK", 7)
+        count = 1000
+        samples = [sample_line_gaussian(float(cf.sigma), 1.0, count, seed=90 + j)
+                   for j, cf in enumerate(ref_family.cfs)]
+        stats = statistic_samples(samples, ref_family.matrix)
+        probes = default_probes(3)
+        joint, means, grams, pseudos = montecarlo._character_moments(stats, probes, "cylinder")
+        chars = oracle_probe_characters(stats, probes, "cylinder")
+        assert np.array_equal(joint, np.prod(chars, axis=0).mean(axis=0))
+        assert np.array_equal(means, chars.mean(axis=1))
+        for x, g, h in zip(chars, grams, pseudos):
+            for got, want in ((g, x.T @ x.conj() / count), (h, x.T @ x / count)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_null_covariance_matches_resampled(self, ref_family):
         """The closed-form covariance of (Re D, Im D) against resampled D.
 
@@ -327,7 +374,9 @@ class TestOracle:
                   ((-0.1, 0), (0.2, 0), (0.2, 0)), ((0.1, 1), (0, 0), (0.2, -1))]
         chars = oracle_probe_characters(statistic_samples(samples, ref_family.matrix),
                                         probes, "cylinder")
-        cov = montecarlo._null_covariance(chars, [x.mean(axis=0) for x in chars])
+        cov = montecarlo._null_covariance([x.mean(axis=0) for x in chars],
+                                          [x.T @ x.conj() / count for x in chars],
+                                          [x.T @ x / count for x in chars], count)
         d = oracle_null_differences(chars, replicates, seed=0)
         v = np.concatenate([d.real, d.imag], axis=1).astype(float)
         se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / replicates)
@@ -363,6 +412,31 @@ class TestOracle:
         for p, got in zip((0.025, 0.975), analytic):
             tol = 4 * _quantile_se(resampled, p) * math.sqrt(1 + replicates / draws)
             assert abs(got - np.quantile(resampled, p)) <= tol, (p, got, tol)
+
+
+class TestDefaultProbes:
+    def test_every_distinct_tuple(self):
+        probes = default_probes(2, "torus", count=25)
+        assert len(set(probes)) == 25
+
+    def test_count_beyond_distinct_tuples_rejected(self):
+        with pytest.raises(ValueError, match="count 26 exceeds the 25 distinct"):
+            default_probes(2, "torus", count=26)
+
+
+class TestMemory:
+    def test_traced_peak_does_not_grow_with_count_times_probes(self, ref_family):
+        # The (n_stats, count, P) character array alone was 77 MB at count 1e5;
+        # row blocks keep the whole call's allocations at about 10 MiB.
+        samples = [sample_line_gaussian(float(cf.sigma), 1.0, 100_000, seed=80 + j)
+                   for j, cf in enumerate(ref_family.cfs)]
+        tracemalloc.start()
+        try:
+            empirical_independence(samples, ref_family.matrix, bootstrap=200, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestCsvExport:
