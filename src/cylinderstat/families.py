@@ -53,7 +53,7 @@ class Family:
 
 def _coerce_scalar(value, name: str) -> Fraction:
     """A Fraction for ints, Fractions, 'p/q' strings and floats, each read exactly."""
-    return _as_fraction(as_exact(value), name)
+    return _as_fraction(value if isinstance(value, str) else as_exact(value), name)
 
 
 def _coerce_sign(value, name: str) -> int:

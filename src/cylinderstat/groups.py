@@ -10,9 +10,9 @@ with a != 0 real and p = +-1; the adjoint action on the cylinder is
 same (a, c, p) triple.
 
 Scalars on the dual side are ints and Fractions: a float argument is read as
-the dyadic rational it is (`as_exact`), so all algebra stays exact, which is
-what the algebraic checkers rely on.  The point side reduces angles mod 2*pi
-and is therefore float-valued.
+the dyadic rational it is and a bool or a str is refused (`as_exact`), so all
+algebra stays exact, which is what the algebraic checkers rely on.  The point
+side reduces angles mod 2*pi and is therefore float-valued.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ TWO_PI = 2.0 * math.pi
 
 def as_exact(value):
     """A float as the Fraction it equals exactly; ints and Fractions unchanged."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"expected an int, a Fraction or a float, got {value!r}")
     return Fraction(value) if isinstance(value, float) else value
 
 

@@ -144,62 +144,57 @@ _CHUNK = 8192
 class DualGrid:
     """Dual tuples over one point set as an index space: tuple k is computed when asked for.
 
-    Tuple k holds the points named by the base-len(points) digits of the flat index
-    (offset + k*total//len) % total, total = len(points)**n_slots, len = min(total, cap):
-    the whole product up to the cap, past it a stratified subsample with offset
-    numpy.random.default_rng(seed).integers(total), reproducible and covering both parities
-    of every integer slot.  The product reads slot 0 from the most significant digit
-    (itertools.product order), the subsample from the least significant: the orders these
-    grids have always had, kept so that reported worst tuples do not change.
+    Tuple k holds the points named by the base-L digits of k*step % total, slot 0 the
+    most significant (itertools.product order), where L = len(points), total = L**n_slots
+    and the grid has min(total, cap) tuples.  step is 1 up to the cap, so the grid is the
+    whole product; past it, step is the least integer >= total/cap coprime to total, so
+    the tuples are distinct and spread over the product.  Every slot takes all L points
+    whenever len >= L**2.
     """
 
     points: tuple
     n_slots: int
     cap: int = 100_000
-    seed: int = 0
     total: int = field(init=False, repr=False)
-    offset: int = field(init=False, repr=False, default=0)
+    step: int = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
         object.__setattr__(self, "total", len(self.points) ** self.n_slots)
-        if self.total > self.cap:
-            import numpy as np
-            rng = np.random.default_rng(self.seed)
-            object.__setattr__(self, "offset", int(rng.integers(self.total)))
+        step = -(-self.total // self.cap)
+        while math.gcd(step, self.total) != 1:
+            step += 1
+        object.__setattr__(self, "step", step)
 
     def __len__(self) -> int:
         return min(self.total, self.cap)
 
-    def _flat(self, ks) -> list:
-        """The flat indices, as exact ints, of the tuples at positions ks."""
-        offset, total, n = self.offset, self.total, len(self)
-        return [(offset + k * total // n) % total for k in ks]
-
     def _digits(self, flat) -> list:
-        """Per-slot point indices of a flat index, or of an int64 array of them."""
-        order = range(self.n_slots - 1, -1, -1) if self.total <= self.cap else range(self.n_slots)
-        return [flat // len(self.points) ** j % len(self.points) for j in order]
+        """Per-slot point indices, slot 0 first, of a flat index or of an array of them."""
+        base = len(self.points)
+        return [flat // base ** j % base for j in range(self.n_slots - 1, -1, -1)]
 
     def __getitem__(self, k: int) -> tuple:
         # Iteration runs through here too, and ends at the IndexError.
         if not 0 <= k < len(self):
             raise IndexError(f"grid index {k} outside [0, {len(self)})")
-        return tuple(self.points[d] for d in self._digits(self._flat([k])[0]))
+        return tuple(self.points[d] for d in self._digits(k * self.step % self.total))
 
     def index_chunks(self):
         """(first index, per-slot int64 arrays of point indices) for chunks of _CHUNK tuples."""
         import numpy as np
 
+        # Flat indices past int64 stay Python ints, in an object array.
+        dtype = np.int64 if self.total <= 2 ** 63 else object
         for lo in range(0, len(self), _CHUNK):
-            flat = self._flat(range(lo, min(lo + _CHUNK, len(self))))
-            # integers(total) rejects total > 2**63, so every flat index fits in int64.
-            yield lo, self._digits(np.array(flat, np.int64))
+            flat = np.array([k * self.step % self.total
+                             for k in range(lo, min(lo + _CHUNK, len(self)))], dtype)
+            yield lo, [digits.astype(np.int64, copy=False) for digits in self._digits(flat)]
 
 
 def default_grid(n_slots: int, kind: str = "cylinder", dense: bool = False,
-                 cap: int = 100_000, seed: int = 0) -> DualGrid:
-    return DualGrid(slot_points(kind, dense), n_slots, cap=cap, seed=seed)
+                 cap: int = 100_000) -> DualGrid:
+    return DualGrid(slot_points(kind, dense), n_slots, cap=cap)
 
 
 # --------------------------------------------------------------------------

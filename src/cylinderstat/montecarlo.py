@@ -102,14 +102,16 @@ def fourier_density(cf: TorusCF, truncation: int, grid_points: int):
     """(angles, density, imaginary part) of a circle bundle by Fourier inversion.
 
     The CF's Fourier series over the modes -truncation..truncation, summed at
-    `grid_points` uniform angles in [0, 2*pi).
+    `grid_points` uniform angles in [0, 2*pi), in blocks of 512 angles so that
+    the table of phases stays small.
     """
     import numpy as np
 
     ns = np.arange(-truncation, truncation + 1)
     coeffs = np.array([cf.eval(int(n)) for n in ns])
     angles = np.linspace(0.0, TWO_PI, grid_points, endpoint=False)
-    sums = (coeffs[None, :] * np.exp(-1j * np.outer(angles, ns))).sum(axis=1)
+    sums = np.concatenate([(coeffs * np.exp(-1j * np.outer(block, ns))).sum(axis=1)
+                           for block in np.split(angles, range(512, grid_points, 512))])
     return angles, sums.real / TWO_PI, sums.imag / TWO_PI
 
 

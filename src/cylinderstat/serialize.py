@@ -43,12 +43,20 @@ def scalar_from_json(value):
     return Fraction(out)
 
 
+def _json_int(value, name: str) -> int:
+    """A JSON int as itself; a bool, a float or anything else is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be a JSON integer, got {json.dumps(value, default=repr)}")
+    return value
+
+
 def auto_to_json(e: CylinderAuto) -> dict:
     return {"a": scalar_to_json(e.a), "c": scalar_to_json(e.c), "p": e.p}
 
 
 def auto_from_json(obj: dict) -> CylinderAuto:
-    return CylinderAuto(scalar_from_json(obj["a"]), scalar_from_json(obj["c"]), int(obj["p"]))
+    return CylinderAuto(scalar_from_json(obj["a"]), scalar_from_json(obj["c"]),
+                        _json_int(obj["p"], '"p"'))
 
 
 def cf_to_json(cf) -> dict:
@@ -167,7 +175,7 @@ def base_from_json(obj) -> BaseSequence:
         entries = obj["base"]
     else:
         entries = obj
-    return BaseSequence(tuple(int(a) for a in entries))
+    return BaseSequence(tuple(_json_int(a, "base entry") for a in entries))
 
 
 def dump(obj, path) -> None:

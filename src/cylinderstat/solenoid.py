@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import DualPoint
-from .independence import DualGrid, StatMatrix, independence_residual
+from .independence import DEFAULT_N, DualGrid, StatMatrix, independence_residual
 
 
 class IncompatibleAutoError(ValueError):
@@ -208,37 +208,28 @@ def validate_matrix(matrix: StatMatrix, base: BaseSequence, generator_depth: int
 
 
 def rational_dual_grid(base: BaseSequence, depth: int, n_slots: int,
-                       n_values=(-2, -1, 0, 1, 2), cap: int = 100_000) -> DualGrid:
+                       cap: int = 100_000) -> DualGrid:
     """DualGrid of tuples whose s-coordinates are rationals of depth <= depth."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if depth >= len(base):
         raise ValueError(f"depth {depth} exceeds the stored base prefix")
-    s_values = [Fraction(0), Fraction(1),
-                Fraction(-1, base.product(0)),
-                Fraction(1, base.product(depth // 2)),
-                Fraction(-1, base.product(depth)),
-                Fraction(3, base.product(depth))]
-    # Deduplicate while keeping order (small bases can collide).
-    seen = []
-    for s in s_values:
-        if s not in seen:
-            seen.append(s)
-    points = [DualPoint(s, n) for s in seen for n in n_values]
-    return DualGrid(points, n_slots, cap=cap)
+    # dict.fromkeys drops the values that small bases make collide, keeping the order.
+    s_values = dict.fromkeys([Fraction(0), Fraction(1),
+                              Fraction(-1, base.product(0)),
+                              Fraction(1, base.product(depth // 2)),
+                              Fraction(-1, base.product(depth)),
+                              Fraction(3, base.product(depth))])
+    return DualGrid([DualPoint(s, n) for s in s_values for n in DEFAULT_N], n_slots, cap=cap)
 
 
-def pullback_residual(cfs, matrix: StatMatrix, base: BaseSequence, grid_depth: int,
-                      generator_depth: int = None, cap: int = 100_000) -> float:
+def pullback_residual(cfs, matrix: StatMatrix, base: BaseSequence, grid_depth: int) -> float:
     """Independence residual over the rational dual of the solenoid.
 
-    Validates that every matrix entry is compatible with the base sequence,
-    then re-runs the functional equation on rational dual tuples.  Exact
-    bundle parameters give an exactly-zero residual, certifying the equation
-    on the rational grid.
+    Validates that every matrix entry maps the generators of depth <= grid_depth
+    into the rational dual, then re-runs the functional equation on rational dual
+    tuples.  Exact bundle parameters give an exactly-zero residual, certifying the
+    equation on the rational grid.
     """
-    if generator_depth is None:
-        generator_depth = grid_depth
-    validate_matrix(matrix, base, generator_depth)
-    grid = rational_dual_grid(base, grid_depth, matrix.n, cap=cap)
-    return independence_residual(cfs, matrix, grid=grid)
+    validate_matrix(matrix, base, grid_depth)
+    return independence_residual(cfs, matrix, grid=rational_dual_grid(base, grid_depth, matrix.n))

@@ -11,6 +11,10 @@ must match the resampled quantiles within their Monte-Carlo error.
 mode count followed sigma, with the Fourier validity check of
 `oracle_charfn`: at the same mode count the library must draw bit-equal
 samples.
+
+`oracle_fourier_density` is the Fourier inversion as one phase table over
+every angle; the library sums it over blocks of angles and must give equal
+arrays.
 """
 
 import math
@@ -20,12 +24,20 @@ import numpy as np
 from cylinderstat.groups import TWO_PI
 from cylinderstat.independence import StatMatrix
 from cylinderstat.montecarlo import (SampleSet, _chunk_generators, default_probes,
-                                     fourier_density, statistic_samples)
+                                     statistic_samples)
 from oracle_charfn import oracle_is_valid_probability
 
 
+def oracle_fourier_density(cf, truncation: int, grid_points: int):
+    ns = np.arange(-truncation, truncation + 1)
+    coeffs = np.array([cf.eval(int(n)) for n in ns])
+    angles = np.linspace(0.0, TWO_PI, grid_points, endpoint=False)
+    sums = (coeffs[None, :] * np.exp(-1j * np.outer(angles, ns))).sum(axis=1)
+    return angles, sums.real / TWO_PI, sums.imag / TWO_PI
+
+
 def _torus_inverse_cdf(cf, truncation: int, grid: int):
-    angles, density, _ = fourier_density(cf, truncation, grid)
+    angles, density, _ = oracle_fourier_density(cf, truncation, grid)
     weights = np.clip(density, 0.0, None) * (TWO_PI / grid)
     cdf = np.concatenate([[0.0], np.cumsum(weights)])
     cdf /= cdf[-1]

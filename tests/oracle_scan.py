@@ -10,14 +10,13 @@ the grid maximum of |LHS_log - RHS_log| and the earliest tuple attaining it.
 the reduced coefficients, kept as the reference for `gaussian_system_check`.
 
 `oracle_product_grid` is the tuple-by-tuple stride subsample kept as the
-reference for `DualGrid`.
+reference for `DualGrid`: the whole product up to the cap, past it the
+tuples at the flat indices k*step % total, slot 0 the most significant digit.
 """
 
 import itertools
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from cylinderstat.charfn import CylinderCF
 from cylinderstat.independence import reduced_coefficients
@@ -299,18 +298,18 @@ def oracle_gaussian_system(cfs, matrix):
     return {name: abs(float(value)) for name, value in residuals.items()}
 
 
-def oracle_product_grid(points, n_slots: int, cap: int = 100_000, seed: int = 0):
+def oracle_product_grid(points, n_slots: int, cap: int = 100_000):
     base = len(points)
     total = base ** n_slots
     if total <= cap:
         return [tuple(t) for t in itertools.product(points, repeat=n_slots)]
-    offset = int(np.random.default_rng(seed).integers(total))
+    step = next(s for s in itertools.count(-(-total // cap)) if math.gcd(s, total) == 1)
     grid = []
     for k in range(cap):
-        idx = (offset + (k * total) // cap) % total
+        idx = (k * step) % total
         tup = []
         for _ in range(n_slots):
             idx, r = divmod(idx, base)
             tup.append(points[r])
-        grid.append(tuple(tup))
+        grid.append(tuple(reversed(tup)))
     return grid

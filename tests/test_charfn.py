@@ -59,6 +59,23 @@ def _valid(cf) -> bool:
         reject()
 
 
+class TestStrictScalars:
+    """A str or a bool is not read as a number; a float is read exactly."""
+
+    @pytest.mark.parametrize("kwargs", [{"kappa": "1/2"}, {"lam": "1"}, {"tau": True}])
+    def test_cylinder_cf(self, kwargs):
+        with pytest.raises(TypeError, match="expected an int, a Fraction or a float"):
+            CylinderCF(1, **kwargs)
+        assert CylinderCF(1, kappa=0.5).kappa == Fraction(1, 2)
+
+    @pytest.mark.parametrize("kwargs", [{"twist": "1/20"}, {"sigma": True}])
+    def test_torus_cf(self, kwargs):
+        kwargs = {"sigma": 1, **kwargs}
+        with pytest.raises(TypeError, match="expected an int, a Fraction or a float"):
+            TorusCF(**kwargs)
+        assert TorusCF(1, twist=0.5).twist == Fraction(1, 2)
+
+
 class TestEval:
     def test_degenerate_has_unit_modulus(self):
         cf = CylinderCF(0, 0, 0, tau=1.5, theta=0.7)

@@ -47,6 +47,14 @@ def ref_fixture_path(tmp_path, runner):
     return str(out)
 
 
+def _circle_fixture(n: int, sigma0) -> dict:
+    """n circle members under the all-identity sign matrix: point masses, sigma0 on member 0."""
+    return {"family": "custom", "kind": "torus",
+            "matrix": [[{"a": 1, "c": 0, "p": 1}] * n] * n,
+            "cfs": [{"kind": "torus", "sigma": sigma0 if j == 0 else 0, "theta": 0, "twist": 0}
+                    for j in range(n)]}
+
+
 class TestConstruct:
     def test_line_gaussian_fixture(self, ref_fixture_path):
         fixture = load(ref_fixture_path)
@@ -124,6 +132,17 @@ class TestCheck:
         report = json.loads(result.stdout)
         assert report["independence"]["grid_size"] == 100_000
         assert report["independence"]["residual"] == 0.0
+
+    @pytest.mark.parametrize("sigma,exit_code", [(0, 0), (1, 1)])
+    def test_twenty_circle_members_dense_grid(self, tmp_path, runner, sigma, exit_code):
+        """9**20 dense tuples, past int64: point masses pass, sigma 1 on one member fails."""
+        path = write_json(tmp_path / "twenty.json", _circle_fixture(20, sigma))
+        result = runner.invoke(main, ["check", "--fixture", path, "--grid", "dense"])
+        assert result.exit_code == exit_code, result.output
+        independence = json.loads(result.stdout)["independence"]
+        assert independence["grid_size"] == 100_000
+        assert np.isfinite(independence["residual"])
+        assert (independence["residual"] > 0) == (sigma != 0)
 
     @pytest.mark.parametrize("command", ["default", "dense", "solenoid"])
     def test_zero_certificate_computes_one_tuple(self, ref_fixture_path, tmp_path, runner,
@@ -579,6 +598,7 @@ class TestStartup:
             ("construct", ["construct", "-f", "line-gaussian", "--params", params,
                            "--out", str(tmp_path / "built.json")]),
             ("check reference", ["check", "--fixture", fixture, "--grid", "default"]),
+            ("check reference dense", ["check", "--fixture", fixture, "--grid", "dense"]),
             ("check pair", ["check", "--fixture", pair, "--grid", "default"]),
             ("construct pair", ["construct", "-f", "twisted-pair", "--params", pair_params,
                                 "--out", str(tmp_path / "built_pair.json")]),
@@ -649,6 +669,9 @@ def _table_fixture(name: str) -> dict:
         return {"sigma": 1, "kappa": "1/1" + "0" * 400}
     if name == "tiny-exact-sigma-params":  # a sigma below the float range: invalid at kappa 1/20
         return {"sigma": "1/1" + "0" * 400, "kappa": "1/20"}
+    if name.startswith("reference-p-"):  # a sign p that is not a JSON integer
+        p = {"reference-p-float": 1.5, "reference-p-true": True, "reference-p-string": "1"}[name]
+        return dict(ref, matrix=[[dict(e, p=p) for e in row] for row in ref["matrix"]])
     raise ValueError(name)
 
 
@@ -660,6 +683,8 @@ def _write_table_input(tmp_path, name: str) -> str:
         return write_json(tmp_path / "base.json", {"foo": 1})
     if name == "base-string":
         return write_json(tmp_path / "base.json", "abc")
+    if name == "base-with-float-entry":
+        return write_json(tmp_path / "base.json", {"base": [2.9, 3]})
     if name == "csv-without-re-im":
         path = tmp_path / "values.csv"
         path.write_text("s,n,value\n0.0,0,1.0\n")
@@ -732,6 +757,10 @@ def _reject_constant(name):
     ("huge-exact-sigma-pair", ["simulate", "--count", "2000", "--bootstrap", "5"], 0, None),
     ("tiny-exact-twist-params", ["construct", "-f", "twisted-pair"], 0, None),
     ("tiny-exact-sigma-params", ["construct", "-f", "twisted-pair"], 2, None),
+    ("reference-p-float", ["check"], 2, None),
+    ("reference-p-true", ["check"], 2, None),
+    ("reference-p-string", ["check"], 2, None),
+    ("reference", ["solenoid", "--base", "@base-with-float-entry", "--depth", "2"], 2, None),
 ])
 def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     """Malformed or extreme inputs get their contract exit code and never a traceback.

@@ -148,6 +148,11 @@ class TestComposeInvert:
         with pytest.raises(ValueError):
             CylinderAuto(1, 0, 2)
 
+    @pytest.mark.parametrize("args", [("2",), (True, False), (1, "1/2")])
+    def test_bool_and_str_rejected(self, args):
+        with pytest.raises(TypeError, match="expected an int, a Fraction or a float"):
+            CylinderAuto(*args)
+
 
 class TestPreservesLine:
     def test_examples(self):

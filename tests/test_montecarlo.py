@@ -18,12 +18,13 @@ from cylinderstat.groups import TWO_PI, CylinderAuto, CylinderPoint, DualPoint
 from cylinderstat.independence import StatMatrix
 from cylinderstat.montecarlo import (_CYL_PROBE_BASE, _TOR_PROBE_BASE, SampleSet,
                                      empirical_cf, empirical_independence,
-                                     default_probes, sample_line_gaussian,
+                                     default_probes, fourier_density, sample_line_gaussian,
                                      sample_torus_twisted, save_samples_csv,
                                      statistic_samples)
 from oracle_montecarlo import _probe_characters as oracle_probe_characters
-from oracle_montecarlo import (oracle_empirical_independence, oracle_null_differences,
-                               oracle_null_maxima, oracle_sample_torus_twisted)
+from oracle_montecarlo import (oracle_empirical_independence, oracle_fourier_density,
+                               oracle_null_differences, oracle_null_maxima,
+                               oracle_sample_torus_twisted)
 
 
 class TestLineSampler:
@@ -116,6 +117,16 @@ class TestTorusSampler:
         got = sample_torus_twisted(cf, 20_000, seed=3)
         want = oracle_sample_torus_twisted(cf, 20_000, seed=3, truncation=truncation)
         assert np.array_equal(got.theta, want.theta) and np.array_equal(got.t, want.t)
+
+    @pytest.mark.parametrize("cf,truncation,grid", [
+        (TorusCF(1, 0, Fraction(1, 20)), 64, 4096),
+        (TorusCF(Fraction(1, 200), 0, 0), 82, 4096),
+        (TorusCF(0.8, 0.5, 0.03), 64, 1000),
+    ])
+    def test_fourier_density_matches_full_table(self, cf, truncation, grid):
+        got = fourier_density(cf, truncation, grid)
+        want = oracle_fourier_density(cf, truncation, grid)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_too_small_sigma_named(self):
         with pytest.raises(ValueError, match="sigma 1e-06 is too small"):
@@ -437,6 +448,18 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+
+    def test_circle_sampler_peak(self):
+        # One 4096 x 129 phase table made the peak 17.8 MiB; blocks of 512 angles
+        # keep it near 4 MiB.
+        tracemalloc.start()
+        try:
+            sample_torus_twisted(TorusCF(1, 0, Fraction(1, 20)), 100_000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestCsvExport:
