@@ -30,8 +30,8 @@ from .independence import (ConditionReport, DegenerateFormError,
 from .montecarlo import (SampleSet, empirical_cf, empirical_independence,
                          sample_line_gaussian, sample_torus_twisted)
 from .solenoid import (AdicInteger, BaseSequence, HaRational,
-                       IncompatibleAutoError, SolenoidAuto, adic_add,
-                       adic_add_carries, ha_member, pullback_residual)
+                       IncompatibleAutoError, adic_add, adic_add_carries,
+                       ha_member, pullback_residual)
 
 __version__ = "0.1.0"
 

@@ -224,7 +224,7 @@ def check(fixture_path, grid_name, workers):
     if fam.kind == "cylinder":
         ok = _check_cylinder_sections(fam, values, bounds, report) and ok
     else:
-        report["twist_sum"] = float(sum(float(cf.twist) for cf in fam.cfs))
+        report["twist_sum"] = report["independence"]["twist_sum"]
     report["pass"] = ok
     _emit(report)
     sys.exit(0 if ok else 1)
@@ -237,7 +237,7 @@ def check(fixture_path, grid_name, workers):
 @click.option("--b2", required=True)
 def conditions(a1, a2, b1, b2):
     """Exact condition report for a reduced coefficient tuple."""
-    report = coefficient_conditions(Fraction(a1), Fraction(a2), Fraction(b1), Fraction(b2))
+    report = coefficient_conditions(a1, a2, b1, b2)
     _emit({
         "a1": a1, "a2": a2, "b1": b1, "b2": b2,
         "cubic_identity": str(report.cubic),
@@ -305,11 +305,18 @@ def _sample_family(obj: dict, fam: Family, count: int, seed: int):
     if fam.label == "line-gaussian":
         if fam.omega is None:
             raise ValueError('line-gaussian fixture has no "omega" key, which the sampler needs')
-        for j, member in enumerate(_members(fam, _verdict_inputs(obj, fam)[1])):
+        bounds = _verdict_inputs(obj, fam)[1]
+        for j, member in enumerate(_members(fam, bounds)):
             if not member["valid"]:
                 raise ValueError(f"member {j} is not a probability measure")
-        return [sample_line_gaussian(float(cf.sigma), float(fam.omega), count, seed + j)
-                for j, cf in enumerate(fam.cfs)]
+        samples = []
+        for j, cf in enumerate(cf.cylinder for cf in fam.cfs):
+            if not cf.sigma or abs(psd_gap(cf)) > bounds[("psd", j)]:
+                raise ValueError(f"member {j} is not carried by a line")
+            # Member j is drawn on its own line, of slope kappa_j/(2*sigma_j).
+            slope = Fraction(cf.kappa, 2 * cf.sigma)
+            samples.append(sample_line_gaussian(float(cf.sigma), float(slope), count, seed + j))
+        return samples
     if fam.kind == "torus":
         return [sample_torus_twisted(cf, count, seed + j)
                 for j, cf in enumerate(fam.cfs)]

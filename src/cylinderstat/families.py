@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charfn import CylinderCF, TorusCF, Z2SignedMeasure, is_valid_probability
-from .groups import CylinderAuto, as_exact
-from .independence import (StatMatrix, _as_fraction, family_kind, independence_blocks,
-                           nonzero_blocks, solve_sigmas)
+from .groups import CylinderAuto, as_int, as_rational
+from .independence import (StatMatrix, family_kind, independence_blocks, nonzero_blocks,
+                           solve_sigmas)
 
 
 class ConstructionError(RuntimeError):
@@ -51,17 +51,6 @@ class Family:
         return family_kind(self.cfs, self.matrix)
 
 
-def _coerce_scalar(value, name: str) -> Fraction:
-    """A Fraction for ints, Fractions, 'p/q' strings and floats, each read exactly."""
-    return _as_fraction(value if isinstance(value, str) else as_exact(value), name)
-
-
-def _coerce_sign(value, name: str) -> int:
-    if value not in (1, -1):
-        raise ValueError(f"{name} must be +1 or -1")
-    return int(value)
-
-
 def line_gaussian_family(omega, a1, a2, b1, b2, p1=1, p2=1, q1=1, q2=1,
                          sigma_scale=1) -> Family:
     """Three independent Gaussian bundles carried by the line of slope omega.
@@ -77,12 +66,11 @@ def line_gaussian_family(omega, a1, a2, b1, b2, p1=1, p2=1, q1=1, q2=1,
     solution, and certifies the full parameter system (the independence
     certificate) before returning; entries and members keep the line exactly.
     """
-    a1, a2, b1, b2 = (_coerce_scalar(v, n) for v, n in
-                      ((a1, "a1"), (a2, "a2"), (b1, "b1"), (b2, "b2")))
-    p1, p2, q1, q2 = (_coerce_sign(v, n) for v, n in
-                      ((p1, "p1"), (p2, "p2"), (q1, "q1"), (q2, "q2")))
-    omega = _coerce_scalar(omega, "omega")
-    scale = _coerce_scalar(sigma_scale, "sigma_scale")
+    omega, a1, a2, b1, b2, scale = (Fraction(as_rational(v))
+                                    for v in (omega, a1, a2, b1, b2, sigma_scale))
+    for name, sign in (("p1", p1), ("p2", p2), ("q1", q1), ("q2", q2)):
+        if as_int(sign) not in (1, -1):
+            raise ValueError(f"{name} must be +1 or -1")
     if scale <= 0:
         raise ValueError("sigma_scale must be positive")
 
@@ -136,9 +124,8 @@ def twisted_torus_pair(sigma, theta1=0, theta2=0, kappa=0) -> Family:
     Both members must be genuine probability measures; otherwise the failing
     member is named in the raised ConstructionError.
     """
-    sigma, theta1, theta2, kappa = (_coerce_scalar(v, n) for v, n in
-                                    ((sigma, "sigma"), (theta1, "theta1"),
-                                     (theta2, "theta2"), (kappa, "kappa")))
+    sigma, theta1, theta2, kappa = (Fraction(as_rational(v))
+                                    for v in (sigma, theta1, theta2, kappa))
     cf1 = TorusCF(sigma, theta1, kappa)
     cf2 = TorusCF(sigma, theta2, -kappa if kappa != 0 else 0)
     return _certified_circle_family("twisted-pair", StatMatrix.from_signs([[1, 1], [1, -1]]),
@@ -155,7 +142,7 @@ def four_statistic_family(sigma, kappa) -> Family:
     with the same Gaussian part; no member is Gaussian (kappa must be nonzero,
     that is the whole point), yet the four statistics are independent.
     """
-    sigma, kappa = _coerce_scalar(sigma, "sigma"), _coerce_scalar(kappa, "kappa")
+    sigma, kappa = Fraction(as_rational(sigma)), Fraction(as_rational(kappa))
     if kappa == 0:
         raise ConstructionError("not a counterexample: kappa = 0 makes every member Gaussian")
     if not (sigma > 0):

@@ -9,16 +9,26 @@ with a != 0 real and p = +-1; the adjoint action on the cylinder is
 (t, theta) -> (a*t, c*t + p*theta mod 2*pi).  Both actions are carried by the
 same (a, c, p) triple.
 
-Scalars on the dual side are ints and Fractions: a float argument is read as
-the dyadic rational it is and a bool or a str is refused (`as_exact`), so all
-algebra stays exact, which is what the algebraic checkers rely on.  The point
-side reduces angles mod 2*pi and is therefore float-valued.
+Scalars on the dual side are ints and Fractions, so all algebra stays exact,
+which is what the algebraic checkers rely on.  Every module reads its numbers
+through the three readers here:
+
+  * `as_exact` - an int or a Fraction as itself, a finite float as the dyadic
+    rational it is, a numpy integer as an int; it refuses a bool, a str, None,
+    a complex and any other type (TypeError) and a non-finite float (ValueError).
+  * `as_rational` - a "p/q" string as the Fraction it denotes, anything else
+    as `as_exact` reads it.
+  * `as_int` - an int that is not a bool; it refuses everything else, a float
+    or a Fraction of integer value included (TypeError).
+
+The point side reduces angles mod 2*pi and is therefore float-valued.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,10 +36,28 @@ TWO_PI = 2.0 * math.pi
 
 
 def as_exact(value):
-    """A float as the Fraction it equals exactly; ints and Fractions unchanged."""
-    if isinstance(value, (bool, str)):
-        raise TypeError(f"expected an int, a Fraction or a float, got {value!r}")
-    return Fraction(value) if isinstance(value, float) else value
+    """An int or a Fraction unchanged, a float as the Fraction it equals, a numpy integer as an int."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"scalar {value!r} is not finite")
+        return Fraction(value)
+    raise TypeError(f"expected an int, a Fraction or a float, got {value!r}")
+
+
+def as_rational(value):
+    """A "p/q" string as the Fraction it denotes; any other value as `as_exact` reads it."""
+    return Fraction(value) if isinstance(value, str) else as_exact(value)
+
+
+def as_int(value) -> int:
+    """An int that is not a bool, unchanged."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an int, got {value!r}")
+    return value
 
 
 def reduce_angle(theta) -> float:
@@ -69,8 +97,7 @@ class DualPoint:
     n: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise TypeError(f"integer coordinate must be an int, got {self.n!r}")
+        as_int(self.n)
 
     def __add__(self, other: "DualPoint") -> "DualPoint":
         return DualPoint(self.s + other.s, self.n + other.n)
@@ -95,7 +122,7 @@ class CylinderAuto:
         object.__setattr__(self, "c", as_exact(self.c))
         if self.a == 0:
             raise ValueError("multiplier a must be nonzero")
-        if self.p not in (1, -1):
+        if as_int(self.p) not in (1, -1):
             raise ValueError(f"circle exponent p must be +1 or -1, got {self.p!r}")
 
     @classmethod

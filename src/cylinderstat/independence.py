@@ -36,7 +36,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .charfn import CylinderCF, TorusCF, convolve, psd_gap, symmetrize, transform
-from .groups import CylinderAuto, DualPoint
+from .groups import CylinderAuto, DualPoint, as_exact, as_rational
 
 
 class SingularSystemError(ValueError):
@@ -85,7 +85,7 @@ class StatMatrix:
     def from_signs(cls, sign_rows) -> "StatMatrix":
         """Matrix of circle automorphisms z -> z^(+-1) from rows of +-1 signs."""
         return cls.from_rows(
-            [[CylinderAuto.sign(int(s)) for s in row] for row in sign_rows]
+            [[CylinderAuto.sign(s) for s in row] for row in sign_rows]
         )
 
     def is_sign_matrix(self) -> bool:
@@ -315,13 +315,10 @@ SIGN_TABLE = (
 
 
 def _as_fraction(x, name: str) -> Fraction:
-    if isinstance(x, bool) or isinstance(x, float):
+    """x read by `as_rational`, as a Fraction; a float is refused, not read exactly."""
+    if isinstance(x, float):
         raise TypeError(f"{name} must be an exact rational (int, Fraction, or 'p/q' string)")
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise TypeError(f"{name} must be an exact rational, got {type(x).__name__}")
+    return Fraction(as_rational(x))
 
 
 def cubic_identity(a1, a2, b1, b2):
@@ -528,7 +525,7 @@ def support_identity_gap(a1, a2, b1, b2, positive: bool = False) -> Fraction:
     positive=True turns each difference into a sum, which on nonnegative inputs
     dominates the gap's polynomial with every coefficient made positive.
     """
-    a1, a2, b1, b2 = (Fraction(v) for v in (a1, a2, b1, b2))
+    a1, a2, b1, b2 = (as_exact(v) for v in (a1, a2, b1, b2))
     s = 1 if positive else -1  # the sign of every subtracted term
     lhs = (a2 * b1 + s * a1 * b2) * ((1 + s * b2) * (1 + s * a2) * (a1 + s * b1)
                                      + (1 + s * b1) * (1 + s * a1) * (b2 + s * a2))

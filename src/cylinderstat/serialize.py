@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .charfn import CylinderCF, TorusCF
 from .families import Family
-from .groups import CylinderAuto
+from .groups import CylinderAuto, as_int, as_rational
 from .independence import StatMatrix
 from .solenoid import BaseSequence, HaRational
 
@@ -29,25 +29,8 @@ def scalar_to_json(value):
     return float(value)
 
 
-def scalar_from_json(value):
-    """An int as itself, a "p/q" string or a finite float as the Fraction it denotes."""
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, bool):
-        raise TypeError("booleans are not valid scalars")
-    if isinstance(value, int):
-        return value
-    out = float(value)
-    if not math.isfinite(out):
-        raise ValueError(f"scalar {value!r} is not finite")
-    return Fraction(out)
-
-
-def _json_int(value, name: str) -> int:
-    """A JSON int as itself; a bool, a float or anything else is a TypeError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be a JSON integer, got {json.dumps(value, default=repr)}")
-    return value
+# An int as itself, a "p/q" string or a finite float as the Fraction it denotes.
+scalar_from_json = as_rational
 
 
 def auto_to_json(e: CylinderAuto) -> dict:
@@ -55,8 +38,7 @@ def auto_to_json(e: CylinderAuto) -> dict:
 
 
 def auto_from_json(obj: dict) -> CylinderAuto:
-    return CylinderAuto(scalar_from_json(obj["a"]), scalar_from_json(obj["c"]),
-                        _json_int(obj["p"], '"p"'))
+    return CylinderAuto(scalar_from_json(obj["a"]), scalar_from_json(obj["c"]), obj["p"])
 
 
 def cf_to_json(cf) -> dict:
@@ -167,15 +149,11 @@ def ha_rational_to_json(h: HaRational) -> dict:
 
 
 def ha_rational_from_json(obj: dict) -> HaRational:
-    return HaRational(Fraction(obj["value"]), int(obj["depth"]))
+    return HaRational(as_rational(obj["value"]), as_int(obj["depth"]))
 
 
 def base_from_json(obj) -> BaseSequence:
-    if isinstance(obj, dict):
-        entries = obj["base"]
-    else:
-        entries = obj
-    return BaseSequence(tuple(_json_int(a, "base entry") for a in entries))
+    return BaseSequence(obj["base"] if isinstance(obj, dict) else obj)
 
 
 def dump(obj, path) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import DualPoint
+from .groups import CylinderAuto, DualPoint, as_exact, as_int
 from .independence import DEFAULT_N, DualGrid, StatMatrix, independence_residual
 
 
@@ -39,7 +39,7 @@ class BaseSequence:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(int(a) for a in self.entries)
+        entries = tuple(as_int(a) for a in self.entries)
         if not entries:
             raise ValueError("base sequence must be nonempty")
         if any(a <= 1 for a in entries):
@@ -76,7 +76,7 @@ class AdicInteger:
     digits: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
+        object.__setattr__(self, "digits", tuple(as_int(d) for d in self.digits))
 
     def validate(self, base: BaseSequence) -> None:
         if len(self.digits) != len(base):
@@ -136,7 +136,7 @@ def ha_member(q, base: BaseSequence, depth_limit: int = None):
     Membership in the rational dual is witnessed by such a depth; the search
     is capped by depth_limit and by the stored prefix length.
     """
-    q = Fraction(q)
+    q = as_exact(q)
     last = len(base) - 1 if depth_limit is None else min(depth_limit, len(base) - 1)
     den = q.denominator
     if den == 1:
@@ -159,42 +159,27 @@ class HaRational:
         depth = ha_member(q, base, depth_limit)
         if depth is None:
             return None
-        return cls(Fraction(q), depth)
+        return cls(as_exact(q), depth)
 
 
-@dataclass(frozen=True)
-class SolenoidAuto:
-    """Automorphism data (a, c, p) acting on H x Z as (r, n) -> (a*r + c*n, p*n)."""
+def validate_auto(e: CylinderAuto, base: BaseSequence, generator_depth: int = 6) -> None:
+    """Check that e acts on H x Z as (r, n) -> (a*r + c*n, p*n): c lies in H, and a and
+    1/a map the generators 1/(a_0..a_k), k <= generator_depth, into H.
 
-    a: Fraction
-    c: Fraction
-    p: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "c", Fraction(self.c))
-        if self.a == 0:
-            raise ValueError("multiplier a must be nonzero")
-        if self.p not in (1, -1):
-            raise ValueError("p must be +1 or -1")
-
-    def validate(self, base: BaseSequence, generator_depth: int = 6) -> None:
-        """Check a, 1/a map the generators 1/(a_0..a_k), k <= generator_depth, into H.
-
-        Sound but not complete: a failure is definitive only up to the stored
-        prefix.  Raises IncompatibleAutoError naming the failing generator.
-        """
-        if ha_member(self.c, base) is None:
-            raise IncompatibleAutoError(f"translation part {self.c} is not in the rational dual")
-        top = min(generator_depth, len(base) - 1)
-        for mult, tag in ((self.a, "a"), (1 / self.a, "1/a")):
-            for k in range(top + 1):
-                g = Fraction(1, base.product(k))
-                if ha_member(mult * g, base) is None:
-                    raise IncompatibleAutoError(
-                        f"multiplier {tag} = {mult} maps generator 1/{base.product(k)} "
-                        f"outside the rational dual"
-                    )
+    Sound but not complete: a failure is definitive only up to the stored
+    prefix.  Raises IncompatibleAutoError naming the failing generator.
+    """
+    if ha_member(e.c, base) is None:
+        raise IncompatibleAutoError(f"translation part {e.c} is not in the rational dual")
+    top = min(generator_depth, len(base) - 1)
+    for mult, tag in ((e.a, "a"), (Fraction(1, e.a), "1/a")):
+        for k in range(top + 1):
+            g = Fraction(1, base.product(k))
+            if ha_member(mult * g, base) is None:
+                raise IncompatibleAutoError(
+                    f"multiplier {tag} = {mult} maps generator 1/{base.product(k)} "
+                    f"outside the rational dual"
+                )
 
 
 def validate_matrix(matrix: StatMatrix, base: BaseSequence, generator_depth: int = 6) -> None:
@@ -202,7 +187,7 @@ def validate_matrix(matrix: StatMatrix, base: BaseSequence, generator_depth: int
     for i, row in enumerate(matrix.rows):
         for j, entry in enumerate(row):
             try:
-                SolenoidAuto(entry.a, entry.c, entry.p).validate(base, generator_depth)
+                validate_auto(entry, base, generator_depth)
             except IncompatibleAutoError as exc:
                 raise IncompatibleAutoError(f"entry ({i}, {j}): {exc}") from exc
 

@@ -68,6 +68,10 @@ class TestStrictScalars:
             CylinderCF(1, **kwargs)
         assert CylinderCF(1, kappa=0.5).kappa == Fraction(1, 2)
 
+    def test_none_refused(self):
+        with pytest.raises(TypeError, match="expected an int, a Fraction or a float, got None"):
+            CylinderCF(1, kappa=None)
+
     @pytest.mark.parametrize("kwargs", [{"twist": "1/20"}, {"sigma": True}])
     def test_torus_cf(self, kwargs):
         kwargs = {"sigma": 1, **kwargs}

@@ -227,6 +227,17 @@ class TestCheck:
         assert all(m["valid"] is True for m in report["members"])
         assert report["twist_sum"] == pytest.approx(0.0)
 
+    def test_one_twist_sum(self, tmp_path, runner):
+        # 1/10 + 1/5 - 3/10 is 0 exactly, but 5.551115123125783e-17 summed as floats.
+        fixture = dict(_circle_fixture(3, 1), matrix=[[{"a": 1, "c": 0, "p": p} for p in row]
+                                                      for row in ((1, 1, 1), (1, -1, 1), (-1, 1, 1))])
+        for cf, twist in zip(fixture["cfs"], ("1/10", "1/5", "-3/10")):
+            cf.update(sigma=2, twist=twist)
+        result = runner.invoke(main, ["check", "--fixture", write_json(tmp_path / "three.json",
+                                                                       fixture)])
+        report = json.loads(result.stdout)
+        assert report["twist_sum"] == report["independence"]["twist_sum"] == 0.0
+
     def test_invalid_member_fails_check(self, tmp_path, runner):
         fixture = write_json(tmp_path / "over.json", _table_fixture("overtwisted-pair"))
         result = runner.invoke(main, ["check", "--fixture", fixture])
@@ -672,6 +683,12 @@ def _table_fixture(name: str) -> dict:
     if name.startswith("reference-p-"):  # a sign p that is not a JSON integer
         p = {"reference-p-float": 1.5, "reference-p-true": True, "reference-p-string": "1"}[name]
         return dict(ref, matrix=[[dict(e, p=p) for e in row] for row in ref["matrix"]])
+    if name == "reference-params-p1-true":
+        return dict(REF_PARAMS, p1=True)
+    if name == "reference-params-q2-float":
+        return dict(REF_PARAMS, q2=1.0)
+    if name == "off-line-reference":  # member 0 off the carrying line: check exits 1
+        return dict(ref, cfs=[dict(ref["cfs"][0], kappa=0, **{"lambda": 5}), *ref["cfs"][1:]])
     raise ValueError(name)
 
 
@@ -761,6 +778,9 @@ def _reject_constant(name):
     ("reference-p-true", ["check"], 2, None),
     ("reference-p-string", ["check"], 2, None),
     ("reference", ["solenoid", "--base", "@base-with-float-entry", "--depth", "2"], 2, None),
+    ("reference-params-p1-true", ["construct", "-f", "line-gaussian"], 2, None),
+    ("reference-params-q2-float", ["construct", "-f", "line-gaussian"], 2, None),
+    ("off-line-reference", ["simulate", "--count", "2000", "--bootstrap", "5"], 2, None),
 ])
 def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     """Malformed or extreme inputs get their contract exit code and never a traceback.
@@ -802,6 +822,8 @@ def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     (None, ["reduce", "--mode", "degree", "--max-degree", "-1",
             "--input", "@csv-odd-quartic"], "max_deg"),
     ("tiny-sigma-pair", ["simulate", "--count", "2000", "--bootstrap", "5"], "sigma"),
+    ("off-line-reference", ["simulate", "--count", "2000", "--bootstrap", "5"],
+     "member 0 is not carried by a line"),
 ])
 def test_input_error_names_the_problem(tmp_path, runner, fixture, args, named):
     """A missing sampler key, an empty --input, a null band of no resamples, a

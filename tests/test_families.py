@@ -44,6 +44,15 @@ class TestLineGaussian:
         with pytest.raises(ConstructionError, match="no positive sigma"):
             line_gaussian_family(1, 1, -2, -2, 1)
 
+    @pytest.mark.parametrize("signs", [{"p1": True}, {"q2": 1.0}])
+    def test_sign_must_be_an_int(self, signs):
+        with pytest.raises(TypeError, match="expected an int"):
+            line_gaussian_family(1, *REF_COEFFS, **signs)
+
+    def test_sign_out_of_range_named(self):
+        with pytest.raises(ValueError, match="p2 must be \\+1 or -1"):
+            line_gaussian_family(1, *REF_COEFFS, p2=2)
+
     def test_sigma_scale(self):
         fam = line_gaussian_family(1, *REF_COEFFS, sigma_scale=Fraction(3, 2))
         assert tuple(cf.sigma for cf in fam.cfs) == (Fraction(3, 2),) * 3

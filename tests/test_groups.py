@@ -9,8 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cylinderstat.groups import (TWO_PI, CylinderAuto, CylinderPoint, DualPoint,
-                                 compose, pair, reduce_angle)
+from cylinderstat.groups import (TWO_PI, CylinderAuto, CylinderPoint, DualPoint, as_exact,
+                                 as_int, as_rational, compose, pair, reduce_angle)
+from cylinderstat.independence import StatMatrix
+from cylinderstat.serialize import scalar_to_json
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
@@ -152,6 +154,54 @@ class TestComposeInvert:
     def test_bool_and_str_rejected(self, args):
         with pytest.raises(TypeError, match="expected an int, a Fraction or a float"):
             CylinderAuto(*args)
+
+    def test_none_rejected(self):
+        with pytest.raises(TypeError, match="expected an int, a Fraction or a float, got None"):
+            CylinderAuto(None)
+
+    @pytest.mark.parametrize("p", [1.0, True, Fraction(1)])
+    def test_sign_must_be_an_int(self, p):
+        # A float p would make the certificate entries floats.
+        with pytest.raises(TypeError, match="expected an int"):
+            CylinderAuto(2, 0, p)
+        with pytest.raises(TypeError, match="expected an int"):
+            StatMatrix.from_signs([[1, 1], [1, p]])
+
+
+class TestReaders:
+    @pytest.mark.parametrize("value", [True, "1/2", None, 1j, b"1", [1]])
+    def test_as_exact_refuses(self, value):
+        with pytest.raises(TypeError, match="expected an int, a Fraction or a float"):
+            as_exact(value)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_refused(self, value):
+        with pytest.raises(ValueError, match="is not finite"):
+            as_exact(value)
+
+    def test_as_exact_reads(self):
+        assert as_exact(0.1) == Fraction(3602879701896397, 36028797018963968)
+        assert as_exact(Fraction(1, 3)) == Fraction(1, 3)
+        value = as_exact(np.int64(-7))
+        assert value == -7 and type(value) is int
+
+    def test_as_rational_parses_strings_only(self):
+        assert as_rational("-4/5") == Fraction(-4, 5)
+        assert as_rational(3) == 3 and type(as_rational(3)) is int
+        with pytest.raises(ValueError):
+            as_rational("one half")
+        with pytest.raises(TypeError):
+            as_rational(True)
+
+    @pytest.mark.parametrize("value", [True, 2.0, 2.9, Fraction(2), "2", None, np.int64(2)])
+    def test_as_int_refuses(self, value):
+        with pytest.raises(TypeError, match="expected an int"):
+            as_int(value)
+
+    @given(st.integers() | st.fractions())
+    def test_json_roundtrip(self, x):
+        back = as_rational(scalar_to_json(x))
+        assert back == x and type(back) is type(x)
 
 
 class TestPreservesLine:

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from cylinderstat.groups import CylinderAuto
 from cylinderstat.independence import StatMatrix, independence_residual
 from cylinderstat.solenoid import (AdicInteger, BaseSequence, HaRational,
-                                   IncompatibleAutoError, SolenoidAuto,
-                                   adic_add, adic_add_carries, ha_member,
-                                   pullback_residual, rational_dual_grid)
+                                   IncompatibleAutoError, adic_add, adic_add_carries,
+                                   ha_member, pullback_residual, rational_dual_grid,
+                                   validate_auto)
 
 
 @st.composite
@@ -41,6 +41,12 @@ class TestAdicArithmetic:
         base = BaseSequence((2, 3))
         with pytest.raises(ValueError):
             adic_add(AdicInteger((2, 0)), AdicInteger((0, 0)), base)
+
+    def test_non_integers_refused_not_truncated(self):
+        with pytest.raises(TypeError, match="expected an int, got 2.9"):
+            BaseSequence((2.9, 3))
+        with pytest.raises(TypeError, match="expected an int, got 1.7"):
+            AdicInteger((1.7, 0))
 
     @given(base_and_pair())
     @settings(max_examples=150, deadline=None)
@@ -110,22 +116,33 @@ class TestHaMembership:
         assert obj == {"value": "-5/6", "depth": 1}
         assert ha_rational_from_json(obj) == h
 
+    def test_json_depth_must_be_an_int(self):
+        from cylinderstat.serialize import ha_rational_from_json
+        with pytest.raises(TypeError, match="expected an int, got 2.9"):
+            ha_rational_from_json({"value": "1/2", "depth": 2.9})
+
 
 class TestSolenoidAuto:
+    """Which automorphisms (a, c, p) act on the rational dual: `validate_auto`."""
+
     def test_integer_and_unit_fraction_multipliers(self):
         base = BaseSequence.counting(16)
         for a in (Fraction(2), Fraction(-3), Fraction(-4, 5), Fraction(-1, 5)):
-            SolenoidAuto(a, Fraction(0), 1).validate(base, generator_depth=6)
+            validate_auto(CylinderAuto(a, Fraction(0), 1), base, generator_depth=6)
 
     def test_incompatible_multiplier(self):
         base = BaseSequence.constant(2, 16)
         with pytest.raises(IncompatibleAutoError, match="1/7"):
-            SolenoidAuto(Fraction(1, 7), Fraction(0), 1).validate(base)
+            validate_auto(CylinderAuto(Fraction(1, 7), Fraction(0), 1), base)
 
     def test_translation_must_be_member(self):
         base = BaseSequence.constant(2, 16)
         with pytest.raises(IncompatibleAutoError, match="translation"):
-            SolenoidAuto(Fraction(2), Fraction(1, 3), 1).validate(base)
+            validate_auto(CylinderAuto(Fraction(2), Fraction(1, 3), 1), base)
+
+    def test_sign_must_be_an_int(self):
+        with pytest.raises(TypeError, match="expected an int, got True"):
+            CylinderAuto(2, 0, True)
 
     def test_closure_under_multiplier_action(self):
         base = BaseSequence.counting(12)
