@@ -241,12 +241,17 @@ def _log(x) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
+def conditional_circle(cf: CylinderCF) -> TorusCF:
+    """A PSD bundle's circle law given t, less the rotation (kappa/(2*sigma))*t: TorusCF(v,
+    theta, twist) with v = lam - kappa^2/(4*sigma), or lam if sigma = 0."""
+    return TorusCF(Fraction(psd_gap(cf), 4 * cf.sigma) if cf.sigma else cf.lam, cf.theta, cf.twist)
+
+
 def is_valid_probability(cf) -> bool:
     """Whether the cylinder or circle bundle is the CF of a genuine probability measure.
 
     A cylinder bundle needs a PSD form; given the line coordinate, the circle one is
-    then wrapped normal of CF e^{-v*n^2} up to a shift, v = lam - kappa^2/(4*sigma)
-    (lam if sigma = 0), so as the twist acts on it alone, (v, twist) decides.
+    then its `conditional_circle` law, so as the twist acts on it alone, that law decides.
 
     For a circle bundle, with W the wrapped normal of CF e^{-sigma*n^2}, the law
     has the density a*W(x) + b*W(x + pi), rotated by theta, where a = (1 + e^{2t})/2
@@ -262,10 +267,9 @@ def is_valid_probability(cf) -> bool:
     decided.  Raises InconclusiveError when the two sides agree to 1e-9 relative.
     """
     if isinstance(cf, CylinderCF):
-        gap = psd_gap(cf)
-        if gap < 0:
+        if psd_gap(cf) < 0:
             return False
-        cf = TorusCF(Fraction(gap, 4 * cf.sigma) if cf.sigma else cf.lam, 0, cf.twist)
+        cf = conditional_circle(cf)
     if not isinstance(cf, TorusCF):
         raise TypeError("is_valid_probability expects a CylinderCF or a TorusCF")
     if cf.twist <= 0:

@@ -29,12 +29,13 @@ from .independence import (DegenerateFormError, coefficient_conditions,
                            independence_blocks, independence_residual,
                            classify_step_subgroups, reduced_coefficients,
                            support_identity_gap, symmetrized_convolution)
-# Unused here since `check` reads the support gaps with their bounds; the
-# benchmark's tracer still looks this name up in the cli namespace.
-from .independence import nu_support_check  # noqa: F401
-from .montecarlo import (empirical_independence, sample_line_gaussian,
-                         sample_torus_twisted, save_samples_csv)
+from .montecarlo import empirical_independence, sample_bundle, save_samples_csv
 from .solenoid import pullback_residual
+# Unused here, since `check` reads the support gaps with their bounds and `simulate`
+# draws every member with `sample_bundle`; the benchmark's tracer still looks these
+# names up in the cli namespace.
+from .independence import nu_support_check  # noqa: F401
+from .montecarlo import sample_line_gaussian, sample_torus_twisted  # noqa: F401
 
 # What the library raises on bad input.  A fault on valid input (say an
 # AttributeError or an AssertionError) is not listed, so it keeps its traceback.
@@ -302,31 +303,19 @@ def reduce(input_paths, mode, fixture_path, tol, max_degree):
 
 
 def _sample_family(obj: dict, fam: Family, count: int, seed: int):
-    if fam.label == "line-gaussian":
-        if fam.omega is None:
-            raise ValueError('line-gaussian fixture has no "omega" key, which the sampler needs')
-        bounds = _verdict_inputs(obj, fam)[1]
-        for j, member in enumerate(_members(fam, bounds)):
-            if not member["valid"]:
-                raise ValueError(f"member {j} is not a probability measure")
-        samples = []
-        for j, cf in enumerate(cf.cylinder for cf in fam.cfs):
-            if not cf.sigma or abs(psd_gap(cf)) > bounds[("psd", j)]:
-                raise ValueError(f"member {j} is not carried by a line")
-            # Member j is drawn on its own line, of slope kappa_j/(2*sigma_j).
-            slope = Fraction(cf.kappa, 2 * cf.sigma)
-            samples.append(sample_line_gaussian(float(cf.sigma), float(slope), count, seed + j))
-        return samples
-    if fam.kind == "torus":
-        return [sample_torus_twisted(cf, count, seed + j)
-                for j, cf in enumerate(fam.cfs)]
-    raise ValueError(f"fixture family {fam.label!r} is not supported by the sampler")
+    """Member j drawn from its own law with seed + j, on its line when within its bound of one."""
+    bounds = _verdict_inputs(obj, fam)[1]
+    cfs = [_onto_cone_edge(cf, bounds[("psd", j)]) for j, cf in enumerate(fam.cfs)]
+    for j, cf in enumerate(cfs):
+        if not is_valid_probability(cf):
+            raise ValueError(f"member {j} is not a probability measure")
+    return [sample_bundle(cf, count, seed + j) for j, cf in enumerate(cfs)]
 
 
 @main.command()
 @click.option("--fixture", "fixture_path", required=True, type=click.Path(exists=True))
 @click.option("--count", default=100_000, type=int)
-@click.option("--seed", default=0, type=int)
+@click.option("--seed", default=0, type=click.IntRange(min=0))
 @click.option("--bootstrap", default=200, type=click.IntRange(min=1))
 @click.option("--samples-out", "samples_dir", type=click.Path(), default=None,
               help="Directory for per-variable sample CSVs (t, theta).")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charfn import CylinderCF, TorusCF, Z2SignedMeasure, is_valid_probability
-from .groups import CylinderAuto, as_int, as_rational
+from .groups import CylinderAuto, as_int, as_rational, named
 from .independence import (StatMatrix, family_kind, independence_blocks, nonzero_blocks,
                            solve_sigmas)
 
@@ -69,7 +69,7 @@ def line_gaussian_family(omega, a1, a2, b1, b2, p1=1, p2=1, q1=1, q2=1,
     omega, a1, a2, b1, b2, scale = (Fraction(as_rational(v))
                                     for v in (omega, a1, a2, b1, b2, sigma_scale))
     for name, sign in (("p1", p1), ("p2", p2), ("q1", q1), ("q2", q2)):
-        if as_int(sign) not in (1, -1):
+        if named(name, as_int, sign) not in (1, -1):
             raise ValueError(f"{name} must be +1 or -1")
     if scale <= 0:
         raise ValueError("sigma_scale must be positive")

@@ -11,7 +11,8 @@ same (a, c, p) triple.
 
 Scalars on the dual side are ints and Fractions, so all algebra stays exact,
 which is what the algebraic checkers rely on.  Every module reads its numbers
-through the three readers here:
+through the three readers here, run by `named` where a refusal should name the
+field read:
 
   * `as_exact` - an int or a Fraction as itself, a finite float as the dyadic
     rational it is, a numpy integer as an int; it refuses a bool, a str, None,
@@ -58,6 +59,14 @@ def as_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an int, got {value!r}")
     return value
+
+
+def named(name: str, read, value):
+    """read(value), a TypeError or ValueError it raises led by `name`."""
+    try:
+        return read(value)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{name}: {exc}") from None
 
 
 def reduce_angle(theta) -> float:

@@ -1,8 +1,11 @@
 """Sampling the constructed distributions and empirical independence checks.
 
-Sampling is chunked with per-chunk seeds derived from the sample index, so a
-given (seed, count) pair yields a bit-identical stream no matter how the work
-is scheduled.  The empirical independence check estimates
+`sample_bundle` draws any valid bundle from its own law: the line coordinate
+t, then the circle coordinate given t, which is the `conditional_circle` law
+rotated by (kappa/(2*sigma))*t; shifts and twists included.  Sampling is chunked
+with per-chunk seeds derived from the sample index, so a given (seed, count)
+pair yields a bit-identical stream no matter how the work is scheduled.  The
+empirical independence check estimates
 
     | E prod_i (L_i, y_i) - prod_i E (L_i, y_i) |
 
@@ -27,9 +30,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .charfn import TorusCF, is_valid_probability
-from .groups import TWO_PI, CylinderPoint, DualPoint
+from .charfn import CylinderCF, TorusCF, conditional_circle, is_valid_probability
+from .groups import TWO_PI, CylinderPoint, DualPoint, as_exact
 from .independence import StatMatrix
 
 # numpy is imported inside each function that uses it: the package imports
@@ -70,34 +74,6 @@ def _chunk_generators(seed: int, count: int):
     return [(np.random.default_rng(s), size) for s, size in zip(seqs, sizes)]
 
 
-def sample_line_gaussian(sigma, omega, count: int, seed: int,
-                         shift: CylinderPoint = None) -> SampleSet:
-    """Draws from the Gaussian carried by the line {(t, omega*t)}, plus a shift.
-
-    t is normal with mean 0 and variance 2*sigma, which makes the empirical
-    CF converge to exp(-sigma*(s + omega*n)^2); theta = omega*t exactly, so
-    every sample sits on the line before shifting.
-    """
-    import numpy as np
-
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    sigma = float(sigma)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    std = math.sqrt(2.0 * sigma)
-    if not math.isfinite(std):
-        raise ValueError(f"sigma {sigma!r} is too large to sample")
-    parts = [rng.normal(0.0, std, size) for rng, size in _chunk_generators(seed, count)]
-    t = np.concatenate(parts)
-    with np.errstate(over="raise"):  # FloatingPointError for a huge omega
-        theta = float(omega) * t
-    if shift is not None:
-        t = t + shift.t
-        theta = theta + shift.theta
-    return SampleSet(t, theta)
-
-
 def fourier_density(cf: TorusCF, truncation: int, grid_points: int):
     """(angles, density, imaginary part) of a circle bundle by Fourier inversion.
 
@@ -115,14 +91,37 @@ def fourier_density(cf: TorusCF, truncation: int, grid_points: int):
     return angles, sums.real / TWO_PI, sums.imag / TWO_PI
 
 
-def sample_torus_twisted(cf: TorusCF, count: int, seed: int) -> SampleSet:
-    """Inverse-CDF draws from a valid twisted circle bundle.
+def _circle_draws(cf: TorusCF, u) -> np.ndarray:
+    """Inverse-CDF draws at the uniforms u from a valid circle bundle that is not a point mass.
 
-    The sigma = 0 laws (a point mass, or two point masses at theta and
-    theta + pi) are sampled exactly.  Otherwise the density comes from Fourier
-    inversion at 4096 angles over the modes |n| <= sqrt(30/sigma) + 4, past
-    which e^{-sigma*n^2} is below 1e-12, and never fewer than 64.  Raises
-    ValueError when that needs more than 512 modes.
+    Two point masses at theta and theta + pi (sigma = 0) are drawn exactly.
+    Otherwise the density comes from Fourier inversion at 4096 angles over the
+    modes |n| <= sqrt(30/sigma) + 4, past which e^{-sigma*n^2} is below 1e-12,
+    and never fewer than 64.  Raises ValueError when that needs more than 512 modes.
+    """
+    import numpy as np
+
+    if cf.sigma == 0:
+        p1 = (1.0 + math.exp(2.0 * float(cf.twist))) / 2.0
+        return np.where(u < p1, float(cf.theta), float(cf.theta) + math.pi)
+    reach = math.sqrt(30.0 / float(min(cf.sigma, 1)))  # 64 modes serve every sigma >= 1/120
+    if reach > 508:
+        raise ValueError(f"circle sigma {float(cf.sigma):g} is too small to sample: its density "
+                         f"needs more than 512 Fourier modes")
+    grid = 4096
+    angles, density, _ = fourier_density(cf, max(64, math.ceil(reach) + 4), grid)
+    cdf = np.concatenate([[0.0], np.cumsum(np.clip(density, 0.0, None) * (TWO_PI / grid))])
+    cdf /= cdf[-1]
+    return np.interp(u, cdf, np.concatenate([angles, [TWO_PI]]))
+
+
+def sample_bundle(cf, count: int, seed: int) -> SampleSet:
+    """Draws from a valid cylinder bundle, or from a circle bundle through `cf.cylinder`.
+
+    t is normal with mean 0 and variance 2*sigma, so that the empirical CF tends
+    to exp(-sigma*s^2), or 0 when sigma = 0.  theta is (kappa/(2*sigma))*t plus a
+    draw of the `conditional_circle` law, from uniforms that each chunk's
+    generator gives after its normals; a point mass takes none.  Then tau is added to t.
     """
     import numpy as np
 
@@ -130,21 +129,39 @@ def sample_torus_twisted(cf: TorusCF, count: int, seed: int) -> SampleSet:
         raise ValueError("count must be >= 1")
     if not is_valid_probability(cf):
         raise ValueError(f"not a probability measure: {cf}")
-    u = np.concatenate([rng.random(size) for rng, size in _chunk_generators(seed, count)])
-    if cf.sigma == 0:
-        theta0 = float(cf.theta)
-        p1 = (1.0 + math.exp(2.0 * float(cf.twist))) / 2.0
-        return SampleSet(np.zeros(count), np.where(u < p1, theta0, theta0 + math.pi))
-    reach = math.sqrt(30.0 / float(min(cf.sigma, 1)))  # 64 modes serve every sigma >= 1/120
-    if reach > 508:
-        raise ValueError(f"sigma {float(cf.sigma):g} is too small to sample: its density needs "
-                         f"more than 512 Fourier modes")
-    grid = 4096
-    angles, density, _ = fourier_density(cf, max(64, math.ceil(reach) + 4), grid)
-    cdf = np.concatenate([[0.0], np.cumsum(np.clip(density, 0.0, None) * (TWO_PI / grid))])
-    cdf /= cdf[-1]
-    theta = np.interp(u, cdf, np.concatenate([angles, [TWO_PI]]))
-    return SampleSet(np.zeros(count), theta)
+    cf = cf.cylinder
+    circle = conditional_circle(cf)
+    point = circle.sigma == 0 and circle.twist == 0
+    std = math.sqrt(2.0 * float(cf.sigma))
+    if not math.isfinite(std):
+        raise ValueError(f"sigma {float(cf.sigma)!r} is too large to sample")
+    t, u = np.zeros(count), np.empty(0 if point else count)
+    for k, (rng, size) in enumerate(_chunk_generators(seed, count)):
+        rows = slice(k * _CHUNK, k * _CHUNK + size)
+        if cf.sigma:
+            t[rows] = rng.normal(0.0, std, size)
+        if not point:
+            u[rows] = rng.random(size)
+    offset = float(circle.theta) if point else _circle_draws(circle, u)
+    with np.errstate(over="raise"):  # FloatingPointError for a huge slope or shift
+        theta = float(Fraction(cf.kappa, 2 * cf.sigma)) * t if cf.sigma else np.zeros(count)
+        theta += offset
+        t += float(cf.tau)
+    return SampleSet(t, theta)
+
+
+def sample_line_gaussian(sigma, omega, count: int, seed: int,
+                         shift: CylinderPoint = None) -> SampleSet:
+    """`sample_bundle` of the Gaussian of CF exp(-sigma*(s + omega*n)^2), shifted."""
+    sigma, omega = as_exact(sigma), as_exact(omega)
+    shift = shift or CylinderPoint(0, 0)
+    return sample_bundle(CylinderCF(sigma, 2 * sigma * omega, sigma * omega * omega,
+                                    shift.t, shift.theta), count, seed)
+
+
+def sample_torus_twisted(cf: TorusCF, count: int, seed: int) -> SampleSet:
+    """`sample_bundle` of a twisted circle bundle."""
+    return sample_bundle(cf, count, seed)
 
 
 def empirical_cf(samples: SampleSet, y) -> complex:
@@ -152,12 +169,9 @@ def empirical_cf(samples: SampleSet, y) -> complex:
     import numpy as np
 
     if isinstance(y, DualPoint):
-        s, n = float(y.s), y.n
-    elif isinstance(y, tuple):
-        s, n = float(y[0]), int(y[1])
-    else:
-        s, n = 0.0, int(y)
-    return complex(np.exp(1j * (s * samples.t + n * samples.theta)).mean())
+        y = (y.s, y.n)
+    s, n = y if isinstance(y, tuple) else (0, y)
+    return complex(np.exp(1j * (float(s) * samples.t + int(n) * samples.theta)).mean())
 
 
 def statistic_samples(samples, matrix: StatMatrix):
@@ -170,8 +184,7 @@ def statistic_samples(samples, matrix: StatMatrix):
 
     if len(samples) != matrix.n:
         raise ValueError(f"need {matrix.n} sample sets, got {len(samples)}")
-    counts = {s.count for s in samples}
-    if len(counts) != 1:
+    if len({s.count for s in samples}) != 1:
         raise ValueError("sample sets must have equal counts")
     out = []
     with np.errstate(over="raise", invalid="raise"):
@@ -199,14 +212,10 @@ def default_probes(n_slots: int, kind: str = "cylinder", count: int = 16,
         raise ValueError(f"count {count} exceeds the {len(base) ** n_slots} distinct "
                          f"{kind} probes of {n_slots} slots")
     rng = np.random.default_rng(seed)
-    probes = []
-    seen = set()
+    probes = {}  # a dict keeps the first draw of each tuple, in order
     while len(probes) < count:
-        tup = tuple(base[int(rng.integers(len(base)))] for _ in range(n_slots))
-        if tup not in seen:
-            seen.add(tup)
-            probes.append(tup)
-    return probes
+        probes.setdefault(tuple(base[int(rng.integers(len(base)))] for _ in range(n_slots)))
+    return list(probes)
 
 
 # Rows per block of the character pass: its work arrays hold about

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .charfn import CylinderCF, TorusCF
 from .families import Family
-from .groups import CylinderAuto, as_int, as_rational
+from .groups import CylinderAuto, as_int, as_rational, named
 from .independence import StatMatrix
 from .solenoid import BaseSequence, HaRational
 
@@ -37,8 +37,13 @@ def auto_to_json(e: CylinderAuto) -> dict:
     return {"a": scalar_to_json(e.a), "c": scalar_to_json(e.c), "p": e.p}
 
 
+def _field(obj: dict, key: str, read=scalar_from_json, default=None):
+    """read(obj[key]), or read(default) for an absent key given a default; a refusal names it."""
+    return named(f'"{key}"', read, obj[key] if default is None else obj.get(key, default))
+
+
 def auto_from_json(obj: dict) -> CylinderAuto:
-    return CylinderAuto(scalar_from_json(obj["a"]), scalar_from_json(obj["c"]), obj["p"])
+    return CylinderAuto(_field(obj, "a"), _field(obj, "c"), _field(obj, "p", as_int))
 
 
 def cf_to_json(cf) -> dict:
@@ -68,20 +73,11 @@ def cf_from_json(obj: dict, where: str = "CF entry", scalar=scalar_from_json):
         raise TypeError(f"{where} must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "cylinder":
-        return CylinderCF(
-            scalar(obj["sigma"]),
-            scalar(obj.get("kappa", 0)),
-            scalar(obj.get("lambda", 0)),
-            scalar(obj.get("tau", 0)),
-            scalar(obj.get("theta", 0)),
-            scalar(obj.get("twist", 0)),
-        )
+        rest = ("kappa", "lambda", "tau", "theta", "twist")
+        return CylinderCF(_field(obj, "sigma", scalar), *(_field(obj, k, scalar, 0) for k in rest))
     if kind == "torus":
-        return TorusCF(
-            scalar(obj["sigma"]),
-            scalar(obj.get("theta", 0)),
-            scalar(obj.get("twist", 0)),
-        )
+        rest = ("theta", "twist")
+        return TorusCF(_field(obj, "sigma", scalar), *(_field(obj, k, scalar, 0) for k in rest))
     raise ValueError(f"unknown CF kind: {kind!r}")
 
 
@@ -108,7 +104,7 @@ def family_to_fixture(family: Family) -> dict:
 def family_from_fixture(obj: dict) -> Family:
     matrix = matrix_from_json(obj["matrix"])
     cfs = tuple(cf_from_json(cf, f"cfs[{j}]") for j, cf in enumerate(obj["cfs"]))
-    omega = scalar_from_json(obj["omega"]) if "omega" in obj else None
+    omega = _field(obj, "omega") if "omega" in obj else None
     family = Family(obj.get("family", "custom"), matrix, cfs, omega=omega)
     if family.kind != obj.get("kind"):
         raise ValueError(f"fixture kind {obj.get('kind')!r} disagrees with its "

@@ -21,8 +21,10 @@ for pathological bases.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .groups import CylinderAuto, DualPoint, as_exact, as_int
 from .independence import DEFAULT_N, DualGrid, StatMatrix, independence_residual
@@ -45,12 +47,7 @@ class BaseSequence:
         if any(a <= 1 for a in entries):
             raise ValueError("all base entries must be > 1")
         object.__setattr__(self, "entries", entries)
-        prods = []
-        acc = 1
-        for a in entries:
-            acc *= a
-            prods.append(acc)
-        object.__setattr__(self, "_products", tuple(prods))
+        object.__setattr__(self, "_products", tuple(accumulate(entries, operator.mul)))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -102,12 +99,7 @@ class AdicInteger:
 
     def to_int(self, base: BaseSequence) -> int:
         """The integer sum(d_k * a_0*...*a_{k-1}), i.e. the value mod the full product."""
-        total = 0
-        weight = 1
-        for d, a in zip(self.digits, base.entries):
-            total += d * weight
-            weight *= a
-        return total
+        return sum(d * w for d, w in zip(self.digits, (1, *base._products)))
 
 
 def adic_add_carries(x: AdicInteger, y: AdicInteger, base: BaseSequence):

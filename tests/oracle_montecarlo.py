@@ -12,6 +12,10 @@ mode count followed sigma, with the Fourier validity check of
 `oracle_charfn`: at the same mode count the library must draw bit-equal
 samples.
 
+`oracle_sample_line_gaussian` is the line sampler as it was before every
+member was drawn from its own bundle: on a member carried by a line the
+library must draw bit-equal samples.
+
 `oracle_fourier_density` is the Fourier inversion as one phase table over
 every angle; the library sums it over blocks of angles and must give equal
 arrays.
@@ -21,7 +25,7 @@ import math
 
 import numpy as np
 
-from cylinderstat.groups import TWO_PI
+from cylinderstat.groups import TWO_PI, CylinderPoint
 from cylinderstat.independence import StatMatrix
 from cylinderstat.montecarlo import (SampleSet, _chunk_generators, default_probes,
                                      statistic_samples)
@@ -34,6 +38,32 @@ def oracle_fourier_density(cf, truncation: int, grid_points: int):
     angles = np.linspace(0.0, TWO_PI, grid_points, endpoint=False)
     sums = (coeffs[None, :] * np.exp(-1j * np.outer(angles, ns))).sum(axis=1)
     return angles, sums.real / TWO_PI, sums.imag / TWO_PI
+
+
+def oracle_sample_line_gaussian(sigma, omega, count: int, seed: int,
+                                shift: CylinderPoint = None) -> SampleSet:
+    """Draws from the Gaussian carried by the line {(t, omega*t)}, plus a shift.
+
+    t is normal with mean 0 and variance 2*sigma, which makes the empirical
+    CF converge to exp(-sigma*(s + omega*n)^2); theta = omega*t exactly, so
+    every sample sits on the line before shifting.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    sigma = float(sigma)
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    std = math.sqrt(2.0 * sigma)
+    if not math.isfinite(std):
+        raise ValueError(f"sigma {sigma!r} is too large to sample")
+    parts = [rng.normal(0.0, std, size) for rng, size in _chunk_generators(seed, count)]
+    t = np.concatenate(parts)
+    with np.errstate(over="raise"):  # FloatingPointError for a huge omega
+        theta = float(omega) * t
+    if shift is not None:
+        t = t + shift.t
+        theta = theta + shift.theta
+    return SampleSet(t, theta)
 
 
 def _torus_inverse_cdf(cf, truncation: int, grid: int):

@@ -359,6 +359,28 @@ class TestSimulate:
                                       "--bootstrap", "60"])
         assert result.exit_code == 0, result.output
 
+    def test_omega_is_informational(self, ref_fixture_path, tmp_path, runner):
+        # Each member is drawn from its own bundle, so "omega" changes no sample.
+        fixture = {k: v for k, v in load(ref_fixture_path).items() if k != "omega"}
+        args = ["--count", "2000", "--bootstrap", "5"]
+        with_omega, without = (
+            dict(json.loads(runner.invoke(main, ["simulate", "--fixture", path, *args]).stdout),
+                 fixture=None)
+            for path in (ref_fixture_path, write_json(tmp_path / "f.json", fixture)))
+        assert with_omega == without
+
+    def test_member_shift_is_sampled(self, ref_fixture_path, tmp_path, runner):
+        # Member 0 shifted by (tau, theta) = (3, 1): its samples carry the shift.
+        fixture = load(ref_fixture_path)
+        fixture["cfs"][0].update(tau=3, theta=1)
+        result = runner.invoke(main, ["simulate", "--fixture",
+                                      write_json(tmp_path / "f.json", fixture),
+                                      "--count", "20000", "--samples-out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        t, theta = np.loadtxt(tmp_path / "xi1.csv", delimiter=",", skiprows=1).T
+        assert abs(np.angle(np.exp(1j * theta).mean()) - 1) <= 0.05
+        assert abs(t.mean() - 3) <= 0.05
+
 
 class TestSolenoid:
     def test_flat_fixture_passes(self, tmp_path, runner):
@@ -687,8 +709,6 @@ def _table_fixture(name: str) -> dict:
         return dict(REF_PARAMS, p1=True)
     if name == "reference-params-q2-float":
         return dict(REF_PARAMS, q2=1.0)
-    if name == "off-line-reference":  # member 0 off the carrying line: check exits 1
-        return dict(ref, cfs=[dict(ref["cfs"][0], kappa=0, **{"lambda": 5}), *ref["cfs"][1:]])
     raise ValueError(name)
 
 
@@ -749,7 +769,7 @@ def _reject_constant(name):
     ("reference", ["solenoid", "--base", "@base-with-unit-entry", "--depth", "2"], 2, None),
     ("reference", ["solenoid", "--base", "@base-without-key", "--depth", "2"], 2, None),
     ("reference", ["solenoid", "--base", "@base-string", "--depth", "2"], 2, None),
-    ("reference-without-omega", ["simulate", "--count", "2000", "--bootstrap", "5"], 2, None),
+    ("reference-without-omega", ["simulate", "--count", "2000", "--bootstrap", "5"], 0, None),
     ("huge-exact-theta-reference", ["check"], 2, None),
     ("integer-cfs", ["check"], 2, None),
     (None, ["reduce", "--mode", "degree", "--input", "@csv-without-re-im"], 2, None),
@@ -780,7 +800,6 @@ def _reject_constant(name):
     ("reference", ["solenoid", "--base", "@base-with-float-entry", "--depth", "2"], 2, None),
     ("reference-params-p1-true", ["construct", "-f", "line-gaussian"], 2, None),
     ("reference-params-q2-float", ["construct", "-f", "line-gaussian"], 2, None),
-    ("off-line-reference", ["simulate", "--count", "2000", "--bootstrap", "5"], 2, None),
 ])
 def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     """Malformed or extreme inputs get their contract exit code and never a traceback.
@@ -815,26 +834,29 @@ def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
 
 
 @pytest.mark.parametrize("fixture,args,named", [
-    ("reference-without-omega", ["simulate", "--count", "2000", "--bootstrap", "5"], '"omega"'),
+    ("reference", ["simulate", "--count", "2000", "--bootstrap", "5", "--seed", "-1"], "--seed"),
     (None, ["reduce", "--mode", "degree", "--input", ","], "--input"),
     ("reference", ["simulate", "--count", "2000", "--bootstrap", "0"], "--bootstrap"),
     (None, ["reduce", "--mode", "profile", "--tol", "nan", "--input", "@csv-odd-quartic"], "tol"),
     (None, ["reduce", "--mode", "degree", "--max-degree", "-1",
             "--input", "@csv-odd-quartic"], "max_deg"),
     ("tiny-sigma-pair", ["simulate", "--count", "2000", "--bootstrap", "5"], "sigma"),
-    ("off-line-reference", ["simulate", "--count", "2000", "--bootstrap", "5"],
-     "member 0 is not carried by a line"),
+    ("reference-p-true", ["check"], '"p": expected an int, got True'),
+    ("reference-params-p1-true", ["construct", "-f", "line-gaussian"],
+     "p1: expected an int, got True"),
 ])
 def test_input_error_names_the_problem(tmp_path, runner, fixture, args, named):
-    """A missing sampler key, an empty --input, a null band of no resamples, a
-    tolerance or degree bound out of range and a sigma too small to sample exit 2.
+    """A negative seed, an empty --input, a null band of no resamples, a tolerance
+    or degree bound out of range, a sigma too small to sample and a sign that is
+    not a JSON integer, in a fixture or in params, exit 2.
 
     The one stderr line names the key or option at fault.
     """
     args = [_write_table_input(tmp_path, a[1:]) if a.startswith("@") else a for a in args]
     if fixture is not None:
-        args = [args[0], "--fixture", write_json(tmp_path / "fixture.json",
-                                                 _table_fixture(fixture)), *args[1:]]
+        path = write_json(tmp_path / "fixture.json", _table_fixture(fixture))
+        args = ([*args, "--params", path, "--out", str(tmp_path / "out.json")]
+                if args[0] == "construct" else [args[0], "--fixture", path, *args[1:]])
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert result.stdout == "" and result.stderr.count("\n") == 1, result.output

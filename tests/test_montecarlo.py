@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,19 +13,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cylinderstat import montecarlo
-from cylinderstat.charfn import TorusCF
+from cylinderstat.charfn import CylinderCF, TorusCF
 from cylinderstat.families import four_statistic_family
 from cylinderstat.groups import TWO_PI, CylinderAuto, CylinderPoint, DualPoint
 from cylinderstat.independence import StatMatrix
 from cylinderstat.montecarlo import (_CYL_PROBE_BASE, _TOR_PROBE_BASE, SampleSet,
                                      empirical_cf, empirical_independence,
-                                     default_probes, fourier_density, sample_line_gaussian,
-                                     sample_torus_twisted, save_samples_csv,
-                                     statistic_samples)
+                                     default_probes, fourier_density, sample_bundle,
+                                     sample_line_gaussian, sample_torus_twisted,
+                                     save_samples_csv, statistic_samples)
 from oracle_montecarlo import _probe_characters as oracle_probe_characters
 from oracle_montecarlo import (oracle_empirical_independence, oracle_fourier_density,
                                oracle_null_differences, oracle_null_maxima,
-                               oracle_sample_torus_twisted)
+                               oracle_sample_line_gaussian, oracle_sample_torus_twisted)
 
 
 class TestLineSampler:
@@ -131,6 +132,81 @@ class TestTorusSampler:
     def test_too_small_sigma_named(self):
         with pytest.raises(ValueError, match="sigma 1e-06 is too small"):
             sample_torus_twisted(TorusCF(1e-6, 0, 0), 10, seed=0)
+
+
+def _line_member(sigma, omega, tau=0, theta=0):
+    """The bundle of the Gaussian exp(-sigma*(s + omega*n)^2), shifted by (tau, theta)."""
+    return CylinderCF(sigma, 2 * sigma * omega, sigma * omega * omega, tau, theta)
+
+
+class TestBundleSampler:
+    @pytest.mark.parametrize("sigma,omega,shift", [
+        (1, 1, None),
+        (Fraction(1, 3), Fraction(-7, 5), None),
+        (2, 0, CylinderPoint(-1.5, 5.0)),
+        (Fraction(5, 2), Fraction(1, 3), CylinderPoint(3.0, 1.0)),
+        (0.75, 0.5, CylinderPoint(1e-3, 7.0)),
+    ])
+    def test_line_members_match_oracle(self, sigma, omega, shift):
+        # Two chunks of the seeded stream, on the line and off the origin.
+        tau, theta = (shift.t, shift.theta) if shift else (0, 0)
+        got = sample_bundle(_line_member(sigma, omega, tau, theta), 20_000, seed=3)
+        want = oracle_sample_line_gaussian(float(sigma), float(omega), 20_000, seed=3,
+                                           shift=shift)
+        assert np.array_equal(got.t, want.t) and np.array_equal(got.theta, want.theta)
+
+    def test_reference_members_match_oracle(self, ref_family):
+        for j, cf in enumerate(ref_family.cfs):
+            got = sample_bundle(cf, 5000, seed=80 + j)
+            want = oracle_sample_line_gaussian(float(cf.sigma), 1.0, 5000, seed=80 + j)
+            assert np.array_equal(got.t, want.t) and np.array_equal(got.theta, want.theta)
+
+    @pytest.mark.parametrize("cf", [
+        TorusCF(1, 0, 0.05),
+        TorusCF(0.8, 0.5, 0.03),
+        TorusCF(Fraction(1, 120), 2, Fraction(-1, 10)),
+        TorusCF(1e300, 1, 0.5),
+        TorusCF(0, 1.25, 0),
+        TorusCF(0, 0.5, -0.3),
+    ])
+    def test_circle_members_match_oracle(self, cf):
+        want = oracle_sample_torus_twisted(cf, 20_000, seed=3)
+        for member in (cf, cf.cylinder):
+            got = sample_bundle(member, 20_000, seed=3)
+            assert np.array_equal(got.t, want.t) and np.array_equal(got.theta, want.theta)
+
+    def test_uniforms_follow_the_normals(self):
+        # A twist leaves each chunk's normals, drawn first, as the line sampler's.
+        member = replace(_line_member(1, 1), twist=Fraction(-1, 10))
+        got = sample_bundle(member, 20_000, seed=5)
+        assert np.array_equal(got.t, oracle_sample_line_gaussian(1, 1, 20_000, seed=5).t)
+
+    @pytest.mark.parametrize("member", [
+        CylinderCF(1, 2, 1, 3, 1),
+        CylinderCF(1, 2, 1, 3, 1, Fraction(-1, 10)),
+        CylinderCF(1, 0, 5, 3, 1),
+        CylinderCF(1, 1, 1, 0, 0, Fraction(1, 20)),
+    ], ids=["shifted", "shifted-twisted", "off-line", "twisted-full"])
+    def test_empirical_cf_is_the_bundle(self, member):
+        """The reference member 0 (sigma 1, kappa 2, lambda 1) shifted by (3, 1), the same
+        with twist -1/10 and with kappa 0 and lambda 5, and a twisted full-rank bundle.
+
+        An empirical CF is a mean of N unit-modulus terms, so its error has a
+        standard deviation of at most 1/sqrt(N); the bound is 4 of those.
+        """
+        count = 200_000
+        s = sample_bundle(member, count, seed=11)
+        worst = max(abs(empirical_cf(s, (x, n)) - member.eval((x, n)))
+                    for x in (0.0, 0.5, -1.0) for n in range(-2, 3))
+        assert worst <= 4 / math.sqrt(count)
+
+    def test_point_mass_draws_nothing(self):
+        s = sample_bundle(CylinderCF(0, tau=2, theta=1.5), 10, seed=0)
+        assert np.all(s.t == 2.0) and np.all(s.theta == 1.5)
+
+    def test_invalid_member_refused(self):
+        with pytest.raises(ValueError, match="not a probability measure"):
+            sample_bundle(CylinderCF(1, 3, 1), 10, seed=0)
 
 
 class TestEmpiricalIndependence:
