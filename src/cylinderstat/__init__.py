@@ -9,17 +9,16 @@ systems it forces, finite-difference structure detection, explicit verified
 families, exact a-adic arithmetic, and Monte-Carlo corroboration.
 """
 
-from .charfn import (CylinderCF, InconclusiveError, TorusCF, Z2SignedMeasure,
-                     classify_support, convolve, is_gaussian,
-                     is_valid_probability, reflect, support_line, symmetrize,
-                     transform)
+from .charfn import (CylinderCF, InconclusiveError, TorusCF, classify_support,
+                     convolve, is_gaussian, is_valid_probability, reflect,
+                     support_line, symmetrize, transform)
 from .families import (ConstructionError, Family, four_statistic_family,
                        line_gaussian_family, torus_triple_verdict,
-                       twisted_torus_pair, z2_signed_measure)
+                       twisted_torus_pair)
 from .fdiff import (GridFunction, OffGridError, ProfileError, ProfileFit,
                     delta, fit_quadratic_profile, polynomial_degree,
-                    verify_cross_linearity, verify_triple_differences)
-from .groups import (CylinderAuto, CylinderPoint, DualPoint, compose, pair)
+                    verify_triple_differences)
+from .groups import CylinderAuto, CylinderPoint, DualPoint, pair
 from .independence import (ConditionReport, DegenerateFormError,
                            SingularSystemError, StatMatrix, StepSubgroups,
                            SubgroupTag, classify_step_subgroups,
@@ -29,9 +28,8 @@ from .independence import (ConditionReport, DegenerateFormError,
                            solve_sigmas)
 from .montecarlo import (SampleSet, empirical_cf, empirical_independence,
                          sample_line_gaussian, sample_torus_twisted)
-from .solenoid import (AdicInteger, BaseSequence, HaRational,
-                       IncompatibleAutoError, adic_add, adic_add_carries,
-                       ha_member, pullback_residual)
+from .solenoid import (AdicInteger, BaseSequence, IncompatibleAutoError,
+                       adic_add, adic_add_carries, ha_member, pullback_residual)
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,4 @@
-"""Characteristic functions in closed parametric form on R x T, T, and Z(2).
+"""Characteristic functions in closed parametric form on R x T and T.
 
 Everything here is a log-characteristic-function parameter bundle:
 
@@ -125,36 +125,6 @@ class TorusCF:
         return self.cylinder.eval((0, n))
 
 
-@dataclass(frozen=True)
-class Z2SignedMeasure:
-    """Signed measure on {+1, -1} in the circle, total mass one.
-
-    Its characteristic function is n -> p1 + pm1*(-1)^n, which equals
-    exp(twist*(1 - (-1)^n)) for p1 = (1 + e^{2*twist})/2, pm1 = (1 - e^{2*twist})/2.
-    """
-
-    p1: Fraction
-    pm1: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "p1", as_exact(self.p1))
-        object.__setattr__(self, "pm1", as_exact(self.pm1))
-        if self.p1 + self.pm1 != 1:
-            raise ValueError(f"masses must sum to 1, got {self.p1 + self.pm1}")
-
-    @classmethod
-    def from_twist(cls, twist) -> "Z2SignedMeasure":
-        """The masses for e^{2*twist} rounded to a float; they sum to one exactly."""
-        e = Fraction(math.exp(2.0 * float(twist))) if twist != 0 else 1
-        return cls(Fraction(1 + e, 2), Fraction(1 - e, 2))
-
-    def cf_value(self, n: int):
-        return self.p1 + self.pm1 * (-1) ** (n % 2)
-
-    def is_signed(self) -> bool:
-        return self.p1 < 0 or self.pm1 < 0
-
-
 def _cylinders(verb: str, *cfs) -> list:
     """The cylinder bundles of `cfs`, which must all be CylinderCF or all TorusCF."""
     if len({type(cf) for cf in cfs}) != 1 or not isinstance(cfs[0], (CylinderCF, TorusCF)):
@@ -168,12 +138,7 @@ def _like(cf, out: CylinderCF):
 
 
 def convolve(cf1, cf2):
-    """CF of the convolution: parameters add componentwise (masses multiply on Z(2))."""
-    if isinstance(cf1, Z2SignedMeasure) and isinstance(cf2, Z2SignedMeasure):
-        return Z2SignedMeasure(
-            cf1.p1 * cf2.p1 + cf1.pm1 * cf2.pm1,
-            cf1.p1 * cf2.pm1 + cf1.pm1 * cf2.p1,
-        )
+    """CF of the convolution: parameters add componentwise."""
     a, b = _cylinders("convolve", cf1, cf2)
     return _like(cf1, CylinderCF(
         a.sigma + b.sigma,

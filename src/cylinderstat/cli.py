@@ -314,7 +314,7 @@ def _sample_family(obj: dict, fam: Family, count: int, seed: int):
 
 @main.command()
 @click.option("--fixture", "fixture_path", required=True, type=click.Path(exists=True))
-@click.option("--count", default=100_000, type=int)
+@click.option("--count", default=100_000, type=click.IntRange(min=1))
 @click.option("--seed", default=0, type=click.IntRange(min=0))
 @click.option("--bootstrap", default=200, type=click.IntRange(min=1))
 @click.option("--samples-out", "samples_dir", type=click.Path(), default=None,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charfn import CylinderCF, TorusCF, Z2SignedMeasure, is_valid_probability
+from .charfn import CylinderCF, TorusCF, is_valid_probability
 from .groups import CylinderAuto, as_int, as_rational, named
 from .independence import (StatMatrix, family_kind, independence_blocks, nonzero_blocks,
                            solve_sigmas)
@@ -154,11 +154,6 @@ def four_statistic_family(sigma, kappa) -> Family:
                                     (("+twist", cf_plus), ("-twist", cf_minus)))
 
 
-def z2_signed_measure(kappa) -> Z2SignedMeasure:
-    """The measure on {+-1} with CF exp(kappa*(1 - (-1)^n)); signed when kappa != 0."""
-    return Z2SignedMeasure.from_twist(kappa)
-
-
 TRIPLE_SIGNS = ((1, 1, 1), (1, -1, 1), (-1, 1, 1))
 
 
@@ -171,37 +166,20 @@ class TriadVerdict:
     only_degenerate: bool
 
 
-def _solve3_exact(rows, rhs):
-    """Gaussian elimination over Fractions for a 3x3 system; None when singular."""
-    m = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(3):
-        piv = next((r for r in range(col, 3) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col]
-        m[col] = [v / inv for v in m[col]]
-        for r in range(3):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
-    return tuple(m[r][3] for r in range(3))
-
-
 def torus_triple_verdict() -> TriadVerdict:
     """Solve the variance balance forced by three sign statistics on the circle.
 
-    Pairwise sum/difference reductions force sigma1 + sigma3 = sigma2,
-    sigma2 + sigma3 = sigma1 and sigma1 + sigma2 = sigma3; the system is
-    nonsingular, so the only solution is (0, 0, 0): every member is
-    degenerate.
+    The circle entries C_ik[1][1]/2 of the certificate are linear in the member
+    variances, and member j alone at variance 1 gives column j of the system:
+    sigma1 + sigma3 = sigma2, sigma2 + sigma3 = sigma1, sigma1 + sigma2 = sigma3.
+    Its determinant is nonzero, so the only solution is (0, 0, 0): every member
+    is degenerate.
     """
-    rows = ((1, -1, 1), (-1, 1, 1), (1, 1, -1))
-    solution = _solve3_exact(rows, (0, 0, 0))
-    if solution is None:
+    matrix = StatMatrix.from_signs(TRIPLE_SIGNS)
+    (a, b, c), (d, e, f), (g, h, i) = (
+        [Fraction(c11, 2) for _, (_, c11) in
+         independence_blocks([TorusCF(int(j == m)) for m in range(3)], matrix)[0].values()]
+        for j in range(3))
+    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) == 0:
         raise AssertionError("variance balance system unexpectedly singular")
-    return TriadVerdict(
-        matrix=StatMatrix.from_signs(TRIPLE_SIGNS),
-        sigma_solution=solution,
-        only_degenerate=(solution == (0, 0, 0)),
-    )
+    return TriadVerdict(matrix=matrix, sigma_solution=(0, 0, 0), only_degenerate=True)

@@ -34,10 +34,6 @@ class ProfileError(ValueError):
     """Sampled function is not of the shared-quadratic-profile form."""
 
 
-class SingularCornerError(ValueError):
-    """Corner determinant vanished where a unique solution was required."""
-
-
 def check_tol(tol) -> None:
     """Raise ValueError unless `tol` is a finite number >= 0.
 
@@ -279,44 +275,6 @@ def verify_triple_differences(psis, matrix: StatMatrix, tags: StepSubgroups = No
                     worst = max(worst, float(np.abs(g.values).max()))
         out.append(worst)
     return tuple(out)
-
-
-def verify_cross_linearity(kappas, n_values, a1, a2, b1, b2, kappa_total,
-                           tol: float = 1e-9) -> bool:
-    """Check that three measured cross-coefficient profiles are forced linear.
-
-    kappas are three sequences kappa_j(n) aligned with n_values.  They must
-    satisfy the two elimination identities
-        (a1-1)*kappa_1(n) + (a2-1)*kappa_2(n) = -kappa_total * n
-        (b1-1)*kappa_1(n) + (b2-1)*kappa_2(n) = -kappa_total * n
-    together with kappa_1 + kappa_2 + kappa_3 = kappa_total * n, and each
-    ratio kappa_j(n)/n must be constant over n != 0.  Raises when the corner
-    determinant (a1-1)(b2-1) - (a2-1)(b1-1) vanishes.
-    """
-    import numpy as np
-
-    check_tol(tol)
-    a1, a2, b1, b2 = (float(v) for v in (a1, a2, b1, b2))
-    corner = (a1 - 1) * (b2 - 1) - (a2 - 1) * (b1 - 1)
-    if corner == 0:
-        raise SingularCornerError("corner determinant vanishes; profiles are not pinned down")
-    k1, k2, k3 = (np.asarray(k, dtype=float) for k in kappas)
-    n = np.asarray(n_values, dtype=float)
-    kt = float(kappa_total)
-    scale = max(1.0, float(np.abs(np.concatenate([k1, k2, k3])).max()), abs(kt) * float(np.abs(n).max()))
-
-    row_a = (a1 - 1) * k1 + (a2 - 1) * k2 + kt * n
-    row_b = (b1 - 1) * k1 + (b2 - 1) * k2 + kt * n
-    total = k1 + k2 + k3 - kt * n
-    if max(float(np.abs(row_a).max()), float(np.abs(row_b).max()),
-           float(np.abs(total).max())) > tol * scale:
-        return False
-    nz = n != 0
-    for k in (k1, k2, k3):
-        ratios = k[nz] / n[nz]
-        if ratios.size and float(ratios.max() - ratios.min()) > tol * max(1.0, float(np.abs(ratios).max())):
-            return False
-    return True
 
 
 # --------------------------------------------------------------------------

@@ -146,9 +146,6 @@ class CylinderAuto:
     def is_identity(self) -> bool:
         return self.a == 1 and self.c == 0 and self.p == 1
 
-    def is_plus_minus_identity(self) -> bool:
-        return self.c == 0 and ((self.a == 1 and self.p == 1) or (self.a == -1 and self.p == -1))
-
     def on_dual(self, y: DualPoint) -> DualPoint:
         return DualPoint(self.a * y.s + self.c * y.n, self.p * y.n)
 
@@ -174,7 +171,3 @@ class CylinderAuto:
 def pair(x: CylinderPoint, y: DualPoint) -> complex:
     """Value of the character y at the point x: exp(i*(s*t + n*theta))."""
     return cmath.exp(1j * (float(y.s) * x.t + y.n * x.theta))
-
-
-def compose(e1: CylinderAuto, e2: CylinderAuto) -> CylinderAuto:
-    return e1 @ e2

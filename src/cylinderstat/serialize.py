@@ -16,7 +16,7 @@ from .charfn import CylinderCF, TorusCF
 from .families import Family
 from .groups import CylinderAuto, as_int, as_rational, named
 from .independence import StatMatrix
-from .solenoid import BaseSequence, HaRational
+from .solenoid import BaseSequence
 
 
 def scalar_to_json(value):
@@ -37,13 +37,16 @@ def auto_to_json(e: CylinderAuto) -> dict:
     return {"a": scalar_to_json(e.a), "c": scalar_to_json(e.c), "p": e.p}
 
 
-def _field(obj: dict, key: str, read=scalar_from_json, default=None):
-    """read(obj[key]), or read(default) for an absent key given a default; a refusal names it."""
-    return named(f'"{key}"', read, obj[key] if default is None else obj.get(key, default))
+def _field(obj: dict, key: str, read=scalar_from_json, default=None, where: str = ""):
+    """read(obj[key]), or read(default) for an absent key given a default; a refusal names
+    the key, after its place `where` ("cfs[2]") when one is given."""
+    name = f'{where}."{key}"' if where else f'"{key}"'
+    return named(name, read, obj[key] if default is None else obj.get(key, default))
 
 
-def auto_from_json(obj: dict) -> CylinderAuto:
-    return CylinderAuto(_field(obj, "a"), _field(obj, "c"), _field(obj, "p", as_int))
+def auto_from_json(obj: dict, where: str = "") -> CylinderAuto:
+    a, c = (_field(obj, key, where=where) for key in ("a", "c"))
+    return CylinderAuto(a, c, _field(obj, "p", as_int, where=where))
 
 
 def cf_to_json(cf) -> dict:
@@ -74,10 +77,12 @@ def cf_from_json(obj: dict, where: str = "CF entry", scalar=scalar_from_json):
     kind = obj.get("kind")
     if kind == "cylinder":
         rest = ("kappa", "lambda", "tau", "theta", "twist")
-        return CylinderCF(_field(obj, "sigma", scalar), *(_field(obj, k, scalar, 0) for k in rest))
+        return CylinderCF(_field(obj, "sigma", scalar, where=where),
+                          *(_field(obj, k, scalar, 0, where=where) for k in rest))
     if kind == "torus":
         rest = ("theta", "twist")
-        return TorusCF(_field(obj, "sigma", scalar), *(_field(obj, k, scalar, 0) for k in rest))
+        return TorusCF(_field(obj, "sigma", scalar, where=where),
+                       *(_field(obj, k, scalar, 0, where=where) for k in rest))
     raise ValueError(f"unknown CF kind: {kind!r}")
 
 
@@ -86,7 +91,8 @@ def matrix_to_json(m: StatMatrix) -> list:
 
 
 def matrix_from_json(rows: list) -> StatMatrix:
-    return StatMatrix.from_rows([[auto_from_json(e) for e in row] for row in rows])
+    return StatMatrix.from_rows([[auto_from_json(e, f"matrix[{i}][{j}]") for j, e in enumerate(row)]
+                                 for i, row in enumerate(rows)])
 
 
 def family_to_fixture(family: Family) -> dict:
@@ -138,14 +144,6 @@ def rounding_bounds(obj: dict, predicates, keys) -> dict:
         return predicates(cfs, StatMatrix.from_rows(rows), positive=True)
     hi, lo = side(1), side(0)
     return {key: hi[key] - lo[key] for key in hi}
-
-
-def ha_rational_to_json(h: HaRational) -> dict:
-    return {"value": str(h.value), "depth": h.depth}
-
-
-def ha_rational_from_json(obj: dict) -> HaRational:
-    return HaRational(as_rational(obj["value"]), as_int(obj["depth"]))
 
 
 def base_from_json(obj) -> BaseSequence:

@@ -13,10 +13,13 @@ functions restrict to H x Z by evaluation at exact rational points.  That
 restriction is what `pullback_residual` certifies: the independence
 functional equation, re-run on a grid of rational dual tuples.
 
-Automorphism multipliers of H are only partially decidable from a finite
-prefix; the shipped check is sound (it verifies that a and 1/a map the
-generators 1/(a_0...a_k) into H up to the requested depth) but not complete
-for pathological bases.
+Whether a multiplier is an automorphism of H depends on the whole sequence,
+but the shipped check reads only the stored prefix: it verifies that a and 1/a
+map the generators 1/(a_0...a_k), up to the requested depth, to rationals whose
+denominators divide a stored product.  So a prefix too short for the depth
+refuses a true automorphism: `validate_auto(CylinderAuto(3),
+BaseSequence((3, 3, 2, 3, 3, 3, 3)))` refuses 1/a = 1/3 at generator 1/1458,
+although 1/3 is a multiplier of H for every base that goes on with 3s.
 """
 
 from __future__ import annotations
@@ -139,27 +142,12 @@ def ha_member(q, base: BaseSequence, depth_limit: int = None):
     return None
 
 
-@dataclass(frozen=True)
-class HaRational:
-    """An element of the rational dual together with its membership witness depth."""
-
-    value: Fraction
-    depth: int
-
-    @classmethod
-    def locate(cls, q, base: BaseSequence, depth_limit: int = None):
-        depth = ha_member(q, base, depth_limit)
-        if depth is None:
-            return None
-        return cls(as_exact(q), depth)
-
-
 def validate_auto(e: CylinderAuto, base: BaseSequence, generator_depth: int = 6) -> None:
     """Check that e acts on H x Z as (r, n) -> (a*r + c*n, p*n): c lies in H, and a and
     1/a map the generators 1/(a_0..a_k), k <= generator_depth, into H.
 
-    Sound but not complete: a failure is definitive only up to the stored
-    prefix.  Raises IncompatibleAutoError naming the failing generator.
+    Both verdicts hold for the stored prefix only (see the module docstring).
+    Raises IncompatibleAutoError naming the failing generator.
     """
     if ha_member(e.c, base) is None:
         raise IncompatibleAutoError(f"translation part {e.c} is not in the rational dual")

@@ -705,6 +705,12 @@ def _table_fixture(name: str) -> dict:
     if name.startswith("reference-p-"):  # a sign p that is not a JSON integer
         p = {"reference-p-float": 1.5, "reference-p-true": True, "reference-p-string": "1"}[name]
         return dict(ref, matrix=[[dict(e, p=p) for e in row] for row in ref["matrix"]])
+    if name == "reference-kappa-x":  # member 2's kappa is not a number
+        return dict(ref, cfs=[*ref["cfs"][:2], dict(ref["cfs"][2], kappa="x")])
+    if name == "reference-a-true":  # the a of matrix entry (2, 1) is not a number
+        matrix = [list(row) for row in ref["matrix"]]
+        matrix[2][1] = dict(matrix[2][1], a=True)
+        return dict(ref, matrix=matrix)
     if name == "reference-params-p1-true":
         return dict(REF_PARAMS, p1=True)
     if name == "reference-params-q2-float":
@@ -844,13 +850,17 @@ def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     ("reference-p-true", ["check"], '"p": expected an int, got True'),
     ("reference-params-p1-true", ["construct", "-f", "line-gaussian"],
      "p1: expected an int, got True"),
+    ("reference", ["simulate", "--count", "0", "--bootstrap", "5"], "--count"),
+    ("reference-kappa-x", ["check"], 'cfs[2]."kappa"'),
+    ("reference-a-true", ["check"], 'matrix[2][1]."a"'),
 ])
 def test_input_error_names_the_problem(tmp_path, runner, fixture, args, named):
-    """A negative seed, an empty --input, a null band of no resamples, a tolerance
-    or degree bound out of range, a sigma too small to sample and a sign that is
-    not a JSON integer, in a fixture or in params, exit 2.
+    """A negative seed or count, an empty --input, a null band of no resamples, a
+    tolerance or degree bound out of range, a sigma too small to sample, a sign that
+    is not a JSON integer, in a fixture or in params, and a fixture scalar that is
+    not a number exit 2.
 
-    The one stderr line names the key or option at fault.
+    The one stderr line names the key or option at fault, and a fixture key its place.
     """
     args = [_write_table_input(tmp_path, a[1:]) if a.startswith("@") else a for a in args]
     if fixture is not None:

@@ -11,8 +11,7 @@ from conftest import REF_COEFFS, random_valid_coefficients
 from cylinderstat.charfn import convolve, is_gaussian, support_line
 from cylinderstat.families import (ConstructionError, HADAMARD_SIGNS,
                                    four_statistic_family, line_gaussian_family,
-                                   torus_triple_verdict, twisted_torus_pair,
-                                   z2_signed_measure)
+                                   torus_triple_verdict, twisted_torus_pair)
 from cylinderstat.charfn import TorusCF
 from cylinderstat.independence import (StatMatrix, default_grid,
                                        gaussian_system_check,
@@ -70,7 +69,7 @@ class TestLineGaussian:
         ratios = {
             Fraction(e.c) / (Fraction(e.a) - e.p)
             for row in fam.matrix.rows for e in row
-            if not e.is_plus_minus_identity() and e.a != e.p
+            if e.a != e.p
         }
         assert ratios == {omega}
 
@@ -138,19 +137,6 @@ class TestFourStatistic:
         fam = four_statistic_family(1, Fraction(1, 20))
         swapped = four_statistic_family(1, Fraction(-1, 20))
         assert swapped.cfs == (fam.cfs[2], fam.cfs[3], fam.cfs[0], fam.cfs[1])
-
-
-class TestZ2Measure:
-    def test_neutral(self):
-        m = z2_signed_measure(0)
-        assert (m.p1, m.pm1) == (1, 0)
-
-    def test_signed(self):
-        assert z2_signed_measure(0.25).pm1 < 0
-
-    def test_inverse_pair(self):
-        out = convolve(z2_signed_measure(0.4), z2_signed_measure(-0.4))
-        assert out.p1 == pytest.approx(1) and out.pm1 == pytest.approx(0)
 
 
 class TestTriadVerdict:

@@ -6,10 +6,9 @@ import pytest
 from conftest import REF_COEFFS
 from cylinderstat.families import line_gaussian_family
 from cylinderstat.fdiff import (GridFunction, OffGridError, ProfileError,
-                                SingularCornerError, default_n_grid,
-                                default_s_grid, delta, fit_quadratic_profile,
-                                load_grid_csv, polynomial_degree, save_grid_csv,
-                                verify_cross_linearity,
+                                default_n_grid, default_s_grid, delta,
+                                fit_quadratic_profile, load_grid_csv,
+                                polynomial_degree, save_grid_csv,
                                 verify_triple_differences)
 
 def sample(fn):
@@ -171,51 +170,16 @@ class TestTripleDifferences:
         assert verify_triple_differences(psis, ref_family.matrix) == (0.0, 0.0, 0.0)
 
 
-class TestCrossLinearity:
-    def _reference_kappas(self, omega=1.0):
-        n = default_n_grid()
-        sigmas = (1.0, 1.0, 1.0)
-        return [2 * s * omega * n for s in sigmas], n
-
-    def test_reference_profile(self):
-        kappas, n = self._reference_kappas()
-        a1, a2, b1, b2 = (float(v) for v in REF_COEFFS)
-        total = sum(k[list(n).index(1)] for k in kappas)
-        assert verify_cross_linearity(kappas, n, a1, a2, b1, b2, total)
-
-    def test_cubic_injection_fails(self):
-        kappas, n = self._reference_kappas()
-        kappas[0] = n.astype(float) ** 3
-        a1, a2, b1, b2 = (float(v) for v in REF_COEFFS)
-        assert not verify_cross_linearity(kappas, n, a1, a2, b1, b2, 6.0)
-
-    def test_all_zero(self):
-        n = default_n_grid()
-        zeros = [np.zeros_like(n, dtype=float)] * 3
-        a1, a2, b1, b2 = (float(v) for v in REF_COEFFS)
-        assert verify_cross_linearity(zeros, n, a1, a2, b1, b2, 0.0)
-
-    def test_singular_corner(self):
-        n = default_n_grid()
-        zeros = [np.zeros_like(n, dtype=float)] * 3
-        with pytest.raises(SingularCornerError):
-            verify_cross_linearity(zeros, n, 2.0, 3.0, 2.0, 3.0, 0.0)
-
-
 class TestTolerance:
     """A tolerance that is NaN, infinite or negative, or a negative degree bound, is an input error."""
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
     def test_bad_tol_raises(self, tol):
         f = sample(lambda s, n: 2 * s * s + n * s + n * n)
-        kappas = [2.0 * default_n_grid()] * 3
-        a1, a2, b1, b2 = (float(v) for v in REF_COEFFS)
         with pytest.raises(ValueError, match="tol"):
             polynomial_degree(f, tol=tol)
         with pytest.raises(ValueError, match="tol"):
             fit_quadratic_profile(f, tol=tol)
-        with pytest.raises(ValueError, match="tol"):
-            verify_cross_linearity(kappas, default_n_grid(), a1, a2, b1, b2, 6.0, tol=tol)
 
     def test_negative_degree_bound_raises(self):
         with pytest.raises(ValueError, match="max_deg"):

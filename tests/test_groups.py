@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cylinderstat.groups import (TWO_PI, CylinderAuto, CylinderPoint, DualPoint, as_exact,
-                                 as_int, as_rational, compose, pair, reduce_angle)
+                                 as_int, as_rational, pair, reduce_angle)
 from cylinderstat.independence import StatMatrix
 from cylinderstat.serialize import scalar_to_json
 
@@ -120,7 +120,7 @@ class TestComposeInvert:
 
     def test_compose_with_inverse(self):
         e = CylinderAuto(Fraction(7, 3), Fraction(-2, 5), -1)
-        assert compose(e, e.inverse()) == CylinderAuto(Fraction(1), Fraction(0), 1)
+        assert e @ e.inverse() == CylinderAuto(Fraction(1), Fraction(0), 1)
 
     def test_frozen_inverse(self):
         inv = CylinderAuto(2, 3, -1).inverse()
@@ -130,19 +130,19 @@ class TestComposeInvert:
         e1 = CylinderAuto(Fraction(2), Fraction(1, 3), -1)
         e2 = CylinderAuto(Fraction(-1, 2), Fraction(4), 1)
         y = DualPoint(Fraction(5, 7), -3)
-        assert compose(e1, e2).on_dual(y) == e1.on_dual(e2.on_dual(y))
+        assert (e1 @ e2).on_dual(y) == e1.on_dual(e2.on_dual(y))
 
     @given(autos, autos, autos)
     @settings(max_examples=100, deadline=None)
     def test_associativity(self, e1, e2, e3):
-        assert compose(compose(e1, e2), e3) == compose(e1, compose(e2, e3))
+        assert (e1 @ e2) @ e3 == e1 @ (e2 @ e3)
 
     @given(autos)
     @settings(max_examples=100, deadline=None)
     def test_group_inverse(self, e):
         ident = CylinderAuto(Fraction(1), Fraction(0), 1)
-        assert compose(e, e.inverse()) == ident
-        assert compose(e.inverse(), e) == ident
+        assert e @ e.inverse() == ident
+        assert e.inverse() @ e == ident
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -225,7 +225,7 @@ class TestPreservesLine:
     def test_closed_under_composition(self, e, f, omega):
         # Line-preserving automorphisms form a group for each slope.
         if e.preserves_line(omega) and f.preserves_line(omega):
-            assert compose(e, f).preserves_line(omega)
+            assert (e @ f).preserves_line(omega)
 
 
 class TestPoints:

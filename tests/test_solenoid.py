@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from cylinderstat.groups import CylinderAuto
 from cylinderstat.independence import StatMatrix, independence_residual
-from cylinderstat.solenoid import (AdicInteger, BaseSequence, HaRational,
-                                   IncompatibleAutoError, adic_add, adic_add_carries,
-                                   ha_member, pullback_residual, rational_dual_grid,
-                                   validate_auto)
+from cylinderstat.solenoid import (AdicInteger, BaseSequence, IncompatibleAutoError,
+                                   adic_add, adic_add_carries, ha_member, pullback_residual,
+                                   rational_dual_grid, validate_auto)
 
 
 @st.composite
@@ -103,23 +102,8 @@ class TestHaMembership:
 
     def test_locate_witness(self):
         base = BaseSequence.counting(8)
-        h = HaRational.locate(Fraction(7, 24), base)
-        assert h is not None and h.depth == 2  # 24 = 2*3*4
-        assert HaRational.locate(Fraction(1, 11), base, depth_limit=3) is None
-
-    def test_json_roundtrip_keeps_witness(self):
-        from cylinderstat.serialize import (ha_rational_from_json,
-                                            ha_rational_to_json)
-        base = BaseSequence.counting(8)
-        h = HaRational.locate(Fraction(-5, 6), base)
-        obj = ha_rational_to_json(h)
-        assert obj == {"value": "-5/6", "depth": 1}
-        assert ha_rational_from_json(obj) == h
-
-    def test_json_depth_must_be_an_int(self):
-        from cylinderstat.serialize import ha_rational_from_json
-        with pytest.raises(TypeError, match="expected an int, got 2.9"):
-            ha_rational_from_json({"value": "1/2", "depth": 2.9})
+        assert ha_member(Fraction(7, 24), base) == 2  # 24 = 2*3*4
+        assert ha_member(Fraction(1, 11), base, depth_limit=3) is None
 
 
 class TestSolenoidAuto:
