@@ -17,7 +17,9 @@ with C_ik = sum_j M_ij^T (2 A_j) M_kj and T = sum_j twist_j; the linear parts
 cancel identically.  This certificate holds on all of R x Z, and on every
 subgroup such as the rational dual of a solenoid, exactly when every C_ik
 and T vanish.  `independence_residual` reports it with the largest |LHS_log - RHS_log|
-over a `DualGrid`, an index space of dual tuples, and the earliest tuple attaining it.
+over a `DualGrid`, an index space of dual tuples, and the earliest tuple attaining it;
+the scan runs in exact integer arithmetic, so ties and rounding do not depend on the
+order of summation.
 
 The module also houses the exact real-coefficient condition suite for the
 reduced three-statistic problem, the positive-variance solver, the full
@@ -136,10 +138,6 @@ def slot_points(kind: str = "cylinder", dense: bool = False):
     return [DualPoint(s, n) for s in ss for n in ns]
 
 
-# Grid tuples per numpy pass, in DualGrid.index_chunks.
-_CHUNK = 8192
-
-
 @dataclass(frozen=True)
 class DualGrid:
     """Dual tuples over one point set as an index space: tuple k is computed when asked for.
@@ -170,7 +168,7 @@ class DualGrid:
         return min(self.total, self.cap)
 
     def _digits(self, flat) -> list:
-        """Per-slot point indices, slot 0 first, of a flat index or of an array of them."""
+        """Per-slot point indices, slot 0 first, of a flat index."""
         base = len(self.points)
         return [flat // base ** j % base for j in range(self.n_slots - 1, -1, -1)]
 
@@ -179,17 +177,6 @@ class DualGrid:
         if not 0 <= k < len(self):
             raise IndexError(f"grid index {k} outside [0, {len(self)})")
         return tuple(self.points[d] for d in self._digits(k * self.step % self.total))
-
-    def index_chunks(self):
-        """(first index, per-slot int64 arrays of point indices) for chunks of _CHUNK tuples."""
-        import numpy as np
-
-        # Flat indices past int64 stay Python ints, in an object array.
-        dtype = np.int64 if self.total <= 2 ** 63 else object
-        for lo in range(0, len(self), _CHUNK):
-            flat = np.array([k * self.step % self.total
-                             for k in range(lo, min(lo + _CHUNK, len(self)))], dtype)
-            yield lo, [digits.astype(np.int64, copy=False) for digits in self._digits(flat)]
 
 
 def default_grid(n_slots: int, kind: str = "cylinder", dense: bool = False,
@@ -247,29 +234,59 @@ def nonzero_blocks(blocks) -> list:
 
 
 def _grid_maximum(blocks, twist_sum, grid: DualGrid, coords):
-    """(max |LHS_log - RHS_log| over the grid, earliest index attaining it in float64).
+    """(the float nearest max |LHS_log - RHS_log| over the grid, earliest index attaining it).
 
-    Each block becomes a table of -y^T C_ik z over the grid's points, gathered at each
-    chunk's point indices; the entries behind the winning cell are re-summed by math.fsum.
+    Exact throughout: with d the common denominator of the points' s-coordinates and e
+    that of the nonzero blocks and 2T, each nonzero C_ik becomes a table of the integers
+    -d**2*e * y^T C_ik z over pairs of points, and the twist term an integer multiple of
+    2T*d**2*e.  The grid is walked in its own order, one row per run of tuples that share
+    every slot but the last two.
     """
-    import numpy as np
-
-    ys = np.array([coords(y) for y in grid.points], dtype=float)
-    best, best_idx, best_rows = -1.0, 0, []
-    with np.errstate(over="ignore", invalid="ignore"):
-        tables = [(i, k, -ys @ np.array(block, dtype=float) @ ys.T)
-                  for (i, k), block in blocks.items()]
-        for lo, idx in grid.index_chunks():
-            odd = sum(ys[j, 1] % 2 for j in idx)
-            rows = [table[idx[i], idx[k]] for i, k, table in tables]
-            rows.append(2 * float(twist_sum) * (odd % 2 - odd))
-            value = np.abs(sum(rows))
-            j = int(np.argmax(value))
-            if not np.isfinite(value[j]):
-                raise ValueError("independence residual is not finite")
-            if value[j] > best:
-                best, best_idx, best_rows = value[j], lo + j, [row[j] for row in rows]
-    return abs(math.fsum(best_rows)), best_idx
+    pts = [tuple(as_exact(v) for v in coords(y)) for y in grid.points]
+    live = {pair: blocks[pair] for pair in nonzero_blocks(blocks)}
+    d = math.lcm(*(s.denominator for s, _ in pts))
+    e = math.lcm((2 * twist_sum).denominator,
+                 *(c.denominator for rows in live.values() for row in rows for c in row))
+    pts = [(int(s * d), n) for s, n in pts]
+    tables = {}
+    for pair, ((c00, c01), (c10, c11)) in live.items():
+        k00, k01, k10, k11 = (int(c) for c in (e * c00, e * d * c01, e * d * c10,
+                                                e * d * d * c11))
+        u = [(k00 * s + k01 * n, k10 * s + k11 * n) for s, n in pts]
+        tables[pair] = [[-(s * u0 + n * u1) for u0, u1 in u] for s, n in pts]
+    tw = int(2 * twist_sum * e * d * d)
+    odd = [n % 2 for _, n in pts]
+    m, size, base, step = grid.n_slots, len(grid), len(grid.points), grid.step
+    # The last two slots read as one index r < base**2, slot m-2 at hi[r] and slot m-1 at
+    # lo[r], so the tuples that share every other slot are one arithmetic run of r.
+    width = base * base
+    hi, lo = [r // base for r in range(width)], [r % base for r in range(width)]
+    t = tables.get((m - 2, m - 1))
+    block = [t[h][l] for h, l in zip(hi, lo)] if t else [0] * width
+    # That block plus the twist term, less its -tw*p part, after p odd slots before them.
+    inner = [[v + tw * ((p + odd[h] + odd[l]) % 2 - odd[h] - odd[l])
+              for v, h, l in zip(block, hi, lo)] for p in (0, 1)]
+    head = [(i, j, t) for (i, j), t in tables.items() if j < m - 2]
+    tail = [(i, t, hi if j == m - 2 else lo) for (i, j), t in tables.items() if i < m - 2 <= j]
+    weights = [base ** j for j in range(m - 3, -1, -1)]
+    best, best_idx, k = -1, 0, 0
+    while k < size:
+        prefix, r = divmod(k * step % grid.total, width)
+        a = [prefix // w % base for w in weights]
+        run = slice(r, min(width, r + (size - k) * step), step)
+        p = sum(map(odd.__getitem__, a))
+        const = sum(t[a[i]][a[j]] for i, j, t in head) - tw * p
+        if run.stop - r > step:
+            values = list(map(sum, zip(inner[p % 2][run],
+                                       *(map(t[a[i]].__getitem__, at[run]) for i, t, at in tail))))
+        else:  # a run of one tuple: look its entries up
+            values = [inner[p % 2][r] + sum(t[a[i]][at[r]] for i, t, at in tail)]
+        top = max(const + max(values), -const - min(values))
+        if top > best:
+            best = top
+            best_idx = k + next(j for j, v in enumerate(values) if abs(const + v) == top)
+        k += len(values)
+    return best / (d * d * e), best_idx  # int / int rounds correctly
 
 
 def independence_residual(cfs, matrix: StatMatrix, grid: DualGrid = None, workers: int = 1,
@@ -279,11 +296,10 @@ def independence_residual(cfs, matrix: StatMatrix, grid: DualGrid = None, worker
     The verdict is the certificate of `independence_blocks`: when it is zero
     the residual is exactly 0.0 on the whole dual group and the worst tuple
     is grid[0], the only tuple computed.  Otherwise the result is the
-    largest modulus of the closed form over the grid, re-summed by math.fsum
-    so it does not depend on summation order, and the earliest tuple
-    attaining it in float64; tuples with equal exact residuals can round apart
-    in the last bits, so among such ties the choice may differ from an exact
-    scan.  `workers` is accepted for compatibility and has no effect.
+    largest modulus of the closed form over the grid, found exactly in
+    integers and rounded once to the nearest float, and the earliest tuple
+    attaining that exact maximum; a maximum past the float range raises
+    OverflowError.  `workers` is accepted for compatibility and has no effect.
     """
     kind = family_kind(cfs, matrix)
     if grid is None:
@@ -292,6 +308,8 @@ def independence_residual(cfs, matrix: StatMatrix, grid: DualGrid = None, worker
         raise TypeError(f"grid must be a DualGrid, got {type(grid).__name__}")
     if not grid:
         raise ValueError("empty evaluation grid")
+    if grid.n_slots != matrix.n:
+        raise ValueError(f"grid of {grid.n_slots} slots for {matrix.n} statistics")
     blocks, twist_sum = independence_blocks(cfs, matrix)
     if not nonzero_blocks(blocks) and twist_sum == 0:
         best, best_idx = 0.0, 0

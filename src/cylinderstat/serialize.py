@@ -38,13 +38,18 @@ def auto_to_json(e: CylinderAuto) -> dict:
 
 
 def _field(obj: dict, key: str, read=scalar_from_json, default=None, where: str = ""):
-    """read(obj[key]), or read(default) for an absent key given a default; a refusal names
-    the key, after its place `where` ("cfs[2]") when one is given."""
+    """read(obj[key]), or read(default) for an absent key given a default; a refusal, an
+    absent key without a default included, names the key, after its place `where`
+    ("cfs[2]") when one is given."""
     name = f'{where}."{key}"' if where else f'"{key}"'
-    return named(name, read, obj[key] if default is None else obj.get(key, default))
+    if default is None and key not in obj:
+        raise ValueError(f"{name}: missing")
+    return named(name, read, obj.get(key, default))
 
 
-def auto_from_json(obj: dict, where: str = "") -> CylinderAuto:
+def auto_from_json(obj: dict, where: str = "matrix entry") -> CylinderAuto:
+    if not isinstance(obj, dict):
+        raise TypeError(f"{where} must be a JSON object, got {type(obj).__name__}")
     a, c = (_field(obj, key, where=where) for key in ("a", "c"))
     return CylinderAuto(a, c, _field(obj, "p", as_int, where=where))
 
@@ -91,6 +96,9 @@ def matrix_to_json(m: StatMatrix) -> list:
 
 
 def matrix_from_json(rows: list) -> StatMatrix:
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise TypeError(f"matrix[{i}] must be a JSON array, got {type(row).__name__}")
     return StatMatrix.from_rows([[auto_from_json(e, f"matrix[{i}][{j}]") for j, e in enumerate(row)]
                                  for i, row in enumerate(rows)])
 

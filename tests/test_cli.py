@@ -610,13 +610,15 @@ print(json.dumps(after))
 
 
 class TestStartup:
-    """The exact commands run without importing numpy; the others still load it."""
+    """The exact commands run without importing numpy, a failing check included; the
+    others still load it."""
 
     def test_exact_commands_leave_numpy_unloaded(self, tmp_path):
         ref = family_to_fixture(line_gaussian_family(1, *REF_COEFFS))
         perturbed = json.loads(json.dumps(ref))
         perturbed["matrix"][1][0]["a"] = "21/10"
         fixture = write_json(tmp_path / "ref.json", ref)
+        perturbed = write_json(tmp_path / "perturbed.json", perturbed)
         pair = write_json(tmp_path / "pair.json",
                           family_to_fixture(twisted_torus_pair(1, kappa=Fraction(1, 20))))
         base = write_json(tmp_path / "base.json", {"base": list(range(2, 18))})
@@ -632,6 +634,8 @@ class TestStartup:
                            "--out", str(tmp_path / "built.json")]),
             ("check reference", ["check", "--fixture", fixture, "--grid", "default"]),
             ("check reference dense", ["check", "--fixture", fixture, "--grid", "dense"]),
+            ("check perturbed", ["check", "--fixture", perturbed, "--grid", "default"]),
+            ("check perturbed dense", ["check", "--fixture", perturbed, "--grid", "dense"]),
             ("check pair", ["check", "--fixture", pair, "--grid", "default"]),
             ("construct pair", ["construct", "-f", "twisted-pair", "--params", pair_params,
                                 "--out", str(tmp_path / "built_pair.json")]),
@@ -640,8 +644,6 @@ class TestStartup:
             ("solenoid", ["solenoid", "--base", base, "--fixture", fixture]),
         ]
         rest = [
-            ("check perturbed", ["check", "--fixture",
-                                 write_json(tmp_path / "perturbed.json", perturbed)]),
             ("reduce degree", ["reduce", "--input", str(grid), "--mode", "degree"]),
         ]
         src = str(Path(cylinderstat.__file__).resolve().parents[1])
@@ -653,13 +655,15 @@ class TestStartup:
         after = json.loads(proc.stdout)
         for name in ["import cylinderstat", "import cylinderstat.cli", *dict(exact)]:
             assert after[name][1] is False, f"{name} loaded numpy"
-        assert [after[name][0] for name, _ in exact] == [0] * len(exact)
+        failing = {"check perturbed", "check perturbed dense"}
+        assert [after[name][0] for name, _ in exact] == [int(name in failing) for name, _ in exact]
         assert json.loads(after["check reference"][2])["independence"]["residual"] == 0.0
-        code, numpy_loaded, out = after["check perturbed"]
-        report = json.loads(out)
-        assert code == 1 and numpy_loaded
-        assert report["independence"]["residual"] > 1e-10 and report["independence"]["nonzero_blocks"]
-        assert after["reduce degree"][0] == 0 and json.loads(after["reduce degree"][2])["degree"] == 2
+        for name in failing:
+            report = json.loads(after[name][2])
+            assert report["independence"]["residual"] > 1e-10
+            assert report["independence"]["nonzero_blocks"]
+        code, numpy_loaded, out = after["reduce degree"]
+        assert code == 0 and numpy_loaded and json.loads(out)["degree"] == 2
 
 
 def _table_fixture(name: str) -> dict:
@@ -711,6 +715,13 @@ def _table_fixture(name: str) -> dict:
         matrix = [list(row) for row in ref["matrix"]]
         matrix[2][1] = dict(matrix[2][1], a=True)
         return dict(ref, matrix=matrix)
+    if name == "reference-without-sigma-1":  # member 1 has no "sigma"
+        return dict(ref, cfs=[ref["cfs"][0], {k: v for k, v in ref["cfs"][1].items()
+                                              if k != "sigma"}, ref["cfs"][2]])
+    if name == "reference-entry-int":  # matrix entry (1, 0) is a number, not an object
+        return dict(ref, matrix=[ref["matrix"][0], [5, *ref["matrix"][1][1:]], ref["matrix"][2]])
+    if name == "reference-row-int":  # matrix row 1 is a number, not an array
+        return dict(ref, matrix=[ref["matrix"][0], 3, ref["matrix"][2]])
     if name == "reference-params-p1-true":
         return dict(REF_PARAMS, p1=True)
     if name == "reference-params-q2-float":
@@ -853,12 +864,15 @@ def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     ("reference", ["simulate", "--count", "0", "--bootstrap", "5"], "--count"),
     ("reference-kappa-x", ["check"], 'cfs[2]."kappa"'),
     ("reference-a-true", ["check"], 'matrix[2][1]."a"'),
+    ("reference-without-sigma-1", ["check"], 'cfs[1]."sigma": missing'),
+    ("reference-entry-int", ["check"], "matrix[1][0] must be a JSON object, got int"),
+    ("reference-row-int", ["check"], "matrix[1] must be a JSON array, got int"),
 ])
 def test_input_error_names_the_problem(tmp_path, runner, fixture, args, named):
     """A negative seed or count, an empty --input, a null band of no resamples, a
     tolerance or degree bound out of range, a sigma too small to sample, a sign that
-    is not a JSON integer, in a fixture or in params, and a fixture scalar that is
-    not a number exit 2.
+    is not a JSON integer, in a fixture or in params, a fixture scalar that is not a
+    number, and a fixture key, entry or row that is missing or of the wrong type exit 2.
 
     The one stderr line names the key or option at fault, and a fixture key its place.
     """

@@ -85,14 +85,6 @@ class TestGridOracle:
         grid = DualGrid(points, 4, cap=2000)
         assert _same_points(list(grid), oracle_product_grid(points, 4, cap=2000))
 
-    @pytest.mark.parametrize("n_slots", [3, 20])
-    def test_chunks_match_indexing(self, n_slots):
-        """The chunked point indices name grid[k]'s points, past int64 (9**20) too."""
-        grid = DualGrid(range(9), n_slots, cap=20_000)
-        assert (grid.total > 2 ** 63) == (n_slots == 20)
-        chunks = [list(zip(*(d.tolist() for d in idx))) for _, idx in grid.index_chunks()]
-        assert [tup for chunk in chunks for tup in chunk] == list(grid)
-
     @pytest.mark.parametrize("cap", [7, 100_000])
     def test_index_out_of_range(self, cap):
         grid = default_grid(3, "torus", cap=cap)
@@ -170,6 +162,12 @@ class TestResidual:
         grid = default_grid(3, "cylinder", cap=20)
         with pytest.raises(TypeError, match="DualGrid"):
             independence_residual(ref_family.cfs, ref_family.matrix, list(grid))
+
+    @pytest.mark.parametrize("n_slots", [2, 4])
+    def test_grid_slots_must_match_the_matrix(self, ref_family, n_slots):
+        bad = _perturb_entry(ref_family.matrix, 2, 0, Fraction(1, 10))
+        with pytest.raises(ValueError, match="slots for 3 statistics"):
+            independence_residual(ref_family.cfs, bad, default_grid(n_slots, cap=20))
 
     def test_float_inputs_small_residual(self):
         fam = line_gaussian_family(1, *REF_COEFFS)
@@ -365,6 +363,103 @@ class TestOracle:
         grid = default_grid(3, "cylinder", cap=20_000)
         assert (independence_residual(cfs, ref_family.matrix, grid, return_worst=True)
                 == oracle_residual(cfs, ref_family.matrix, grid))
+
+
+def _exact_maximum(cfs, matrix, grid):
+    """(max |-sum_{i<k} y_i^T C_ik y_k + twist term| over list(grid) in Fractions, earliest tuple).
+
+    The brute-force reference for the integer scan: every tuple of the grid, every
+    block, nothing scaled and nothing skipped.
+    """
+    blocks, twist_sum = independence_blocks(cfs, matrix)
+    if isinstance(cfs[0], TorusCF):
+        coords = {y: (Fraction(0), y) for y in grid.points}
+    else:
+        coords = {y: (Fraction(y.s), y.n) for y in grid.points}
+    best, worst = -1, None
+    for tup in list(grid):
+        ys = [coords[y] for y in tup]
+        value = -sum(ys[i][0] * (c00 * ys[k][0] + c01 * ys[k][1])
+                     + ys[i][1] * (c10 * ys[k][0] + c11 * ys[k][1])
+                     for (i, k), ((c00, c01), (c10, c11)) in blocks.items())
+        odd = sum(y[1] % 2 for y in ys)
+        value += 2 * twist_sum * (odd % 2 - odd)
+        if abs(value) > best:
+            best, worst = abs(value), tup
+    return best, worst
+
+
+def _assert_exact_maximum(cfs, matrix, grid):
+    """The residual is float of the exact maximum, the worst tuple its earliest argmax."""
+    value, worst = independence_residual(cfs, matrix, grid, return_worst=True)
+    best, expected_worst = _exact_maximum(cfs, matrix, grid)
+    assert value == float(best)
+    assert worst == expected_worst
+    return best
+
+
+@st.composite
+def circle_families(draw, n_slots):
+    """n_slots circle bundles with drawn variances and twists under a drawn sign matrix."""
+    cfs = tuple(TorusCF(draw(st.fractions(0, 3, max_denominator=6)), 0,
+                        draw(st.fractions(-1, 1, max_denominator=20))) for _ in range(n_slots))
+    signs = [[draw(_signs) for _ in range(n_slots)] for _ in range(n_slots)]
+    return cfs, StatMatrix.from_signs(signs)
+
+
+# 2000 of the 35**3 tuples: a stride of 22, so runs of one and two tuples share a prefix.
+_STRIDED_GRID = default_grid(3, "cylinder", cap=2000)
+
+
+class TestExactScan:
+    """The integer scan against a sum over every tuple in Fractions, compared with ==."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(admissible_families())
+    def test_random_admissible_families(self, fam):
+        assert _assert_exact_maximum(fam.cfs, fam.matrix, _STRIDED_GRID) == 0
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data(), st.sampled_from((_ORACLE_GRID, _ORACLE_DENSE, _STRIDED_GRID)))
+    def test_perturbed_matrices(self, data, grid):
+        fam = data.draw(admissible_families())
+        bad = data.draw(perturbed_matrices(fam.matrix))
+        assert _assert_exact_maximum(fam.cfs, bad, grid) > 0
+
+    @settings(max_examples=15, deadline=None)
+    @given(admissible_families(),
+           st.lists(st.fractions(-1, 1, max_denominator=20), min_size=3, max_size=3))
+    def test_twisted_members(self, fam, twists):
+        cfs = tuple(replace(cf, twist=t) for cf, t in zip(fam.cfs, twists))
+        best = _assert_exact_maximum(cfs, fam.matrix, _STRIDED_GRID)
+        assert (best == 0) == (sum(twists) == 0)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(2, 4).flatmap(circle_families), st.booleans())
+    def test_circle_families(self, family, dense):
+        cfs, matrix = family
+        _assert_exact_maximum(cfs, matrix, default_grid(matrix.n, "torus", dense=dense))
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(2, 7), st.data())
+    def test_solenoid_rational_grid(self, ref_family_flat, depth, data):
+        grid = rational_dual_grid(BaseSequence.counting(8), depth, 3, cap=1500)
+        bad = data.draw(perturbed_matrices(ref_family_flat.matrix))
+        assert _assert_exact_maximum(ref_family_flat.cfs, bad, grid) > 0
+
+    @settings(max_examples=3, deadline=None)
+    @given(circle_families(20))
+    def test_twenty_circle_slots_past_int64(self, family):
+        cfs, matrix = family
+        grid = default_grid(20, "torus", dense=True, cap=200)
+        assert grid.total == 9 ** 20 > 2 ** 63
+        _assert_exact_maximum(cfs, matrix, grid)
+
+    def test_float_points_read_exactly(self, ref_family):
+        bad = _perturb_entry(ref_family.matrix, 2, 0, Fraction(1, 10))
+        points = [DualPoint(float(y.s) / 3, y.n) for y in slot_points("cylinder")]
+        _assert_exact_maximum(ref_family.cfs, bad, DualGrid(points, 3, cap=2000))
+
 
 
 class TestBlocks:
