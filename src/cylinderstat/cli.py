@@ -4,43 +4,85 @@ All reports are JSON on stdout; human-readable progress goes to stderr.  Exit
 codes: 0 success, 1 verification failure, 2 input error.  Input errors are
 decided in one place, `_InputErrorBoundary`: the commands let the library's
 exceptions propagate, and the boundary turns each into one stderr line.
+
+Each command imports only the library modules it runs, when it starts: a command
+finishes its own work in milliseconds, so importing every module for every
+command would be most of its time.  `conditions` loads `groups`, `charfn` and
+`independence`; `check` and `construct` add `families` and `serialize`, and
+`solenoid` adds `solenoid`.  The names the commands call still resolve as
+`cli.<name>` before any command has run (PEP 562), and a name already set on
+this module, such as a wrapper a tracer or a test put there, is kept: the
+command calls it, and no later import puts the original back over it.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
-from . import serialize
-from .charfn import (CylinderCF, InconclusiveError, classify_support, is_gaussian,
-                     is_valid_probability, psd_gap, support_line)
-from .families import (ConstructionError, Family, four_statistic_family,
-                       line_gaussian_family, twisted_torus_pair)
-from .fdiff import (ProfileError, check_tol, fit_quadratic_profile, load_grid_csv,
-                    polynomial_degree, verify_triple_differences)
-from .independence import (DegenerateFormError, coefficient_conditions,
-                           default_grid, gaussian_system_check,
-                           independence_blocks, independence_residual,
-                           classify_step_subgroups, reduced_coefficients,
-                           support_identity_gap, symmetrized_convolution)
-from .montecarlo import empirical_independence, sample_bundle, save_samples_csv
-from .solenoid import pullback_residual
-# Unused here, since `check` reads the support gaps with their bounds and `simulate`
-# draws every member with `sample_bundle`; the benchmark's tracer still looks these
-# names up in the cli namespace.
-from .independence import nu_support_check  # noqa: F401
-from .montecarlo import sample_line_gaussian, sample_torus_twisted  # noqa: F401
+if TYPE_CHECKING:
+    from .families import Family
+
+# The library names the commands call, by the module that defines it; a module's own
+# name is the module.  `nu_support_check`, `sample_line_gaussian` and
+# `sample_torus_twisted` are called by no command; the benchmark's tracer looks them up.
+_NAMES = {
+    "charfn": ("CylinderCF", "classify_support", "is_gaussian", "is_valid_probability",
+               "psd_gap", "support_line"),
+    "families": ("four_statistic_family", "line_gaussian_family", "twisted_torus_pair"),
+    "fdiff": ("ProfileError", "check_tol", "fit_quadratic_profile", "load_grid_csv",
+              "polynomial_degree", "verify_triple_differences"),
+    "independence": ("DegenerateFormError", "classify_step_subgroups",
+                     "coefficient_conditions", "default_grid", "gaussian_system_check",
+                     "independence_blocks", "independence_residual", "nu_support_check",
+                     "reduced_coefficients", "support_identity_gap",
+                     "symmetrized_convolution"),
+    "montecarlo": ("empirical_independence", "sample_bundle", "sample_line_gaussian",
+                   "sample_torus_twisted", "save_samples_csv"),
+    "serialize": ("serialize",),
+    "solenoid": ("pullback_residual",),
+}
+_HOME = {name: module for module, names in _NAMES.items() for name in names}
+
+
+def _bind(*modules) -> None:
+    """Import `modules` and bind the names the commands use from them, except a name
+    already bound."""
+    for module in modules:
+        loaded = importlib.import_module(f"{__package__}.{module}")
+        for name in _NAMES[module]:
+            if name not in globals():
+                globals()[name] = loaded if name == module else getattr(loaded, name)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_HOME[name])
+    return globals()[name]
+
 
 # What the library raises on bad input.  A fault on valid input (say an
 # AttributeError or an AssertionError) is not listed, so it keeps its traceback.
 _INPUT_ERRORS = (OSError, LookupError, TypeError, ValueError, ArithmeticError,
-                ConstructionError, InconclusiveError, click.UsageError)
+                 click.UsageError)
+# The library's own input errors, by module.  They are looked up among the loaded
+# modules only: a module that was never imported raised none of them.
+_LIBRARY_INPUT_ERRORS = (("charfn", "InconclusiveError"), ("families", "ConstructionError"))
+
+
+def _input_errors() -> tuple:
+    found = (getattr(sys.modules.get(f"{__package__}.{module}"), name, None)
+             for module, name in _LIBRARY_INPUT_ERRORS)
+    return _INPUT_ERRORS + tuple(cls for cls in found if cls is not None)
 
 
 class _InputErrorBoundary(click.Group):
@@ -49,7 +91,9 @@ class _InputErrorBoundary(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except _INPUT_ERRORS as exc:
+        except Exception as exc:
+            if not isinstance(exc, _input_errors()):
+                raise
             text = exc.format_message() if isinstance(exc, click.UsageError) else str(exc)
             if isinstance(exc, (LookupError, ArithmeticError)) or not text:
                 text = f"{type(exc).__name__}: {text}"  # "KeyError: 're'", not "'re'"
@@ -130,6 +174,11 @@ def main():
     """Verification toolkit for independent linear statistics on the cylinder."""
 
 
+# The keys each family's parameter file must have; the others have defaults.
+_REQUIRED_PARAMS = {"line-gaussian": ("omega", "a1", "a2", "b1", "b2"),
+                    "twisted-pair": ("sigma",), "four-statistic": ("sigma", "kappa")}
+
+
 @main.command()
 @click.option("--family", "-f", "family_name", required=True,
               type=click.Choice(["line-gaussian", "twisted-pair", "four-statistic"]))
@@ -137,7 +186,9 @@ def main():
 @click.option("--out", "out_path", required=True, type=click.Path())
 def construct(family_name, params_path, out_path):
     """Build a certified fixture from a JSON parameter file."""
-    params = serialize.load(params_path)
+    _bind("serialize", "families")
+    params = serialize.params_from_json(serialize.load(params_path),
+                                        _REQUIRED_PARAMS[family_name])
     if family_name == "line-gaussian":
         fam = line_gaussian_family(
             params["omega"],
@@ -193,6 +244,7 @@ def _check_cylinder_sections(fam: Family, values: dict, bounds: dict, report: di
               help="Accepted for compatibility; has no effect.")
 def check(fixture_path, grid_name, workers):
     """Run every applicable exact checker against a fixture."""
+    _bind("serialize", "charfn", "independence")
     obj, fam = _load_fixture(fixture_path)
     values, bounds = _verdict_inputs(obj, fam)
     grid = default_grid(fam.n, fam.kind, dense=(grid_name == "dense"))
@@ -238,6 +290,7 @@ def check(fixture_path, grid_name, workers):
 @click.option("--b2", required=True)
 def conditions(a1, a2, b1, b2):
     """Exact condition report for a reduced coefficient tuple."""
+    _bind("independence")
     report = coefficient_conditions(a1, a2, b1, b2)
     _emit({
         "a1": a1, "a2": a2, "b1": b1, "b2": b2,
@@ -262,6 +315,7 @@ def conditions(a1, a2, b1, b2):
 @click.option("--max-degree", default=6, type=int)
 def reduce(input_paths, mode, fixture_path, tol, max_degree):
     """Finite-difference reductions of grid-sampled functions."""
+    _bind("fdiff")
     grids = [load_grid_csv(p.strip()) for p in input_paths.split(",") if p.strip()]
     if not grids:
         raise click.UsageError(f"--input {input_paths!r} names no grid CSV")
@@ -290,6 +344,7 @@ def reduce(input_paths, mode, fixture_path, tol, max_degree):
     if fixture_path is None:
         raise click.UsageError("triple mode needs --fixture for the statistic matrix")
     check_tol(tol)
+    _bind("serialize", "independence")
     fam = _load_fixture(fixture_path)[1]
     tags = classify_step_subgroups(fam.matrix)
     residuals = verify_triple_differences(grids, fam.matrix, tags)
@@ -321,6 +376,7 @@ def _sample_family(obj: dict, fam: Family, count: int, seed: int):
               help="Directory for per-variable sample CSVs (t, theta).")
 def simulate(fixture_path, count, seed, bootstrap, samples_dir):
     """Monte-Carlo corroboration of a fixture's independence."""
+    _bind("serialize", "charfn", "independence", "montecarlo")
     obj, fam = _load_fixture(fixture_path)
     samples = _sample_family(obj, fam, count, seed)
     if samples_dir is not None:
@@ -341,9 +397,10 @@ def simulate(fixture_path, count, seed, bootstrap, samples_dir):
 @main.command()
 @click.option("--base", "base_path", required=True, type=click.Path(exists=True))
 @click.option("--fixture", "fixture_path", required=True, type=click.Path(exists=True))
-@click.option("--depth", default=6, type=int)
+@click.option("--depth", default=6, type=click.IntRange(min=0))
 def solenoid(base_path, fixture_path, depth):
     """Re-run the independence equation on the rational dual of a solenoid."""
+    _bind("serialize", "charfn", "independence", "solenoid")
     base = serialize.base_from_json(serialize.load(base_path))
     obj, fam = _load_fixture(fixture_path)
     if fam.kind != "cylinder":

@@ -11,12 +11,15 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .charfn import CylinderCF, TorusCF
 from .families import Family
 from .groups import CylinderAuto, as_int, as_rational, named
 from .independence import StatMatrix
-from .solenoid import BaseSequence
+
+if TYPE_CHECKING:
+    from .solenoid import BaseSequence
 
 
 def scalar_to_json(value):
@@ -37,6 +40,23 @@ def auto_to_json(e: CylinderAuto) -> dict:
     return {"a": scalar_to_json(e.a), "c": scalar_to_json(e.c), "p": e.p}
 
 
+_JSON_TYPES = {dict: "object", list: "array"}
+
+
+def _expect(value, kind: type, where: str):
+    """value, refused with its place `where` unless it is a JSON `kind` (dict or list)."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{where} must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _member(obj: dict, key: str, kind: type):
+    """obj[key], refused with the key unless it is present and a JSON `kind`."""
+    if key not in obj:
+        raise ValueError(f'"{key}": missing')
+    return _expect(obj[key], kind, f'"{key}"')
+
+
 def _field(obj: dict, key: str, read=scalar_from_json, default=None, where: str = ""):
     """read(obj[key]), or read(default) for an absent key given a default; a refusal, an
     absent key without a default included, names the key, after its place `where`
@@ -48,8 +68,7 @@ def _field(obj: dict, key: str, read=scalar_from_json, default=None, where: str 
 
 
 def auto_from_json(obj: dict, where: str = "matrix entry") -> CylinderAuto:
-    if not isinstance(obj, dict):
-        raise TypeError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    _expect(obj, dict, where)
     a, c = (_field(obj, key, where=where) for key in ("a", "c"))
     return CylinderAuto(a, c, _field(obj, "p", as_int, where=where))
 
@@ -77,8 +96,7 @@ def cf_to_json(cf) -> dict:
 
 def cf_from_json(obj: dict, where: str = "CF entry", scalar=scalar_from_json):
     """The bundle of a JSON object, each field read by `scalar`."""
-    if not isinstance(obj, dict):
-        raise TypeError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    _expect(obj, dict, where)
     kind = obj.get("kind")
     if kind == "cylinder":
         rest = ("kappa", "lambda", "tau", "theta", "twist")
@@ -97,8 +115,7 @@ def matrix_to_json(m: StatMatrix) -> list:
 
 def matrix_from_json(rows: list) -> StatMatrix:
     for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise TypeError(f"matrix[{i}] must be a JSON array, got {type(row).__name__}")
+        _expect(row, list, f"matrix[{i}]")
     return StatMatrix.from_rows([[auto_from_json(e, f"matrix[{i}][{j}]") for j, e in enumerate(row)]
                                  for i, row in enumerate(rows)])
 
@@ -116,8 +133,9 @@ def family_to_fixture(family: Family) -> dict:
 
 
 def family_from_fixture(obj: dict) -> Family:
-    matrix = matrix_from_json(obj["matrix"])
-    cfs = tuple(cf_from_json(cf, f"cfs[{j}]") for j, cf in enumerate(obj["cfs"]))
+    _expect(obj, dict, "fixture")
+    matrix = matrix_from_json(_member(obj, "matrix", list))
+    cfs = tuple(cf_from_json(cf, f"cfs[{j}]") for j, cf in enumerate(_member(obj, "cfs", list)))
     omega = _field(obj, "omega") if "omega" in obj else None
     family = Family(obj.get("family", "custom"), matrix, cfs, omega=omega)
     if family.kind != obj.get("kind"):
@@ -155,7 +173,21 @@ def rounding_bounds(obj: dict, predicates, keys) -> dict:
 
 
 def base_from_json(obj) -> BaseSequence:
-    return BaseSequence(obj["base"] if isinstance(obj, dict) else obj)
+    """The base of a JSON array, or of the "base" array of a JSON object."""
+    from .solenoid import BaseSequence  # only the solenoid command reads a base
+
+    if isinstance(obj, dict):
+        return BaseSequence(_member(obj, "base", list))
+    return BaseSequence(_expect(obj, list, "base"))
+
+
+def params_from_json(obj, required) -> dict:
+    """A parameter file's JSON object, refused with the first key of `required` it lacks."""
+    _expect(obj, dict, "params")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f'"{key}": missing')
+    return obj
 
 
 def dump(obj, path) -> None:

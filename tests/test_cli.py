@@ -589,13 +589,19 @@ class TestInputRounding:
 
 
 # Runs commands through cli.main in a fresh interpreter and prints, per
-# command, its exit code, whether numpy is loaded after it, and its stdout.
+# command, its exit code, whether numpy is loaded after it, its stdout and the
+# cylinderstat submodules loaded after it.
 _STARTUP_SCRIPT = """
 import contextlib, io, json, sys
+
+def state(code, out):
+    modules = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("cylinderstat."))
+    return [code, "numpy" in sys.modules, out, modules]
+
 import cylinderstat
-after = {"import cylinderstat": [None, "numpy" in sys.modules, ""]}
+after = {"import cylinderstat": state(None, "")}
 from cylinderstat import cli
-after["import cylinderstat.cli"] = [None, "numpy" in sys.modules, ""]
+after["import cylinderstat.cli"] = state(None, "")
 for name, args in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -604,55 +610,86 @@ for name, args in json.loads(sys.argv[1]):
             code = 0
         except SystemExit as exc:
             code = exc.code
-    after[name] = [code, "numpy" in sys.modules, out.getvalue()]
+    after[name] = state(code, out.getvalue())
 print(json.dumps(after))
 """
 
 
+def _startup(commands) -> dict:
+    """What `_STARTUP_SCRIPT` prints for `commands`, run in turn in one fresh interpreter."""
+    src = str(Path(cylinderstat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _startup_commands(tmp_path):
+    """(the commands that run without numpy, those that load it), as (name, args)."""
+    ref = family_to_fixture(line_gaussian_family(1, *REF_COEFFS))
+    perturbed = json.loads(json.dumps(ref))
+    perturbed["matrix"][1][0]["a"] = "21/10"
+    fixture = write_json(tmp_path / "ref.json", ref)
+    perturbed = write_json(tmp_path / "perturbed.json", perturbed)
+    pair = write_json(tmp_path / "pair.json",
+                      family_to_fixture(twisted_torus_pair(1, kappa=Fraction(1, 20))))
+    base = write_json(tmp_path / "base.json", {"base": list(range(2, 18))})
+    params = write_json(tmp_path / "params.json", REF_PARAMS)
+    pair_params = write_json(tmp_path / "pair_params.json", {"sigma": 1, "kappa": "1/20"})
+    grid = tmp_path / "grid.csv"
+    save_grid_csv(GridFunction.sample(lambda s, n: s * s + n * n, default_s_grid(),
+                                      default_n_grid()), grid)
+    exact = [
+        ("conditions", ["conditions", "--a1", "2", "--a2", "-3",
+                        "--b1", "-4/5", "--b2", "-1/5"]),
+        ("construct", ["construct", "-f", "line-gaussian", "--params", params,
+                       "--out", str(tmp_path / "built.json")]),
+        ("check reference", ["check", "--fixture", fixture, "--grid", "default"]),
+        ("check reference dense", ["check", "--fixture", fixture, "--grid", "dense"]),
+        ("check perturbed", ["check", "--fixture", perturbed, "--grid", "default"]),
+        ("check perturbed dense", ["check", "--fixture", perturbed, "--grid", "dense"]),
+        ("check pair", ["check", "--fixture", pair, "--grid", "default"]),
+        ("construct pair", ["construct", "-f", "twisted-pair", "--params", pair_params,
+                            "--out", str(tmp_path / "built_pair.json")]),
+        ("construct four", ["construct", "-f", "four-statistic", "--params", pair_params,
+                            "--out", str(tmp_path / "built_four.json")]),
+        ("solenoid", ["solenoid", "--base", base, "--fixture", fixture]),
+    ]
+    rest = [
+        ("reduce degree", ["reduce", "--input", str(grid), "--mode", "degree"]),
+        ("reduce profile", ["reduce", "--input", str(grid), "--mode", "profile"]),
+        ("reduce triple", ["reduce", "--input", ",".join([str(grid)] * 3), "--mode", "triple",
+                           "--fixture", fixture]),
+        ("simulate", ["simulate", "--fixture", fixture, "--count", "2000", "--bootstrap", "5"]),
+    ]
+    return exact, rest
+
+
+# The cylinderstat submodules loaded after each command, run alone in a fresh interpreter.
+_SECTIONS = ["charfn", "cli", "groups", "independence"]
+_FIXTURE = sorted([*_SECTIONS, "families", "serialize"])
+_LOADED = {
+    "conditions": _SECTIONS,
+    "construct": _FIXTURE, "construct pair": _FIXTURE, "construct four": _FIXTURE,
+    "check reference": _FIXTURE, "check reference dense": _FIXTURE,
+    "check perturbed": _FIXTURE, "check perturbed dense": _FIXTURE, "check pair": _FIXTURE,
+    "solenoid": sorted([*_FIXTURE, "solenoid"]),
+    "reduce degree": sorted([*_SECTIONS, "fdiff"]),
+    "reduce profile": sorted([*_SECTIONS, "fdiff"]),
+    "reduce triple": sorted([*_FIXTURE, "fdiff"]),
+    "simulate": sorted([*_FIXTURE, "montecarlo"]),
+}
+
+
 class TestStartup:
     """The exact commands run without importing numpy, a failing check included; the
-    others still load it."""
+    others still load it.  Each command imports only the library modules it runs."""
 
     def test_exact_commands_leave_numpy_unloaded(self, tmp_path):
-        ref = family_to_fixture(line_gaussian_family(1, *REF_COEFFS))
-        perturbed = json.loads(json.dumps(ref))
-        perturbed["matrix"][1][0]["a"] = "21/10"
-        fixture = write_json(tmp_path / "ref.json", ref)
-        perturbed = write_json(tmp_path / "perturbed.json", perturbed)
-        pair = write_json(tmp_path / "pair.json",
-                          family_to_fixture(twisted_torus_pair(1, kappa=Fraction(1, 20))))
-        base = write_json(tmp_path / "base.json", {"base": list(range(2, 18))})
-        params = write_json(tmp_path / "params.json", REF_PARAMS)
-        pair_params = write_json(tmp_path / "pair_params.json", {"sigma": 1, "kappa": "1/20"})
-        grid = tmp_path / "grid.csv"
-        save_grid_csv(GridFunction.sample(lambda s, n: s * s + n * n, default_s_grid(),
-                                          default_n_grid()), grid)
-        exact = [
-            ("conditions", ["conditions", "--a1", "2", "--a2", "-3",
-                            "--b1", "-4/5", "--b2", "-1/5"]),
-            ("construct", ["construct", "-f", "line-gaussian", "--params", params,
-                           "--out", str(tmp_path / "built.json")]),
-            ("check reference", ["check", "--fixture", fixture, "--grid", "default"]),
-            ("check reference dense", ["check", "--fixture", fixture, "--grid", "dense"]),
-            ("check perturbed", ["check", "--fixture", perturbed, "--grid", "default"]),
-            ("check perturbed dense", ["check", "--fixture", perturbed, "--grid", "dense"]),
-            ("check pair", ["check", "--fixture", pair, "--grid", "default"]),
-            ("construct pair", ["construct", "-f", "twisted-pair", "--params", pair_params,
-                                "--out", str(tmp_path / "built_pair.json")]),
-            ("construct four", ["construct", "-f", "four-statistic", "--params", pair_params,
-                                "--out", str(tmp_path / "built_four.json")]),
-            ("solenoid", ["solenoid", "--base", base, "--fixture", fixture]),
-        ]
-        rest = [
-            ("reduce degree", ["reduce", "--input", str(grid), "--mode", "degree"]),
-        ]
-        src = str(Path(cylinderstat.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, json.dumps(exact + rest)],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        after = json.loads(proc.stdout)
+        exact, rest = _startup_commands(tmp_path)
+        after = _startup(exact + rest[:1])
         for name in ["import cylinderstat", "import cylinderstat.cli", *dict(exact)]:
             assert after[name][1] is False, f"{name} loaded numpy"
         failing = {"check perturbed", "check perturbed dense"}
@@ -662,8 +699,21 @@ class TestStartup:
             report = json.loads(after[name][2])
             assert report["independence"]["residual"] > 1e-10
             assert report["independence"]["nonzero_blocks"]
-        code, numpy_loaded, out = after["reduce degree"]
+        code, numpy_loaded, out, _ = after["reduce degree"]
         assert code == 0 and numpy_loaded and json.loads(out)["degree"] == 2
+
+    def test_imports_load_no_library_module(self):
+        after = _startup([])
+        assert after["import cylinderstat"][3] == []
+        assert after["import cylinderstat.cli"][3] == ["cli"]
+
+    def test_each_command_loads_only_its_modules(self, tmp_path):
+        exact, rest = _startup_commands(tmp_path)
+        assert set(_LOADED) == set(dict(exact + rest))
+        for name, args in exact + rest:
+            code, _, _, modules = _startup([(name, args)])[name]
+            assert code in (0, 1), f"{name} exited {code}"
+            assert modules == _LOADED[name], name
 
 
 def _table_fixture(name: str) -> dict:
@@ -722,6 +772,18 @@ def _table_fixture(name: str) -> dict:
         return dict(ref, matrix=[ref["matrix"][0], [5, *ref["matrix"][1][1:]], ref["matrix"][2]])
     if name == "reference-row-int":  # matrix row 1 is a number, not an array
         return dict(ref, matrix=[ref["matrix"][0], 3, ref["matrix"][2]])
+    if name == "reference-matrix-int":
+        return dict(ref, matrix=5)
+    if name == "reference-cfs-int":
+        return dict(ref, cfs=5)
+    if name == "reference-without-cfs":
+        return {k: v for k, v in ref.items() if k != "cfs"}
+    if name == "reference-in-a-list":  # the fixture is a JSON array, not an object
+        return [ref]
+    if name == "reference-params-without-b2":
+        return {k: v for k, v in REF_PARAMS.items() if k != "b2"}
+    if name == "reference-params-in-a-list":
+        return [REF_PARAMS]
     if name == "reference-params-p1-true":
         return dict(REF_PARAMS, p1=True)
     if name == "reference-params-q2-float":
@@ -733,8 +795,12 @@ def _write_table_input(tmp_path, name: str) -> str:
     """Path of the input an `@name` argument of the exit-code table stands for."""
     if name == "base-with-unit-entry":
         return write_json(tmp_path / "base.json", {"base": [1, 2]})
+    if name == "base":
+        return write_json(tmp_path / "base.json", {"base": list(range(2, 18))})
     if name == "base-without-key":
         return write_json(tmp_path / "base.json", {"foo": 1})
+    if name == "base-int":
+        return write_json(tmp_path / "base.json", 5)
     if name == "base-string":
         return write_json(tmp_path / "base.json", "abc")
     if name == "base-with-float-entry":
@@ -867,12 +933,24 @@ def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     ("reference-without-sigma-1", ["check"], 'cfs[1]."sigma": missing'),
     ("reference-entry-int", ["check"], "matrix[1][0] must be a JSON object, got int"),
     ("reference-row-int", ["check"], "matrix[1] must be a JSON array, got int"),
+    ("reference-matrix-int", ["check"], '"matrix" must be a JSON array, got int'),
+    ("reference-cfs-int", ["check"], '"cfs" must be a JSON array, got int'),
+    ("reference-without-cfs", ["check"], '"cfs": missing'),
+    ("reference-in-a-list", ["check"], "fixture must be a JSON object, got list"),
+    ("reference", ["solenoid", "--base", "@base-without-key"], '"base": missing'),
+    ("reference", ["solenoid", "--base", "@base-int"], "base must be a JSON array, got int"),
+    ("reference-params-without-b2", ["construct", "-f", "line-gaussian"], '"b2": missing'),
+    ("reference-params-in-a-list", ["construct", "-f", "line-gaussian"],
+     "params must be a JSON object, got list"),
+    ("reference", ["solenoid", "--base", "@base", "--depth", "-1"], "--depth"),
 ])
 def test_input_error_names_the_problem(tmp_path, runner, fixture, args, named):
     """A negative seed or count, an empty --input, a null band of no resamples, a
     tolerance or degree bound out of range, a sigma too small to sample, a sign that
     is not a JSON integer, in a fixture or in params, a fixture scalar that is not a
-    number, and a fixture key, entry or row that is missing or of the wrong type exit 2.
+    number, a fixture key, entry or row that is missing or of the wrong type, a fixture,
+    base or parameter file of the wrong type or without a key it needs, and a negative
+    solenoid depth exit 2.
 
     The one stderr line names the key or option at fault, and a fixture key its place.
     """
