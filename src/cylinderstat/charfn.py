@@ -30,7 +30,7 @@ from fractions import Fraction
 from .groups import TWO_PI, CylinderAuto, DualPoint, as_exact, reduce_angle
 
 
-class InconclusiveError(RuntimeError):
+class InconclusiveError(ValueError):
     """A numeric certificate could not be produced."""
 
 

@@ -70,19 +70,11 @@ def __getattr__(name):
     return globals()[name]
 
 
-# What the library raises on bad input.  A fault on valid input (say an
-# AttributeError or an AssertionError) is not listed, so it keeps its traceback.
+# What the library raises on bad input; its own input errors, such as
+# ConstructionError and InconclusiveError, are ValueErrors.  A fault on valid input
+# (say an AttributeError or an AssertionError) is not listed, so it keeps its traceback.
 _INPUT_ERRORS = (OSError, LookupError, TypeError, ValueError, ArithmeticError,
                  click.UsageError)
-# The library's own input errors, by module.  They are looked up among the loaded
-# modules only: a module that was never imported raised none of them.
-_LIBRARY_INPUT_ERRORS = (("charfn", "InconclusiveError"), ("families", "ConstructionError"))
-
-
-def _input_errors() -> tuple:
-    found = (getattr(sys.modules.get(f"{__package__}.{module}"), name, None)
-             for module, name in _LIBRARY_INPUT_ERRORS)
-    return _INPUT_ERRORS + tuple(cls for cls in found if cls is not None)
 
 
 class _InputErrorBoundary(click.Group):
@@ -92,7 +84,7 @@ class _InputErrorBoundary(click.Group):
         try:
             return super().invoke(ctx)
         except Exception as exc:
-            if not isinstance(exc, _input_errors()):
+            if not isinstance(exc, _INPUT_ERRORS):
                 raise
             text = exc.format_message() if isinstance(exc, click.UsageError) else str(exc)
             if isinstance(exc, (LookupError, ArithmeticError)) or not text:

@@ -28,7 +28,7 @@ from .independence import (StatMatrix, family_kind, independence_blocks, nonzero
                            solve_sigmas)
 
 
-class ConstructionError(RuntimeError):
+class ConstructionError(ValueError):
     """A requested family does not exist or failed its own certification."""
 
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from .groups import DualPoint
 from .independence import StatMatrix, StepSubgroups, classify_step_subgroups
 
-# numpy is imported inside each function that uses it: the package imports
-# this module, and the exact commands (check, solenoid, construct,
-# conditions) must start without paying for numpy.
+# Last, so that the package's modules compile before numpy is mapped: a lower peak RSS.
+import numpy as np
 
 
 class OffGridError(ValueError):
@@ -53,31 +52,27 @@ class GridFunction:
     values: np.ndarray  # shape (len(s-grid), len(n-grid))
 
     def __post_init__(self):
-        import numpy as np
-
         v = np.asarray(self.values)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError("values must be a nonempty 2-D array")
         if self.s_step <= 0:
             raise ValueError("s_step must be positive")
+        if not np.isfinite(v).all():
+            i, k = np.argwhere(~np.isfinite(v))[0]
+            raise ValueError(f"grid value at (s, n) = ({float(self.s_start + i * self.s_step)!r}, "
+                             f"{self.n_start + k}) is not finite: {v[i, k]}")
         object.__setattr__(self, "values", v)
 
     @property
     def s_values(self) -> np.ndarray:
-        import numpy as np
-
         return self.s_start + self.s_step * np.arange(self.values.shape[0])
 
     @property
     def n_values(self) -> np.ndarray:
-        import numpy as np
-
         return self.n_start + np.arange(self.values.shape[1])
 
     @classmethod
     def sample(cls, fn, s_values, n_values) -> "GridFunction":
-        import numpy as np
-
         s_values = np.asarray(s_values, dtype=float)
         n_values = np.asarray(n_values, dtype=int)
         steps = np.diff(s_values)
@@ -102,14 +97,10 @@ class GridFunction:
 
 
 def default_s_grid():
-    import numpy as np
-
     return np.arange(-5.0, 5.0 + 1e-9, 0.25)
 
 
 def default_n_grid():
-    import numpy as np
-
     return np.arange(-6, 7)
 
 
@@ -120,14 +111,18 @@ def _shift_slices(length: int, d: int):
 
 
 def delta(f: GridFunction, h) -> GridFunction:
-    """Difference with step h; the domain shrinks by the step in each direction."""
+    """Difference with step h; the domain shrinks by the step in each direction.
+
+    Raises FloatingPointError, an ArithmeticError, when a difference overflows.
+    """
     j, k = f.step_units(h)
     S, N = f.values.shape
     if abs(j) >= S or abs(k) >= N:
         raise OffGridError(f"step ({j} s-units, {k}) exhausts the {S}x{N} domain")
     sj_hi, sj_lo = _shift_slices(S, j)
     nk_hi, nk_lo = _shift_slices(N, k)
-    vals = f.values[sj_hi, :][:, nk_hi] - f.values[sj_lo, :][:, nk_lo]
+    with np.errstate(over="raise"):
+        vals = f.values[sj_hi, :][:, nk_hi] - f.values[sj_lo, :][:, nk_lo]
     new_s_start = f.s_start + (max(-j, 0)) * f.s_step
     new_n_start = f.n_start + max(-k, 0)
     return GridFunction(new_s_start, f.s_step, new_n_start, vals)
@@ -143,8 +138,6 @@ def polynomial_degree(f: GridFunction, max_deg: int = 6, tol: float = 1e-9):
     that mixed terms raise the detected degree.  Raises when the grid is too
     small to apply max_deg + 1 differences of some test step.
     """
-    import numpy as np
-
     check_tol(tol)
     if max_deg < 0:
         raise ValueError(f"max_deg must be >= 0, got {max_deg!r}")
@@ -188,8 +181,6 @@ def fit_quadratic_profile(f: GridFunction, tol: float = 1e-9) -> ProfileFit:
     even; lambda is otherwise unconstrained.  Raises ProfileError when any of
     the structural requirements fails beyond tol.
     """
-    import numpy as np
-
     check_tol(tol)
     vals = f.values
     if np.iscomplexobj(vals):
@@ -242,8 +233,7 @@ def _tag_steps(tag, s_step):
     return [(j * s_step, k) for (j, k) in tag.step_units()]
 
 
-def verify_triple_differences(psis, matrix: StatMatrix, tags: StepSubgroups = None,
-                              free_steps=FREE_STEPS):
+def verify_triple_differences(psis, matrix: StatMatrix, tags: StepSubgroups = None):
     """Max third mixed differences of the three log-CF samples, steps per subgroup.
 
     psis are three GridFunctions; the middle and inner steps are drawn from
@@ -251,8 +241,6 @@ def verify_triple_differences(psis, matrix: StatMatrix, tags: StepSubgroups = No
     2 cross with col2, function 3 col1 with col2), the outer step is free.
     Returns the residual triple.
     """
-    import numpy as np
-
     if len(psis) != 3:
         raise ValueError("expected three sampled log-CFs")
     if tags is None:
@@ -264,7 +252,7 @@ def verify_triple_differences(psis, matrix: StatMatrix, tags: StepSubgroups = No
     )
     out = []
     for f, (ktag, ltag) in zip(psis, pairs):
-        hs = [(j * f.s_step, k) for (j, k) in free_steps]
+        hs = [(j * f.s_step, k) for (j, k) in FREE_STEPS]
         ks = _tag_steps(ktag, f.s_step)
         ls = _tag_steps(ltag, f.s_step)
         worst = 0.0
@@ -282,8 +270,6 @@ def verify_triple_differences(psis, matrix: StatMatrix, tags: StepSubgroups = No
 
 
 def save_grid_csv(f: GridFunction, path) -> None:
-    import numpy as np
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s", "n", "re", "im"])
@@ -296,26 +282,24 @@ def save_grid_csv(f: GridFunction, path) -> None:
 
 
 def load_grid_csv(path) -> GridFunction:
-    import numpy as np
-
-    rows = []
+    index = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rows.append((float(row["s"]), int(row["n"]),
-                         float(row["re"]), float(row["im"])))
-    if not rows:
+        for row in csv.DictReader(fh):
+            key = (float(row["s"]), int(row["n"]))
+            if key in index:
+                raise ValueError(f"grid CSV repeats the row (s, n) = {key}")
+            index[key] = complex(float(row["re"]), float(row["im"]))
+    if not index:
         raise ValueError("empty grid CSV")
-    s_values = sorted({r[0] for r in rows})
-    n_values = sorted({r[1] for r in rows})
-    if len(rows) != len(s_values) * len(n_values):
+    s_values = sorted({s for s, _ in index})
+    n_values = sorted({n for _, n in index})
+    if len(index) != len(s_values) * len(n_values):
         raise ValueError("grid CSV does not cover a full rectangle")
     steps = np.diff(s_values)
     if len(s_values) > 1 and not np.allclose(steps, steps[0], rtol=0, atol=1e-9):
         raise ValueError("s-grid must be uniform")
     if any(b - a != 1 for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n-grid must be contiguous")
-    index = {(r[0], r[1]): complex(r[2], r[3]) for r in rows}
     vals = np.array([[index[(s, n)] for n in n_values] for s in s_values])
     if float(np.abs(vals.imag).max()) == 0.0:
         vals = vals.real

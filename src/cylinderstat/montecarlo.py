@@ -36,9 +36,8 @@ from .charfn import CylinderCF, TorusCF, conditional_circle, is_valid_probabilit
 from .groups import TWO_PI, CylinderPoint, DualPoint, as_exact
 from .independence import StatMatrix
 
-# numpy is imported inside each function that uses it: the package imports
-# this module, and the exact commands (check, solenoid, construct,
-# conditions) must start without paying for numpy.
+# Last, so that the package's modules compile before numpy is mapped: a lower peak RSS.
+import numpy as np
 
 _CHUNK = 1 << 14
 
@@ -51,8 +50,6 @@ class SampleSet:
     theta: np.ndarray
 
     def __post_init__(self):
-        import numpy as np
-
         t = np.asarray(self.t, dtype=float)
         theta = np.mod(np.asarray(self.theta, dtype=float), TWO_PI)
         if t.shape != theta.shape or t.ndim != 1:
@@ -66,8 +63,6 @@ class SampleSet:
 
 
 def _chunk_generators(seed: int, count: int):
-    import numpy as np
-
     n_chunks = (count + _CHUNK - 1) // _CHUNK
     seqs = np.random.SeedSequence(seed).spawn(n_chunks)
     sizes = [min(_CHUNK, count - i * _CHUNK) for i in range(n_chunks)]
@@ -81,8 +76,6 @@ def fourier_density(cf: TorusCF, truncation: int, grid_points: int):
     `grid_points` uniform angles in [0, 2*pi), in blocks of 512 angles so that
     the table of phases stays small.
     """
-    import numpy as np
-
     ns = np.arange(-truncation, truncation + 1)
     coeffs = np.array([cf.eval(int(n)) for n in ns])
     angles = np.linspace(0.0, TWO_PI, grid_points, endpoint=False)
@@ -99,8 +92,6 @@ def _circle_draws(cf: TorusCF, u) -> np.ndarray:
     modes |n| <= sqrt(30/sigma) + 4, past which e^{-sigma*n^2} is below 1e-12,
     and never fewer than 64.  Raises ValueError when that needs more than 512 modes.
     """
-    import numpy as np
-
     if cf.sigma == 0:
         p1 = (1.0 + math.exp(2.0 * float(cf.twist))) / 2.0
         return np.where(u < p1, float(cf.theta), float(cf.theta) + math.pi)
@@ -123,8 +114,6 @@ def sample_bundle(cf, count: int, seed: int) -> SampleSet:
     draw of the `conditional_circle` law, from uniforms that each chunk's
     generator gives after its normals; a point mass takes none.  Then tau is added to t.
     """
-    import numpy as np
-
     if count < 1:
         raise ValueError("count must be >= 1")
     if not is_valid_probability(cf):
@@ -166,8 +155,6 @@ def sample_torus_twisted(cf: TorusCF, count: int, seed: int) -> SampleSet:
 
 def empirical_cf(samples: SampleSet, y) -> complex:
     """Empirical characteristic function at a dual point (or integer for the circle)."""
-    import numpy as np
-
     if isinstance(y, DualPoint):
         y = (y.s, y.n)
     s, n = y if isinstance(y, tuple) else (0, y)
@@ -180,8 +167,6 @@ def statistic_samples(samples, matrix: StatMatrix):
     Raises FloatingPointError, an ArithmeticError, when a statistic overflows
     a float, as a huge matrix entry can make it do.
     """
-    import numpy as np
-
     if len(samples) != matrix.n:
         raise ValueError(f"need {matrix.n} sample sets, got {len(samples)}")
     if len({s.count for s in samples}) != 1:
@@ -205,8 +190,6 @@ _TOR_PROBE_BASE = (1, -1, 2, -2, 3)
 def default_probes(n_slots: int, kind: str = "cylinder", count: int = 16,
                    seed: int = 2024):
     """A deterministic probe set of dual tuples, one (s, n) or integer per slot."""
-    import numpy as np
-
     base = _CYL_PROBE_BASE if kind == "cylinder" else _TOR_PROBE_BASE
     if count > len(base) ** n_slots:
         raise ValueError(f"count {count} exceeds the {len(base) ** n_slots} distinct "
@@ -225,8 +208,6 @@ _ROW_BLOCK = 4096
 
 def _slot_points(probes, i: int, kind: str):
     """Statistic i's distinct slot points as (s, n) arrays, and each probe's index into them."""
-    import numpy as np
-
     points = {}
     index = [points.setdefault((float(y[0]), int(y[1])) if kind == "cylinder" else (0.0, int(y)),
                                len(points)) for y in (probe[i] for probe in probes)]
@@ -249,8 +230,6 @@ def _character_moments(stats, probes, kind: str):
     starts from the previous block's, carried as its first row.  A single
     column is summed pairwise, so one probe takes a single block.
     """
-    import numpy as np
-
     count, n_stats = stats[0].count, len(stats)
     block = _ROW_BLOCK if len(probes) > 1 else count
     slots = [_slot_points(probes, i, kind) for i in range(n_stats)]
@@ -291,8 +270,6 @@ def _null_covariance(means, grams, pseudos, count: int) -> np.ndarray:
     G_i = X_i^T conj(X_i) / N (and H_i = X_i^T X_i / N for the pseudo-covariance),
     whose entries are the empirical CFs at probe differences (and sums).
     """
-    import numpy as np
-
     means = np.array(means)
     total = means.prod(axis=0)
     gram_prod = pseudo_prod = 1.0
@@ -320,8 +297,6 @@ def _null_maxima(cov: np.ndarray, draws: int, rng) -> np.ndarray:
     Negative eigenvalues are rounding (the matrix is singular for one row,
     repeated probes or constant statistics) and are clipped to 0.
     """
-    import numpy as np
-
     vals, vecs = np.linalg.eigh(cov)
     factor = (vecs * np.sqrt(np.clip(vals, 0.0, None))).T
     half = cov.shape[0] // 2
@@ -346,8 +321,6 @@ def empirical_independence(samples, matrix: StatMatrix, probes=None,
     docstring: `bootstrap` null draws give the band, the verdict
     `consistent_with_zero` and a one-sided `p_value`.
     """
-    import numpy as np
-
     if kind is None:
         kind = "torus" if matrix.is_sign_matrix() and all(
             np.all(s.t == 0) for s in samples) else "cylinder"

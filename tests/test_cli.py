@@ -22,6 +22,7 @@ from cylinderstat.fdiff import GridFunction, default_n_grid, default_s_grid, sav
 from cylinderstat.groups import CylinderAuto
 from cylinderstat.independence import DualGrid, StatMatrix, independence_blocks
 from cylinderstat.serialize import dump, family_from_fixture, family_to_fixture, load
+from oracle_charfn import spatial_threshold
 
 
 @pytest.fixture
@@ -716,6 +717,11 @@ class TestStartup:
             assert modules == _LOADED[name], name
 
 
+# The largest twist at which a circle law of sigma 1 is a probability measure,
+# atanh(theta4/theta3(e^-1)): there the validity test agrees to 1e-9 and decides nothing.
+THRESHOLD_TWIST = Fraction(spatial_threshold(1.0))
+
+
 def _table_fixture(name: str) -> dict:
     ref = family_to_fixture(line_gaussian_family(1, *REF_COEFFS))
     pair = family_to_fixture(twisted_torus_pair(1, kappa=Fraction(1, 20)))
@@ -744,6 +750,11 @@ def _table_fixture(name: str) -> dict:
         return dict(ref, cfs=[1, 2, 3])
     if name == "overtwisted-pair":  # the validity threshold at sigma = 1 is about 0.171
         return dict(pair, cfs=[dict(cf, twist=t) for cf, t in zip(pair["cfs"], ("3/2", "-3/2"))])
+    if name == "threshold-twist-pair":  # twists +-THRESHOLD_TWIST: validity undecided
+        return dict(pair, cfs=[dict(cf, twist=str(t)) for cf, t in
+                               zip(pair["cfs"], (THRESHOLD_TWIST, -THRESHOLD_TWIST))])
+    if name == "threshold-twist-params":
+        return {"sigma": 1, "kappa": str(THRESHOLD_TWIST)}
     if name == "small-sigma-pair":  # 82 Fourier modes to sample
         return family_to_fixture(twisted_torus_pair(Fraction(1, 200), kappa=0))
     if name == "tiny-sigma-pair":  # more than 512 Fourier modes to sample
@@ -788,6 +799,8 @@ def _table_fixture(name: str) -> dict:
         return dict(REF_PARAMS, p1=True)
     if name == "reference-params-q2-float":
         return dict(REF_PARAMS, q2=1.0)
+    if name == "rejected-params":  # the variance system has no positive solution
+        return dict(REF_PARAMS, a1="1", a2="-2", b1="-2", b2="1")
     raise ValueError(name)
 
 
@@ -813,6 +826,21 @@ def _write_table_input(tmp_path, name: str) -> str:
         path = tmp_path / f"{name}.csv"
         path.write_text("s,n,re,im\n" + "".join(f"{s},{n},1.0,0.0\n"
                                                 for s in (0.0, 0.5) for n in (0, 1)))
+        return str(path)
+    if name == "csv-repeated-row":  # (0.5, 0) twice and (0.5, 1) missing: still four rows
+        path = tmp_path / f"{name}.csv"
+        path.write_text("s,n,re,im\n0.0,0,1.0,0.0\n0.0,1,1.0,0.0\n0.5,0,1.0,0.0\n0.5,0,1.0,0.0\n")
+        return str(path)
+    if name == "csv-huge":  # +-1e308 alternating in s: the s-differences overflow
+        path = tmp_path / f"{name}.csv"
+        save_grid_csv(GridFunction.sample(lambda s, n: 1e308 if round(4 * s) % 2 else -1e308,
+                                          default_s_grid(), default_n_grid()), path)
+        return str(path)
+    if name.startswith("csv-nan"):  # NaN at every point of the default grid
+        path = tmp_path / f"{name}.csv"
+        path.write_text("s,n,re,im\n" + "".join(f"{float(s)!r},{int(n)},nan,0.0\n"
+                                                for s in default_s_grid()
+                                                for n in default_n_grid()))
         return str(path)
     if name.startswith("csv-odd-quartic"):
         # s**3 + 5*n**4 + 7*s is not even, so a valid tol rejects its profile.
@@ -943,18 +971,31 @@ def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     ("reference-params-in-a-list", ["construct", "-f", "line-gaussian"],
      "params must be a JSON object, got list"),
     ("reference", ["solenoid", "--base", "@base", "--depth", "-1"], "--depth"),
+    (None, ["reduce", "--mode", "degree", "--input", "@csv-nan"], "(-5.0, -6) is not finite"),
+    (None, ["reduce", "--mode", "profile", "--input", "@csv-nan"], "(-5.0, -6) is not finite"),
+    ("reference", ["reduce", "--mode", "triple", "--input", "@csv-nan-a,@csv-nan-b,@csv-nan-c"],
+     "(-5.0, -6) is not finite"),
+    (None, ["reduce", "--mode", "degree", "--input", "@csv-repeated-row"],
+     "repeats the row (s, n) = (0.5, 0)"),
+    (None, ["reduce", "--mode", "degree", "--input", "@csv-huge"], "overflow"),
+    ("threshold-twist-pair", ["check"], "agree to 1e-9"),
+    ("threshold-twist-params", ["construct", "-f", "twisted-pair"], "agree to 1e-9"),
+    ("rejected-params", ["construct", "-f", "line-gaussian"], "no positive sigma"),
 ])
 def test_input_error_names_the_problem(tmp_path, runner, fixture, args, named):
     """A negative seed or count, an empty --input, a null band of no resamples, a
     tolerance or degree bound out of range, a sigma too small to sample, a sign that
     is not a JSON integer, in a fixture or in params, a fixture scalar that is not a
     number, a fixture key, entry or row that is missing or of the wrong type, a fixture,
-    base or parameter file of the wrong type or without a key it needs, and a negative
-    solenoid depth exit 2.
+    base or parameter file of the wrong type or without a key it needs, a negative
+    solenoid depth, a grid CSV value that is not finite, a repeated grid row, grid values
+    whose differences overflow, a twist at the validity threshold and a coefficient
+    tuple without positive variances exit 2.
 
     The one stderr line names the key or option at fault, and a fixture key its place.
     """
-    args = [_write_table_input(tmp_path, a[1:]) if a.startswith("@") else a for a in args]
+    args = [",".join(_write_table_input(tmp_path, p[1:]) for p in a.split(","))
+            if a.startswith("@") else a for a in args]
     if fixture is not None:
         path = write_json(tmp_path / "fixture.json", _table_fixture(fixture))
         args = ([*args, "--params", path, "--out", str(tmp_path / "out.json")]

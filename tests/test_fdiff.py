@@ -15,6 +15,15 @@ def sample(fn):
     return GridFunction.sample(fn, default_s_grid(), default_n_grid())
 
 
+class TestGridFunction:
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf"), complex(1.0, float("inf"))])
+    def test_rejects_non_finite_value(self, value):
+        vals = np.ones((3, 2), dtype=complex)
+        vals[2, 1] = value
+        with pytest.raises(ValueError, match=r"\(s, n\) = \(0\.5, -1\) is not finite"):
+            GridFunction(-0.5, 0.5, -2, vals)
+
+
 class TestDelta:
     def test_annihilates_constants(self):
         f = sample(lambda s, n: 4.25)
@@ -52,6 +61,12 @@ class TestDelta:
         f = sample(lambda s, n: s)
         with pytest.raises(OffGridError):
             delta(f, (0.0, 13))
+
+    def test_overflow_raises(self):
+        # Finite values whose difference overflows: refused, not read as an infinite gap.
+        f = sample(lambda s, n: 1e308 if round(4 * s) % 2 else -1e308)
+        with pytest.raises(FloatingPointError):
+            delta(f, (0.25, 0))
 
 
 class TestDegree:
