@@ -2,14 +2,21 @@
 
 All reports are JSON on stdout; human-readable progress goes to stderr.  Exit
 codes: 0 success, 1 verification failure, 2 input error.  Input errors are
-decided in one place, `_InputErrorBoundary`: the commands let the library's
-exceptions propagate, and the boundary turns each into one stderr line.
+decided in one place, `main`: the parser's usage errors and the library's
+exceptions propagate to it from the commands, and it turns each into one
+stderr line `error: <command>: <message>`.
+
+Options are parsed with the standard library's argparse.  An option's value is
+the next argument even when it starts with "-" (`--b1 -4/5`), and an
+abbreviated option is refused.  `main(args, standalone_mode=False)` returns
+where a command returns instead of exiting 0.
 
 Each command imports only the library modules it runs, when it starts: a command
 finishes its own work in milliseconds, so importing every module for every
 command would be most of its time.  `conditions` loads `groups`, `charfn` and
-`independence`; `check` and `construct` add `families` and `serialize`, and
-`solenoid` adds `solenoid`.  The names the commands call still resolve as
+`independence`; `check` and `construct` add `families` and `serialize`,
+`solenoid` adds `solenoid`, and `reduce` adds `fdiff`.  Only `simulate` loads
+numpy, through `montecarlo`.  The names the commands call still resolve as
 `cli.<name>` before any command has run (PEP 562), and a name already set on
 this module, such as a wrapper a tracer or a test put there, is kept: the
 command calls it, and no later import puts the original back over it.
@@ -17,16 +24,16 @@ command calls it, and no later import puts the original back over it.
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import json
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import click
 
 if TYPE_CHECKING:
     from .families import Family
@@ -71,34 +78,100 @@ def __getattr__(name):
 
 
 # What the library raises on bad input; its own input errors, such as
-# ConstructionError and InconclusiveError, are ValueErrors.  A fault on valid input
-# (say an AttributeError or an AssertionError) is not listed, so it keeps its traceback.
-_INPUT_ERRORS = (OSError, LookupError, TypeError, ValueError, ArithmeticError,
-                 click.UsageError)
+# ConstructionError and InconclusiveError, are ValueErrors, and so are usage errors.
+# A fault on valid input (say an AttributeError or an AssertionError) is not
+# listed, so it keeps its traceback.
+_INPUT_ERRORS = (OSError, LookupError, TypeError, ValueError, ArithmeticError)
 
 
-class _InputErrorBoundary(click.Group):
-    """Exit 2 with one `error: <command>: <message>` line for any input error."""
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ValueErrors, for `main` to report."""
 
-    def invoke(self, ctx):
+    def error(self, message):
+        raise ValueError(message)
+
+
+# The commands by name: (function, options), each option (flags, argparse keywords).
+_COMMANDS = {}
+
+
+def _command(*options):
+    def register(fn):
+        _COMMANDS[fn.__name__] = (fn, options)
+        return fn
+    return register
+
+
+def _option(*flags, **kwargs):
+    return flags, kwargs
+
+
+def _existing(path: str) -> str:
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"Path {path!r} does not exist.")
+    return path
+
+
+def _int_from(low: int):
+    """The argparse type of an integer option with minimum `low`."""
+    def parse(text: str) -> int:
         try:
-            return super().invoke(ctx)
-        except Exception as exc:
-            if not isinstance(exc, _INPUT_ERRORS):
-                raise
-            text = exc.format_message() if isinstance(exc, click.UsageError) else str(exc)
-            if isinstance(exc, (LookupError, ArithmeticError)) or not text:
-                text = f"{type(exc).__name__}: {text}"  # "KeyError: 're'", not "'re'"
-            _log(f"error: {ctx.invoked_subcommand or ctx.info_name}: {' '.join(text.split())}")
-            sys.exit(2)
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer.") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}.")
+        return value
+    return parse
+
+
+def _parser() -> _Parser:
+    parser = _Parser(prog="cylinderstat", description=main.__doc__, allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__,
+                                  allow_abbrev=False)
+        for flags, kwargs in options:
+            sub.add_argument(*flags, **kwargs)
+    return parser
+
+
+def _values_attached(args: list) -> list:
+    """args with each option's value attached as `--option=value`, so that argparse
+    reads a value starting with "-", such as -4/5, as the value."""
+    if not args or args[0] not in _COMMANDS:
+        return args
+    long_flag = {flag: flags[0] for flags, _ in _COMMANDS[args[0]][1] for flag in flags}
+    out, rest = args[:1], iter(args[1:])
+    for arg in rest:
+        value = next(rest, None) if arg in long_flag else None
+        out.append(arg if value is None else f"{long_flag[arg]}={value}")
+    return out
+
+
+def main(args=None, standalone_mode: bool = True):
+    """Verification toolkit for independent linear statistics on the cylinder."""
+    args = sys.argv[1:] if args is None else list(args)
+    name = args[0] if args and args[0] in _COMMANDS else "cylinderstat"
+    try:
+        options = vars(_parser().parse_args(_values_attached(args)))
+        _COMMANDS[options.pop("command")][0](**options)
+    except _INPUT_ERRORS as exc:
+        text = str(exc)
+        if isinstance(exc, (LookupError, ArithmeticError)) or not text:
+            text = f"{type(exc).__name__}: {text}"  # "KeyError: 're'", not "'re'"
+        _log(f"error: {name}: {' '.join(text.split())}")
+        sys.exit(2)
+    if standalone_mode:
+        sys.exit(0)
 
 
 def _emit(report: dict) -> None:
-    click.echo(json.dumps(report, indent=2, allow_nan=False))
+    print(json.dumps(report, indent=2, allow_nan=False))
 
 
 def _log(message: str) -> None:
-    click.echo(message, err=True)
+    print(message, file=sys.stderr)
 
 
 def _has_sections(fam: Family) -> bool:
@@ -161,21 +234,16 @@ def _members(fam: Family, bounds: dict) -> list:
     } for j, cf in enumerate(fam.cfs)]
 
 
-@click.group(cls=_InputErrorBoundary)
-def main():
-    """Verification toolkit for independent linear statistics on the cylinder."""
-
-
 # The keys each family's parameter file must have; the others have defaults.
 _REQUIRED_PARAMS = {"line-gaussian": ("omega", "a1", "a2", "b1", "b2"),
                     "twisted-pair": ("sigma",), "four-statistic": ("sigma", "kappa")}
 
 
-@main.command()
-@click.option("--family", "-f", "family_name", required=True,
-              type=click.Choice(["line-gaussian", "twisted-pair", "four-statistic"]))
-@click.option("--params", "params_path", required=True, type=click.Path(exists=True))
-@click.option("--out", "out_path", required=True, type=click.Path())
+@_command(
+    _option("--family", "-f", dest="family_name", required=True,
+            choices=["line-gaussian", "twisted-pair", "four-statistic"]),
+    _option("--params", dest="params_path", required=True, type=_existing),
+    _option("--out", dest="out_path", required=True))
 def construct(family_name, params_path, out_path):
     """Build a certified fixture from a JSON parameter file."""
     _bind("serialize", "families")
@@ -228,12 +296,11 @@ def _check_cylinder_sections(fam: Family, values: dict, bounds: dict, report: di
     return support["certified"] or support["kind"] == "point"
 
 
-@main.command()
-@click.option("--fixture", "fixture_path", required=True, type=click.Path(exists=True))
-@click.option("--grid", "grid_name", default="default",
-              type=click.Choice(["default", "dense"]))
-@click.option("--workers", default=1, type=int,
-              help="Accepted for compatibility; has no effect.")
+@_command(
+    _option("--fixture", dest="fixture_path", required=True, type=_existing),
+    _option("--grid", dest="grid_name", default="default", choices=["default", "dense"]),
+    _option("--workers", default=1, type=int,
+            help="Accepted for compatibility; has no effect."))
 def check(fixture_path, grid_name, workers):
     """Run every applicable exact checker against a fixture."""
     _bind("serialize", "charfn", "independence")
@@ -275,11 +342,7 @@ def check(fixture_path, grid_name, workers):
     sys.exit(0 if ok else 1)
 
 
-@main.command()
-@click.option("--a1", required=True)
-@click.option("--a2", required=True)
-@click.option("--b1", required=True)
-@click.option("--b2", required=True)
+@_command(*(_option(f"--{name}", required=True) for name in ("a1", "a2", "b1", "b2")))
 def conditions(a1, a2, b1, b2):
     """Exact condition report for a reduced coefficient tuple."""
     _bind("independence")
@@ -297,20 +360,20 @@ def conditions(a1, a2, b1, b2):
     sys.exit(0 if report.all_pass else 1)
 
 
-@main.command()
-@click.option("--input", "input_paths", required=True,
-              help="Grid CSV path; three comma-separated paths for --mode triple.")
-@click.option("--mode", required=True, type=click.Choice(["degree", "profile", "triple"]))
-@click.option("--fixture", "fixture_path", type=click.Path(exists=True),
-              help="Fixture supplying the statistic matrix (triple mode).")
-@click.option("--tol", default=1e-9, type=float)
-@click.option("--max-degree", default=6, type=int)
+@_command(
+    _option("--input", dest="input_paths", required=True,
+            help="Grid CSV path; three comma-separated paths for --mode triple."),
+    _option("--mode", required=True, choices=["degree", "profile", "triple"]),
+    _option("--fixture", dest="fixture_path", type=_existing,
+            help="Fixture supplying the statistic matrix (triple mode)."),
+    _option("--tol", default=1e-9, type=float),
+    _option("--max-degree", default=6, type=int))
 def reduce(input_paths, mode, fixture_path, tol, max_degree):
     """Finite-difference reductions of grid-sampled functions."""
     _bind("fdiff")
     grids = [load_grid_csv(p.strip()) for p in input_paths.split(",") if p.strip()]
     if not grids:
-        raise click.UsageError(f"--input {input_paths!r} names no grid CSV")
+        raise ValueError(f"--input {input_paths!r} names no grid CSV")
 
     if mode == "degree":
         deg = polynomial_degree(grids[0], max_deg=max_degree, tol=tol)
@@ -325,16 +388,16 @@ def reduce(input_paths, mode, fixture_path, tol, max_degree):
         _emit({
             "mode": "profile",
             "sigma": fit.sigma,
-            "n": [int(n) for n in fit.n_values],
-            "kappa": [float(k) for k in fit.kappa],
-            "lambda": [float(v) for v in fit.lam],
+            "n": list(fit.levels),
+            "kappa": [float(k) for k in fit.exact_kappa],
+            "lambda": [float(v) for v in fit.exact_lam],
         })
         sys.exit(0)
     # triple mode
     if len(grids) != 3:
-        raise click.UsageError("triple mode needs three comma-separated grid CSVs")
+        raise ValueError("triple mode needs three comma-separated grid CSVs")
     if fixture_path is None:
-        raise click.UsageError("triple mode needs --fixture for the statistic matrix")
+        raise ValueError("triple mode needs --fixture for the statistic matrix")
     check_tol(tol)
     _bind("serialize", "independence")
     fam = _load_fixture(fixture_path)[1]
@@ -359,13 +422,13 @@ def _sample_family(obj: dict, fam: Family, count: int, seed: int):
     return [sample_bundle(cf, count, seed + j) for j, cf in enumerate(cfs)]
 
 
-@main.command()
-@click.option("--fixture", "fixture_path", required=True, type=click.Path(exists=True))
-@click.option("--count", default=100_000, type=click.IntRange(min=1))
-@click.option("--seed", default=0, type=click.IntRange(min=0))
-@click.option("--bootstrap", default=200, type=click.IntRange(min=1))
-@click.option("--samples-out", "samples_dir", type=click.Path(), default=None,
-              help="Directory for per-variable sample CSVs (t, theta).")
+@_command(
+    _option("--fixture", dest="fixture_path", required=True, type=_existing),
+    _option("--count", default=100_000, type=_int_from(1)),
+    _option("--seed", default=0, type=_int_from(0)),
+    _option("--bootstrap", default=200, type=_int_from(1)),
+    _option("--samples-out", dest="samples_dir", default=None,
+            help="Directory for per-variable sample CSVs (t, theta)."))
 def simulate(fixture_path, count, seed, bootstrap, samples_dir):
     """Monte-Carlo corroboration of a fixture's independence."""
     _bind("serialize", "charfn", "independence", "montecarlo")
@@ -386,10 +449,10 @@ def simulate(fixture_path, count, seed, bootstrap, samples_dir):
     sys.exit(0 if report["consistent_with_zero"] else 1)
 
 
-@main.command()
-@click.option("--base", "base_path", required=True, type=click.Path(exists=True))
-@click.option("--fixture", "fixture_path", required=True, type=click.Path(exists=True))
-@click.option("--depth", default=6, type=click.IntRange(min=0))
+@_command(
+    _option("--base", dest="base_path", required=True, type=_existing),
+    _option("--fixture", dest="fixture_path", required=True, type=_existing),
+    _option("--depth", default=6, type=_int_from(0)))
 def solenoid(base_path, fixture_path, depth):
     """Re-run the independence equation on the rational dual of a solenoid."""
     _bind("serialize", "charfn", "independence", "solenoid")

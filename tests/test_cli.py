@@ -9,11 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cylinderstat
+from cli_runner import Runner
 from conftest import REF_COEFFS, random_valid_coefficients
 from cylinderstat.charfn import CylinderCF
 from cylinderstat.cli import main
@@ -27,7 +27,7 @@ from oracle_charfn import spatial_threshold
 
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def write_json(path, obj):
@@ -335,6 +335,79 @@ class TestReduce:
                                       "--mode", "degree"])
         assert result.exit_code == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_differences_beyond_the_float_range_get_a_verdict(self, tmp_path, runner):
+        # +-1e308 alternating in s: no degree, and third differences of 8e308.
+        path = self._write_grid(tmp_path, lambda s, n: 1e308 if round(4 * s) % 2 else -1e308)
+        result = runner.invoke(main, ["reduce", "--input", path, "--mode", "degree"])
+        assert (result.exit_code, result.stderr) == (1, "")
+        assert json.loads(result.stdout) == {"mode": "degree", "degree": None}
+        result = runner.invoke(main, ["reduce", "--input", path, "--mode", "profile"])
+        assert (result.exit_code, result.stderr) == (1, "")
+        assert json.loads(result.stdout)["error"] == (
+            "third s-differences do not vanish: 8.000e+308")
+
+    def test_profile_of_exact_samples_is_exact(self, tmp_path, runner):
+        # Quarter-step samples of 2s^2 + 4ns + 2n^2 are floats exactly, so the fit is.
+        path = self._write_grid(tmp_path, lambda s, n: 2 * s * s + 4 * n * s + 2 * n * n)
+        report = json.loads(runner.invoke(main, ["reduce", "--input", path,
+                                                 "--mode", "profile"]).stdout)
+        assert report["sigma"] == 2.0
+        assert report["kappa"] == [4.0 * n for n in report["n"]]
+        assert report["lambda"] == [2.0 * n * n for n in report["n"]]
+
+    def test_rational_csv_values_are_exact(self, tmp_path, runner):
+        # s^2/3 on s in {-1, 0, 1}: no float holds 1/3, a "p/q" field does.
+        path = tmp_path / "thirds.csv"
+        path.write_text("s,n,re,im\n" + "".join(f"{s},{n},{s * s}/3,0\n"
+                                                for s in (-1, 0, 1) for n in (-1, 0, 1)))
+        report = json.loads(runner.invoke(main, ["reduce", "--input", str(path), "--mode",
+                                                 "profile", "--tol", "0"]).stdout)
+        assert report["sigma"] == 1 / 3 and report["kappa"] == report["lambda"] == [0.0] * 3
+
+
+# Option parsing: each row is a command, its exit code and a substring of
+# its one stderr line (None: it ran, with no error line).  "<fixture>" stands for a
+# valid fixture; the other paths are relative to an empty directory.
+@pytest.mark.parametrize("args,exit_code,named", [
+    # An option's value may start with "-".
+    (["conditions", "--a1", "2", "--a2", "-3", "--b1", "-4/5", "--b2", "-1/5"], 0, None),
+    (["conditions", "--a1=2", "--a2=-3", "--b1=-4/5", "--b2=-1/5"], 0, None),
+    (["check", "--fixture", "<fixture>", "--grid", "-x"], 2, "error: check: argument --grid"),
+    # An abbreviated option is refused.
+    (["check", "--fix", "<fixture>"], 2, "error: check: "),
+    (["check", "--fixture", "<fixture>", "--gri", "dense"], 2, "error: check: "),
+    # A usage error names its command and its option.
+    (["simulate", "--fixture", "<fixture>", "--seed", "-1"], 2,
+     "error: simulate: argument --seed: -1 is not in the range x>=0."),
+    (["simulate", "--fixture", "<fixture>", "--count", "x"], 2,
+     "error: simulate: argument --count: 'x' is not a valid integer."),
+    (["reduce", "--input", "grid.csv", "--mode", "x"], 2, "error: reduce: argument --mode"),
+    (["check"], 2, "error: check: the following arguments are required: --fixture"),
+    (["check", "--fixture"], 2, "error: check: argument --fixture: expected one argument"),
+    (["check", "--fixture", "missing.json"], 2,
+     "error: check: argument --fixture: Path 'missing.json' does not exist."),
+    (["check", "--fixture", "<fixture>", "extra"], 2, "error: check: unrecognized arguments"),
+    ([], 2, "error: cylinderstat: "),
+    (["nosuch"], 2, "error: cylinderstat: "),
+    # --workers is accepted, with no effect; -f is --family.
+    (["check", "--fixture", "<fixture>", "--workers", "2"], 0, None),
+    (["construct", "-f", "twisted-pair", "--params", "<pair-params>", "--out", "<out>"], 0,
+     None),
+])
+def test_option_parsing(tmp_path, monkeypatch, runner, ref_fixture_path, args, exit_code,
+                        named):
+    monkeypatch.chdir(tmp_path)
+    inputs = {"<fixture>": ref_fixture_path, "<out>": str(tmp_path / "out.json"),
+              "<pair-params>": write_json(tmp_path / "pair.json", {"sigma": 1, "kappa": "1/20"})}
+    result = runner.invoke(main, [inputs.get(a, a) for a in args])
+    assert result.exit_code == exit_code, result.output
+    if named is None:
+        assert result.stderr in ("", f"wrote certified fixture to {tmp_path / 'out.json'}\n")
+    else:
+        assert result.stdout == "" and result.stderr.count("\n") == 1, result.output
+        assert named in result.stderr, result.stderr
+
 
 class TestSimulate:
     def test_line_gaussian_consistent(self, ref_fixture_path, runner, tmp_path):
@@ -567,7 +640,7 @@ class TestInputRounding:
         Moving c of matrix entry (i, j) by d moves entry c01 of the block C_0i by
         2*sigma_j*d, so d = 10^3 * bound / (2*sigma_j) puts it 10^3 bounds off.
         """
-        runner, work = CliRunner(), tmp_path_factory.mktemp("rounded")
+        runner, work = Runner(), tmp_path_factory.mktemp("rounded")
         fixture = _float_fixture(family_to_fixture(line_gaussian_family(omega, *coeffs, *signs)))
         code, report = _run(runner, ["check", "--fixture", write_json(work / "f.json", fixture)])
         assert code == 0, report
@@ -590,14 +663,14 @@ class TestInputRounding:
 
 
 # Runs commands through cli.main in a fresh interpreter and prints, per
-# command, its exit code, whether numpy is loaded after it, its stdout and the
-# cylinderstat submodules loaded after it.
+# command, its exit code, which of click and numpy are loaded after it, its
+# stdout and the cylinderstat submodules loaded after it.
 _STARTUP_SCRIPT = """
 import contextlib, io, json, sys
 
 def state(code, out):
     modules = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("cylinderstat."))
-    return [code, "numpy" in sys.modules, out, modules]
+    return [code, [m for m in ("click", "numpy") if m in sys.modules], out, modules]
 
 import cylinderstat
 after = {"import cylinderstat": state(None, "")}
@@ -628,7 +701,7 @@ def _startup(commands) -> dict:
 
 
 def _startup_commands(tmp_path):
-    """(the commands that run without numpy, those that load it), as (name, args)."""
+    """(the commands that run without click and numpy, those that load numpy), as (name, args)."""
     ref = family_to_fixture(line_gaussian_family(1, *REF_COEFFS))
     perturbed = json.loads(json.dumps(ref))
     perturbed["matrix"][1][0]["a"] = "21/10"
@@ -657,12 +730,12 @@ def _startup_commands(tmp_path):
         ("construct four", ["construct", "-f", "four-statistic", "--params", pair_params,
                             "--out", str(tmp_path / "built_four.json")]),
         ("solenoid", ["solenoid", "--base", base, "--fixture", fixture]),
-    ]
-    rest = [
         ("reduce degree", ["reduce", "--input", str(grid), "--mode", "degree"]),
         ("reduce profile", ["reduce", "--input", str(grid), "--mode", "profile"]),
         ("reduce triple", ["reduce", "--input", ",".join([str(grid)] * 3), "--mode", "triple",
                            "--fixture", fixture]),
+    ]
+    rest = [
         ("simulate", ["simulate", "--fixture", fixture, "--count", "2000", "--bootstrap", "5"]),
     ]
     return exact, rest
@@ -685,14 +758,15 @@ _LOADED = {
 
 
 class TestStartup:
-    """The exact commands run without importing numpy, a failing check included; the
-    others still load it.  Each command imports only the library modules it runs."""
+    """The exact commands, every reduce mode and a failing check included, run without
+    importing click or numpy; simulate loads numpy.  Each command imports only the
+    library modules it runs."""
 
     def test_exact_commands_leave_numpy_unloaded(self, tmp_path):
         exact, rest = _startup_commands(tmp_path)
-        after = _startup(exact + rest[:1])
+        after = _startup(exact + rest)
         for name in ["import cylinderstat", "import cylinderstat.cli", *dict(exact)]:
-            assert after[name][1] is False, f"{name} loaded numpy"
+            assert after[name][1] == [], f"{name} loaded {after[name][1]}"
         failing = {"check perturbed", "check perturbed dense"}
         assert [after[name][0] for name, _ in exact] == [int(name in failing) for name, _ in exact]
         assert json.loads(after["check reference"][2])["independence"]["residual"] == 0.0
@@ -700,8 +774,8 @@ class TestStartup:
             report = json.loads(after[name][2])
             assert report["independence"]["residual"] > 1e-10
             assert report["independence"]["nonzero_blocks"]
-        code, numpy_loaded, out, _ = after["reduce degree"]
-        assert code == 0 and numpy_loaded and json.loads(out)["degree"] == 2
+        assert json.loads(after["reduce degree"][2])["degree"] == 2
+        assert after["simulate"][:2] == [0, ["numpy"]]
 
     def test_imports_load_no_library_module(self):
         after = _startup([])
@@ -831,7 +905,15 @@ def _write_table_input(tmp_path, name: str) -> str:
         path = tmp_path / f"{name}.csv"
         path.write_text("s,n,re,im\n0.0,0,1.0,0.0\n0.0,1,1.0,0.0\n0.5,0,1.0,0.0\n0.5,0,1.0,0.0\n")
         return str(path)
-    if name == "csv-huge":  # +-1e308 alternating in s: the s-differences overflow
+    if name == "csv-inf-s":  # the s of lines 4 and 5 is infinite
+        path = tmp_path / f"{name}.csv"
+        path.write_text("s,n,re,im\n0.0,0,1.0,0.0\n0.0,1,1.0,0.0\ninf,0,1.0,0.0\ninf,1,1.0,0.0\n")
+        return str(path)
+    if name == "csv-p-over-zero":
+        path = tmp_path / f"{name}.csv"
+        path.write_text("s,n,re,im\n0.0,0,1/0,0.0\n")
+        return str(path)
+    if name == "csv-huge":  # +-1e308 alternating in s: the s-differences leave the float range
         path = tmp_path / f"{name}.csv"
         save_grid_csv(GridFunction.sample(lambda s, n: 1e308 if round(4 * s) % 2 else -1e308,
                                           default_s_grid(), default_n_grid()), path)
@@ -911,6 +993,8 @@ def _reject_constant(name):
     ("reference", ["solenoid", "--base", "@base-with-float-entry", "--depth", "2"], 2, None),
     ("reference-params-p1-true", ["construct", "-f", "line-gaussian"], 2, None),
     ("reference-params-q2-float", ["construct", "-f", "line-gaussian"], 2, None),
+    (None, ["reduce", "--mode", "degree", "--input", "@csv-huge"], 1, None),
+    (None, ["reduce", "--mode", "profile", "--input", "@csv-huge"], 1, None),
 ])
 def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     """Malformed or extreme inputs get their contract exit code and never a traceback.
@@ -977,10 +1061,12 @@ def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
      "(-5.0, -6) is not finite"),
     (None, ["reduce", "--mode", "degree", "--input", "@csv-repeated-row"],
      "repeats the row (s, n) = (0.5, 0)"),
-    (None, ["reduce", "--mode", "degree", "--input", "@csv-huge"], "overflow"),
+    (None, ["reduce", "--mode", "degree", "--input", "@csv-inf-s"], "line 4: s = inf"),
     ("threshold-twist-pair", ["check"], "agree to 1e-9"),
     ("threshold-twist-params", ["construct", "-f", "twisted-pair"], "agree to 1e-9"),
     ("rejected-params", ["construct", "-f", "line-gaussian"], "no positive sigma"),
+    (None, ["reduce", "--mode", "profile", "--input", "@csv-inf-s"], "line 4: s = inf"),
+    (None, ["reduce", "--mode", "degree", "--input", "@csv-p-over-zero"], "ZeroDivisionError"),
 ])
 def test_input_error_names_the_problem(tmp_path, runner, fixture, args, named):
     """A negative seed or count, an empty --input, a null band of no resamples, a
@@ -988,9 +1074,9 @@ def test_input_error_names_the_problem(tmp_path, runner, fixture, args, named):
     is not a JSON integer, in a fixture or in params, a fixture scalar that is not a
     number, a fixture key, entry or row that is missing or of the wrong type, a fixture,
     base or parameter file of the wrong type or without a key it needs, a negative
-    solenoid depth, a grid CSV value that is not finite, a repeated grid row, grid values
-    whose differences overflow, a twist at the validity threshold and a coefficient
-    tuple without positive variances exit 2.
+    solenoid depth, a grid CSV value or s that is not finite or a "p/0" value, a repeated
+    grid row, a twist at the validity threshold and a coefficient tuple without positive
+    variances exit 2.
 
     The one stderr line names the key or option at fault, and a fixture key its place.
     """

@@ -2,7 +2,7 @@
 
 Each example takes one input document (a fixture, a `construct` parameter
 file or a solenoid base), deletes or replaces the value at one JSON path, and
-runs one command on it through `CliRunner`.  Whatever the input, the command
+runs one command on it through `Runner`.  Whatever the input, the command
 exits 0, 1 or 2 and never raises: exit 2 prints exactly one stderr line and no
 stdout, and exits 0 and 1 print strict JSON.
 """
@@ -12,10 +12,10 @@ import json
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_runner import Runner
 from conftest import REF_COEFFS
 from cylinderstat.cli import main
 from cylinderstat.families import (four_statistic_family, line_gaussian_family,
@@ -103,7 +103,7 @@ def run_mutation(inputs: dict, case, path, value):
     name, args = case
     with open(inputs["<doc>"], "w") as fh:
         fh.write(mutated_text(DOCUMENTS[name], path, value))
-    return CliRunner().invoke(main, [inputs.get(a, a) for a in args])
+    return Runner().invoke(main, [inputs.get(a, a) for a in args])
 
 
 def _reject_constant(name):

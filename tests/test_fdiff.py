@@ -1,15 +1,22 @@
 """Finite differences, degree detection, profile fitting, cascade checks."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import REF_COEFFS
+import oracle_fdiff
+from conftest import REF_COEFFS, random_valid_coefficients
 from cylinderstat.families import line_gaussian_family
 from cylinderstat.fdiff import (GridFunction, OffGridError, ProfileError,
                                 default_n_grid, default_s_grid, delta,
                                 fit_quadratic_profile, load_grid_csv,
                                 polynomial_degree, save_grid_csv,
                                 verify_triple_differences)
+from cylinderstat.independence import StepSubgroups, SubgroupTag
+
 
 def sample(fn):
     return GridFunction.sample(fn, default_s_grid(), default_n_grid())
@@ -62,11 +69,12 @@ class TestDelta:
         with pytest.raises(OffGridError):
             delta(f, (0.0, 13))
 
-    def test_overflow_raises(self):
-        # Finite values whose difference overflows: refused, not read as an infinite gap.
+    def test_difference_beyond_the_float_range_is_exact(self):
+        # +-1e308 alternating in s: each difference is +-2e308, held exactly, not overflowed.
         f = sample(lambda s, n: 1e308 if round(4 * s) % 2 else -1e308)
-        with pytest.raises(FloatingPointError):
-            delta(f, (0.25, 0))
+        out = delta(f, (0.25, 0))
+        assert {Fraction(v, out.den) for row in out.re for v in row} == {
+            2 * Fraction(1e308), -2 * Fraction(1e308)}
 
 
 class TestDegree:
@@ -219,3 +227,111 @@ class TestCsv:
         path.write_text("s,n,re,im\n0.0,0,1.0,0.0\n1.0,1,2.0,0.0\n")
         with pytest.raises(ValueError):
             load_grid_csv(path)
+
+    def test_exact_values_roundtrip(self, tmp_path):
+        # Floats are written as their shortest repr, other rationals as "p/q"; both read back exactly.
+        f = GridFunction(-1, Fraction(1, 3), 0, [[Fraction(1, 3), 0.1], [2, 1e308], [-0.5, 7]])
+        path = tmp_path / "grid.csv"
+        save_grid_csv(f, path)
+        assert path.read_text().splitlines()[1:4] == ["-1.0,0,1/3,0.0", "-1.0,1,0.1,0.0",
+                                                     "-2/3,0,2.0,0.0"]
+        g = load_grid_csv(path)
+        assert (g.s_start, g.s_step, g.n_start) == (-1, Fraction(1, 3), 0)
+        assert [[Fraction(v, g.den) for v in row] for row in g.re] == [
+            [Fraction(1, 3), Fraction(0.1)], [2, Fraction(1e308)], [Fraction(-1, 2), 7]]
+
+    def test_non_finite_s_names_its_line(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("s,n,re,im\n0.0,0,1.0,0.0\ninf,0,1.0,0.0\n")
+        with pytest.raises(ValueError, match="line 3: s = inf is not finite"):
+            load_grid_csv(path)
+
+
+# Small dyadic samples: float arithmetic on them is exact, so the numpy oracle's
+# results are the exact ones, and fdiff must equal them.
+dyadics = st.integers(-16, 16).map(lambda m: m / 4)
+
+
+@st.composite
+def dyadic_grids(draw):
+    """(the GridFunction, the oracle's) of a symmetric grid of 2**k + 1 s-values."""
+    S = draw(st.sampled_from([3, 5, 9, 17]))
+    N = draw(st.sampled_from([1, 3, 5, 7, 9]))
+    h = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    xs = [(i - (S - 1) // 2) * h for i in range(S)]
+    ns = range(-(N // 2), N // 2 + 1)
+    kind = draw(st.sampled_from(["profile", "polynomial", "noise"]))
+    if kind == "profile":  # sigma*s^2 + kappa*n*s + lambda(|n|)
+        sigma, kappa = draw(dyadics), draw(dyadics)
+        lam = [draw(dyadics) for _ in range(N // 2 + 1)]
+        vals = [[sigma * x * x + kappa * n * x + lam[abs(n)] for n in ns] for x in xs]
+    elif kind == "polynomial":  # total degree <= 3 in (s, n)
+        degree = draw(st.integers(0, 3))
+        terms = [(p, q, draw(dyadics)) for p in range(degree + 1) for q in range(degree + 1 - p)]
+        vals = [[sum(c * x ** p * n ** q for p, q, c in terms) for n in ns] for x in xs]
+    else:
+        vals = [[draw(dyadics) for _ in ns] for _ in xs]
+    if draw(st.booleans()):  # one sample moved
+        vals[draw(st.integers(0, S - 1))][draw(st.integers(0, N - 1))] += draw(dyadics)
+    return GridFunction(xs[0], h, ns[0], vals), oracle_fdiff.GridFunction(
+        xs[0], h, ns[0], np.array(vals, dtype=float))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the name and message of the exception it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+tolerances = st.sampled_from([0.0, 1e-9, 0.25])
+
+
+class TestOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(dyadic_grids(), tolerances, st.data())
+    def test_degree(self, grids, tol, data):
+        f, ref = grids
+        S, N = f.shape  # mostly a bound the grid admits: 2*(max_deg + 1) < S, max_deg + 1 < N
+        max_deg = data.draw(st.integers(0, max(0, min((S - 1) // 2 - 1, N - 2)) + 1))
+        assert outcome(polynomial_degree, f, max_deg, tol) == outcome(
+            oracle_fdiff.polynomial_degree, ref, max_deg, tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dyadic_grids(), tolerances)
+    def test_profile(self, grids, tol):
+        f, ref = grids
+
+        def coefficients(fit_fn, g):
+            fit = fit_fn(g, tol)
+            return fit.sigma, list(fit.n_values), list(fit.kappa), list(fit.lam)
+
+        assert outcome(coefficients, fit_quadratic_profile, f) == outcome(
+            coefficients, oracle_fdiff.fit_quadratic_profile, ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(dyadic_grids(), min_size=3, max_size=3),
+           st.lists(st.sampled_from(list(SubgroupTag)), min_size=3, max_size=3))
+    def test_triple_residuals(self, grids, tags):
+        tags = StepSubgroups(*tags)
+        psis, refs = zip(*grids)
+        assert outcome(verify_triple_differences, psis, None, tags) == outcome(
+            oracle_fdiff.verify_triple_differences, refs, None, tags)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_exact_log_cfs_reduce_to_their_gaussian_parameters(seed):
+    """Admissible families, end to end: each member's 2*phi sampled exactly has degree
+    2 and the profile (2 sigma, 2 kappa n, 2 lambda n^2), and the triple residuals are 0."""
+    coeffs = random_valid_coefficients(np.random.default_rng(seed))
+    fam = line_gaussian_family(Fraction(seed % 7, 3), *coeffs)
+    psis = [sample(lambda s, n, cf=cf: 2 * cf.phi(Fraction(s), n)) for cf in fam.cfs]
+    assert verify_triple_differences(psis, fam.matrix) == (0.0, 0.0, 0.0)
+    for f, cf in zip(psis, fam.cfs):
+        assert polynomial_degree(f, tol=0) == 2
+        fit = fit_quadratic_profile(f, tol=0)
+        assert fit.exact_sigma == 2 * cf.sigma
+        assert fit.exact_kappa == tuple(2 * cf.kappa * n for n in fit.levels)
+        assert fit.exact_lam == tuple(2 * cf.lam * n * n for n in fit.levels)
