@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .groups import TWO_PI, CylinderAuto, DualPoint, as_exact, reduce_angle
+from .groups import (TWO_PI, CylinderAuto, DualPoint, Record, as_exact, reduce_angle,
+                     replace)
 
 
 class InconclusiveError(ValueError):
@@ -49,8 +49,7 @@ def _nonneg(name, value):
     return value
 
 
-@dataclass(frozen=True)
-class CylinderCF:
+class CylinderCF(Record):
     """Log-CF bundle on R x T (dual variable y = (s, n)), PSD or not: see `is_valid_probability`."""
 
     sigma: object
@@ -100,8 +99,7 @@ class CylinderCF:
         return self
 
 
-@dataclass(frozen=True)
-class TorusCF:
+class TorusCF(Record):
     """Log-CF bundle on the circle (dual variable n in Z)."""
 
     sigma: object

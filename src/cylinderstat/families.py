@@ -19,11 +19,10 @@ Families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .charfn import CylinderCF, TorusCF, is_valid_probability
-from .groups import CylinderAuto, as_int, as_rational, named
+from .groups import CylinderAuto, Record, as_int, as_rational, named
 from .independence import (StatMatrix, family_kind, independence_blocks, nonzero_blocks,
                            solve_sigmas)
 
@@ -32,8 +31,7 @@ class ConstructionError(ValueError):
     """A requested family does not exist or failed its own certification."""
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """A certified fixture: statistic matrix plus member characteristic functions."""
 
     label: str            # "line-gaussian" | "twisted-pair" | "four-statistic"
@@ -157,8 +155,7 @@ def four_statistic_family(sigma, kappa) -> Family:
 TRIPLE_SIGNS = ((1, 1, 1), (1, -1, 1), (-1, 1, 1))
 
 
-@dataclass(frozen=True)
-class TriadVerdict:
+class TriadVerdict(Record):
     """Outcome of the three-sign-statistic scenario on the circle."""
 
     matrix: StatMatrix

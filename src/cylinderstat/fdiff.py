@@ -23,11 +23,10 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .groups import DualPoint, as_exact, as_rational
+from .groups import DualPoint, Record, as_exact, as_rational, sci
 from .independence import StatMatrix, StepSubgroups, classify_step_subgroups
 
 
@@ -59,16 +58,6 @@ def _exceeds(num: int, den: int, bound) -> bool:
     """Whether num / den > bound, exactly, for a finite number `bound`."""
     bound = Fraction(bound)
     return num * bound.denominator > bound.numerator * den
-
-
-def _sci(value: Fraction) -> str:
-    """`f"{value:.3e}"` for an exact value >= 0, also beyond the float range."""
-    try:
-        return f"{float(value):.3e}"
-    except OverflowError:
-        from decimal import Decimal
-
-        return f"{Decimal(value.numerator) / value.denominator:.3e}"
 
 
 def _ratio(value) -> tuple[int, int]:
@@ -259,8 +248,7 @@ def polynomial_degree(f: GridFunction, max_deg: int = 6, tol: float = 1e-9):
     return None
 
 
-@dataclass(frozen=True)
-class ProfileFit:
+class ProfileFit(Record):
     """Result of the shared-quadratic-profile fit f = sigma*s^2 + kappa(n)*s + lambda(n).
 
     The fit is exact: level n = n_start + k has the linear and constant
@@ -324,13 +312,13 @@ def fit_quadratic_profile(f: GridFunction, tol: float = 1e-9) -> ProfileFit:
                    for a, b in zip(row, reversed(mirror)))
     if _exceeds(even_gap, den, bound):
         raise ProfileError(f"function is not even: max |f(y) - f(-y)| = "
-                           f"{_sci(Fraction(even_gap, den))}")
+                           f"{sci(Fraction(even_gap, den))}")
 
     third_gap = max((abs(d - 3 * c + 3 * b - a)
                      for rows in zip(v, v[1:], v[2:], v[3:]) for a, b, c, d in zip(*rows)),
                     default=0)
     if _exceeds(third_gap, den, bound):
-        raise ProfileError(f"third s-differences do not vanish: {_sci(Fraction(third_gap, den))}")
+        raise ProfileError(f"third s-differences do not vanish: {sci(Fraction(third_gap, den))}")
     if S < 3:
         raise ProfileError(f"a quadratic in s needs at least three s-values, got {S}")
 
@@ -346,7 +334,7 @@ def fit_quadratic_profile(f: GridFunction, tol: float = 1e-9) -> ProfileFit:
     fit_gap = max(abs(D * v[x][k] - (alpha * x + beta) * x - gamma)
                   for x in range(S) for k, (alpha, beta, gamma) in enumerate(coeffs))
     if _exceeds(fit_gap, D * den, bound):
-        raise ProfileError(f"quadratic fit residual {_sci(Fraction(fit_gap, D * den))} "
+        raise ProfileError(f"quadratic fit residual {sci(Fraction(fit_gap, D * den))} "
                            f"exceeds tol")
 
     # In s, the level's quadratic is a*(s - s0)^2 + b*(s - s0) + c.
@@ -359,13 +347,13 @@ def fit_quadratic_profile(f: GridFunction, tol: float = 1e-9) -> ProfileFit:
         lam.append(c - b * s0 + a * s0 * s0)
     sig_gap = max(sig) - min(sig)
     if sig_gap > bound:
-        raise ProfileError(f"leading coefficient varies across levels by {_sci(sig_gap)}")
+        raise ProfileError(f"leading coefficient varies across levels by {sci(sig_gap)}")
     odd_gap = max(abs(a + b) for a, b in zip(kap, reversed(kap)))
     even_lam_gap = max(abs(a - b) for a, b in zip(lam, reversed(lam)))
     if odd_gap > bound:
-        raise ProfileError(f"linear coefficient is not odd in n: {_sci(odd_gap)}")
+        raise ProfileError(f"linear coefficient is not odd in n: {sci(odd_gap)}")
     if even_lam_gap > bound:
-        raise ProfileError(f"constant coefficient is not even in n: {_sci(even_lam_gap)}")
+        raise ProfileError(f"constant coefficient is not even in n: {sci(even_lam_gap)}")
 
     return ProfileFit(exact_sigma=sum(sig) / N, n_start=f.n_start,
                       exact_kappa=tuple(kap), exact_lam=tuple(lam))
@@ -374,16 +362,21 @@ def fit_quadratic_profile(f: GridFunction, tol: float = 1e-9) -> ProfileFit:
 FREE_STEPS = ((1, 0), (0, 1), (1, 1), (2, -1))
 
 
-def verify_triple_differences(psis, matrix: StatMatrix, tags: StepSubgroups = None):
+def verify_triple_differences(psis, matrix: StatMatrix, tags: StepSubgroups = None,
+                              tol=None):
     """Max third mixed differences of the three log-CF samples, steps per subgroup.
 
     psis are three GridFunctions; the middle and inner steps are drawn from
     the classified step subgroups (function 1 pairs cross with col1, function
     2 cross with col2, function 3 col1 with col2), the outer step is free.
-    Returns the residual triple: each the exact largest modulus, rounded to a float.
+    Returns the residual triple: each the exact largest modulus, rounded to a float,
+    or None past the float range.  With `tol`, returns (that triple, whether every
+    exact modulus is at most tol).
     """
     if len(psis) != 3:
         raise ValueError("expected three sampled log-CFs")
+    if tol is not None:
+        check_tol(tol)
     if tags is None:
         tags = classify_step_subgroups(matrix)
     pairs = (
@@ -391,7 +384,7 @@ def verify_triple_differences(psis, matrix: StatMatrix, tags: StepSubgroups = No
         (tags.cross, tags.col2),
         (tags.col1, tags.col2),
     )
-    out = []
+    out, within = [], True
     for f, (ktag, ltag) in zip(psis, pairs):
         worst, inner = (0, 0), {}
         for h in FREE_STEPS:
@@ -400,8 +393,19 @@ def verify_triple_differences(psis, matrix: StatMatrix, tags: StepSubgroups = No
                     if (kk, ll) not in inner:
                         inner[kk, ll] = _delta(_delta(f, *ll), *kk)
                     worst = max(worst, _peak(_delta(inner[kk, ll], *h)), key=_norm2)
-        out.append(math.hypot(worst[0] / f.den, worst[1] / f.den))
-    return tuple(out)
+        out.append(_modulus(worst, f.den))
+        if tol is not None:
+            within = within and not _exceeds(_norm2(worst), f.den ** 2, Fraction(tol) ** 2)
+    return tuple(out) if tol is None else (tuple(out), within)
+
+
+def _modulus(peak: tuple[int, int], den: int):
+    """The modulus of the sample peak / den as a float, or None past the float range."""
+    try:
+        modulus = math.hypot(peak[0] / den, peak[1] / den)
+    except OverflowError:
+        return None
+    return modulus if math.isfinite(modulus) else None
 
 
 # --------------------------------------------------------------------------

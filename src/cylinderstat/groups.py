@@ -30,7 +30,6 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 
 TWO_PI = 2.0 * math.pi
@@ -61,12 +60,140 @@ def as_int(value) -> int:
     return value
 
 
+def sci(value) -> str:
+    """`f"{value:.3e}"` for an exact value >= 0, also beyond the float range."""
+    try:
+        return f"{float(value):.3e}"
+    except OverflowError:
+        from decimal import Decimal
+
+        return f"{Decimal(value.numerator) / value.denominator:.3e}"
+
+
 def named(name: str, read, value):
     """read(value), a TypeError or ValueError it raises led by `name`."""
     try:
         return read(value)
     except (TypeError, ValueError) as exc:
         raise type(exc)(f"{name}: {exc}") from None
+
+
+class FrozenInstanceError(AttributeError):
+    """Raised on assigning or deleting an attribute of a record."""
+
+
+# The default of a field that `__post_init__` sets: not an argument of the constructor
+# and not in the repr, but compared and hashed, as `field(init=False, repr=False)` is.
+DERIVED = object()
+
+_setattr = object.__setattr__
+
+
+# The package's value types are Records, not dataclasses.  `import dataclasses` loads
+# `inspect`, `ast`, `dis` and `tokenize`, 7-9 ms of every command, and each
+# `@dataclass(frozen=True)` runs `exec` on six generated methods, 0.5-1 ms per class,
+# while a command's own work takes 2-34 ms (2 CPUs, Python 3.11).  A Record reads its
+# fields from the class annotations once, when the class is made, and generates no code.
+class Record:
+    """A frozen value type with the methods `@dataclass(frozen=True)` gives it.
+
+    The fields are the annotated class attributes, in order, and a class attribute of the
+    same name is the field's default.  The constructor takes them by position or by name,
+    sets them and calls `__post_init__`, which may reset them with `object.__setattr__`;
+    `==` compares the fields of two instances of the same class, `hash` hashes them, and
+    assigning or deleting an attribute raises FrozenInstanceError.  The repr is the
+    dataclass one, `Name(field=value, ...)`, without the DERIVED fields.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(cls.__annotations__)
+        params = tuple(name for name in fields if vars(cls).get(name) is not DERIVED)
+        for name in fields:
+            if name not in params:
+                delattr(cls, name)
+        cls._fields, cls._params = fields, params
+        cls._defaults = {name: vars(cls)[name] for name in params if name in vars(cls)}
+        for before, name in zip(params, params[1:]):
+            if before in cls._defaults and name not in cls._defaults:
+                raise TypeError(f"non-default argument {name!r} follows default argument")
+
+    def __init__(self, *args, **kwargs):
+        names = self._params
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            _setattr(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a call with `args` and `kwargs`; its TypeError is the one
+        a function with the fields as parameters raises."""
+        names, defaults = cls._params, cls._defaults
+        rest = names[len(args):]
+        if len(args) <= len(names):
+            if not kwargs and len(rest) <= len(defaults):  # the defaults are the last fields
+                return [*args, *map(defaults.__getitem__, rest)]
+            if len(kwargs) == len(rest):  # then no keyword is extra if none is missing
+                try:
+                    return [*args, *map(kwargs.__getitem__, rest)]
+                except KeyError:
+                    pass
+        where = f"{cls.__qualname__}.__init__()"
+        for name in kwargs:
+            if name not in names:
+                raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
+            if name not in rest:
+                raise TypeError(f"{where} got multiple values for argument {name!r}")
+        if len(args) > len(names):
+            most = len(names) + 1
+            takes = f"from {most - len(defaults)} to {most}" if defaults else most
+            raise TypeError(f"{where} takes {takes} positional arguments "
+                            f"but {len(args) + 1} were given")
+        missing = [repr(name) for name in rest if name not in kwargs and name not in defaults]
+        if missing:
+            listed = (" and ".join(missing) if len(missing) < 3
+                      else ", ".join(missing[:-1]) + ", and " + missing[-1])
+            raise TypeError(f"{where} missing {len(missing)} required positional "
+                            f"argument{'s' if len(missing) > 1 else ''}: {listed}")
+        return [*args, *(kwargs[name] if name in kwargs else defaults[name] for name in rest)]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._params)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def replace(obj, /, **changes):
+    """A record like `obj` with the fields named in `changes` set to their values, built
+    by its constructor, as `dataclasses.replace` builds it."""
+    if not isinstance(obj, Record):
+        raise TypeError("replace() should be called on record instances")
+    for name in obj._fields:
+        if name not in obj._params and name in changes:
+            raise ValueError(f"field {name} is declared with init=False, it cannot be "
+                             f"specified with replace()")
+    return type(obj)(**{**{name: getattr(obj, name) for name in obj._params}, **changes})
 
 
 def reduce_angle(theta) -> float:
@@ -77,8 +204,7 @@ def reduce_angle(theta) -> float:
     return r if r < TWO_PI else 0.0  # -1e-151 + 2*pi rounds to 2*pi
 
 
-@dataclass(frozen=True)
-class CylinderPoint:
+class CylinderPoint(Record):
     """Element (t, z) of R x T, with z = exp(i*theta) and theta in [0, 2*pi)."""
 
     t: float
@@ -98,8 +224,7 @@ class CylinderPoint:
         return self + (-other)
 
 
-@dataclass(frozen=True)
-class DualPoint:
+class DualPoint(Record):
     """Element (s, n) of the dual group R x Z; addition is componentwise."""
 
     s: object
@@ -118,8 +243,7 @@ class DualPoint:
         return self + (-other)
 
 
-@dataclass(frozen=True)
-class CylinderAuto:
+class CylinderAuto(Record):
     """Automorphism (s, n) -> (a*s + c*n, p*n) of R x Z and its adjoint on R x T."""
 
     a: object

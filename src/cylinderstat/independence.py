@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
 from .charfn import CylinderCF, TorusCF, convolve, psd_gap, symmetrize, transform
-from .groups import CylinderAuto, DualPoint, as_exact, as_rational
+from .groups import DERIVED, CylinderAuto, DualPoint, Record, as_exact, as_rational
 
 
 class SingularSystemError(ValueError):
@@ -53,8 +52,7 @@ class DegenerateFormError(ValueError):
 # Statistic matrices
 
 
-@dataclass(frozen=True)
-class StatMatrix:
+class StatMatrix(Record):
     """n x n array of automorphisms; row i defines L_i = sum_j rows[i][j] xi_j."""
 
     rows: tuple
@@ -138,8 +136,7 @@ def slot_points(kind: str = "cylinder", dense: bool = False):
     return [DualPoint(s, n) for s in ss for n in ns]
 
 
-@dataclass(frozen=True)
-class DualGrid:
+class DualGrid(Record):
     """Dual tuples over one point set as an index space: tuple k is computed when asked for.
 
     Tuple k holds the points named by the base-L digits of k*step % total, slot 0 the
@@ -153,8 +150,8 @@ class DualGrid:
     points: tuple
     n_slots: int
     cap: int = 100_000
-    total: int = field(init=False, repr=False)
-    step: int = field(init=False, repr=False)
+    total: int = DERIVED
+    step: int = DERIVED
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
@@ -350,8 +347,7 @@ def cubic_identity(a1, a2, b1, b2):
             - a2 * b1 + a1 * a2 * b1 + a2 * b1 * b2)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     """Exact findings for a reduced coefficient tuple (a1, a2, b1, b2)."""
 
     cubic: Fraction
@@ -484,8 +480,7 @@ _CASE_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class StepSubgroups:
+class StepSubgroups(Record):
     """Difference-range subgroups attached to the two nontrivial columns.
 
     col1 is generated by (entry - I) over the first column, col2 over the
@@ -573,8 +568,7 @@ def nu_support_check(cfs, matrix: StatMatrix) -> bool:
 # Reduction to the normal form
 
 
-@dataclass(frozen=True)
-class NormalFormTransform:
+class NormalFormTransform(Record):
     """Record of the substitutions used to reduce a statistic matrix.
 
     col_autos[j] is applied to variable j (new xi_j = col_autos[j] xi_j), and

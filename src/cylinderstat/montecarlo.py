@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 
 from .charfn import CylinderCF, TorusCF, conditional_circle, is_valid_probability
-from .groups import TWO_PI, CylinderPoint, DualPoint, as_exact
+from .groups import TWO_PI, CylinderPoint, DualPoint, Record, as_exact, sci
 from .independence import StatMatrix
 
 # Last, so that the package's modules compile before numpy is mapped: a lower peak RSS.
@@ -42,8 +42,7 @@ import numpy as np
 _CHUNK = 1 << 14
 
 
-@dataclass(frozen=True)
-class SampleSet:
+class SampleSet(Record):
     """Arrays of cylinder samples (t_k, theta_k); circle samples have t = 0."""
 
     t: np.ndarray
@@ -121,9 +120,9 @@ def sample_bundle(cf, count: int, seed: int) -> SampleSet:
     cf = cf.cylinder
     circle = conditional_circle(cf)
     point = circle.sigma == 0 and circle.twist == 0
+    if 2 * cf.sigma > sys.float_info.max:  # exactly: float(cf.sigma) may not exist
+        raise ValueError(f"sigma {sci(cf.sigma)} is too large to sample")
     std = math.sqrt(2.0 * float(cf.sigma))
-    if not math.isfinite(std):
-        raise ValueError(f"sigma {float(cf.sigma)!r} is too large to sample")
     t, u = np.zeros(count), np.empty(0 if point else count)
     for k, (rng, size) in enumerate(_chunk_generators(seed, count)):
         rows = slice(k * _CHUNK, k * _CHUNK + size)

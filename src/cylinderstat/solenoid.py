@@ -25,11 +25,10 @@ although 1/3 is a multiplier of H for every base that goes on with 3s.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .groups import CylinderAuto, DualPoint, as_exact, as_int
+from .groups import CylinderAuto, DualPoint, Record, as_exact, as_int
 from .independence import DEFAULT_N, DualGrid, StatMatrix, independence_residual
 
 
@@ -37,8 +36,7 @@ class IncompatibleAutoError(ValueError):
     """A matrix entry does not act on the rational dual of the solenoid."""
 
 
-@dataclass(frozen=True)
-class BaseSequence:
+class BaseSequence(Record):
     """Finite prefix of the defining sequence (a_0, a_1, ...), entries > 1."""
 
     entries: tuple
@@ -69,8 +67,7 @@ class BaseSequence:
         return cls((value,) * length)
 
 
-@dataclass(frozen=True)
-class AdicInteger:
+class AdicInteger(Record):
     """Digit sequence of an a-adic integer, truncated at the working precision."""
 
     digits: tuple

@@ -25,13 +25,12 @@ sigma 800, twist 400 inconclusive, both sides having underflowed to 0).
 
 import cmath
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from cylinderstat.charfn import InconclusiveError, TorusCF, _reduce_param_angle
-from cylinderstat.groups import TWO_PI
+from cylinderstat.groups import TWO_PI, replace
 from cylinderstat.montecarlo import fourier_density
 
 

@@ -663,14 +663,15 @@ class TestInputRounding:
 
 
 # Runs commands through cli.main in a fresh interpreter and prints, per
-# command, its exit code, which of click and numpy are loaded after it, its
-# stdout and the cylinderstat submodules loaded after it.
+# command, its exit code, which of click, dataclasses, inspect and numpy are
+# loaded after it, its stdout and the cylinderstat submodules loaded after it.
 _STARTUP_SCRIPT = """
 import contextlib, io, json, sys
 
 def state(code, out):
     modules = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("cylinderstat."))
-    return [code, [m for m in ("click", "numpy") if m in sys.modules], out, modules]
+    loaded = [m for m in ("click", "dataclasses", "inspect", "numpy") if m in sys.modules]
+    return [code, loaded, out, modules]
 
 import cylinderstat
 after = {"import cylinderstat": state(None, "")}
@@ -759,8 +760,8 @@ _LOADED = {
 
 class TestStartup:
     """The exact commands, every reduce mode and a failing check included, run without
-    importing click or numpy; simulate loads numpy.  Each command imports only the
-    library modules it runs."""
+    importing click, dataclasses, inspect or numpy; simulate loads numpy, and inspect
+    only as numpy's import.  Each command imports only the library modules it runs."""
 
     def test_exact_commands_leave_numpy_unloaded(self, tmp_path):
         exact, rest = _startup_commands(tmp_path)
@@ -775,7 +776,8 @@ class TestStartup:
             assert report["independence"]["residual"] > 1e-10
             assert report["independence"]["nonzero_blocks"]
         assert json.loads(after["reduce degree"][2])["degree"] == 2
-        assert after["simulate"][:2] == [0, ["numpy"]]
+        assert after["simulate"][0] == 0
+        assert [m for m in after["simulate"][1] if m != "inspect"] == ["numpy"]
 
     def test_imports_load_no_library_module(self):
         after = _startup([])
@@ -995,6 +997,10 @@ def _reject_constant(name):
     ("reference-params-q2-float", ["construct", "-f", "line-gaussian"], 2, None),
     (None, ["reduce", "--mode", "degree", "--input", "@csv-huge"], 1, None),
     (None, ["reduce", "--mode", "profile", "--input", "@csv-huge"], 1, None),
+    ("reference", ["reduce", "--mode", "triple",
+                   "--input", "@csv-huge,@csv-huge,@csv-huge"], 1, None),
+    ("reference", ["reduce", "--mode", "triple", "--tol", "1e308",
+                   "--input", "@csv-huge,@csv-huge,@csv-huge"], 1, None),
 ])
 def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     """Malformed or extreme inputs get their contract exit code and never a traceback.
@@ -1067,6 +1073,8 @@ def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     ("rejected-params", ["construct", "-f", "line-gaussian"], "no positive sigma"),
     (None, ["reduce", "--mode", "profile", "--input", "@csv-inf-s"], "line 4: s = inf"),
     (None, ["reduce", "--mode", "degree", "--input", "@csv-p-over-zero"], "ZeroDivisionError"),
+    ("huge-exact-sigma-reference", ["simulate", "--count", "2000", "--bootstrap", "5"],
+     "sigma 1.000e+400 is too large to sample"),
 ])
 def test_input_error_names_the_problem(tmp_path, runner, fixture, args, named):
     """A negative seed or count, an empty --input, a null band of no resamples, a

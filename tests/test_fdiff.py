@@ -1,5 +1,6 @@
 """Finite differences, degree detection, profile fitting, cascade checks."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -191,6 +192,20 @@ class TestTripleDifferences:
     def test_zero_functions(self, ref_family):
         psis = [sample(lambda s, n: 0.0) for _ in range(3)]
         assert verify_triple_differences(psis, ref_family.matrix) == (0.0, 0.0, 0.0)
+
+    def test_verdict_compares_the_exact_residuals_with_tol(self, ref_family):
+        psis = [sample(lambda s, n: s ** 3)] + [sample(lambda s, n: 0.0)] * 2
+        res = verify_triple_differences(psis, ref_family.matrix)
+        assert res[0] > 0 and res[1:] == (0.0, 0.0)
+        assert verify_triple_differences(psis, ref_family.matrix, tol=res[0]) == (res, True)
+        below = math.nextafter(res[0], 0)
+        assert verify_triple_differences(psis, ref_family.matrix, tol=below) == (res, False)
+
+    def test_residual_past_the_float_range_is_none(self, ref_family):
+        # +-1e308 alternating in s: every third difference is past the float range.
+        huge = sample(lambda s, n: 1e308 if round(4 * s) % 2 else -1e308)
+        assert (verify_triple_differences([huge] * 3, ref_family.matrix, tol=1e308)
+                == ((None, None, None), False))
 
 
 class TestTolerance:

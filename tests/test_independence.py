@@ -1,6 +1,5 @@
 """Independence residual, condition suite, parameter system, classifiers."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +11,7 @@ from conftest import REF_COEFFS, random_rejected_coefficients, random_valid_coef
 from cylinderstat.charfn import CylinderCF, TorusCF, convolve, transform
 from cylinderstat.families import (four_statistic_family, line_gaussian_family,
                                    torus_triple_verdict, twisted_torus_pair)
-from cylinderstat.groups import CylinderAuto, DualPoint
+from cylinderstat.groups import CylinderAuto, DualPoint, replace
 from cylinderstat.independence import (DegenerateFormError, DualGrid,
                                        SingularSystemError, StatMatrix, SubgroupTag,
                                        classify_step_subgroups,

@@ -4,7 +4,6 @@ import json
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 from cylinderstat import montecarlo
 from cylinderstat.charfn import CylinderCF, TorusCF
 from cylinderstat.families import four_statistic_family
-from cylinderstat.groups import TWO_PI, CylinderAuto, CylinderPoint, DualPoint
+from cylinderstat.groups import TWO_PI, CylinderAuto, CylinderPoint, DualPoint, replace
 from cylinderstat.independence import StatMatrix
 from cylinderstat.montecarlo import (_CYL_PROBE_BASE, _TOR_PROBE_BASE, SampleSet,
                                      empirical_cf, empirical_independence,
