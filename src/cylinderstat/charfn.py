@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 from .groups import (TWO_PI, CylinderAuto, DualPoint, Record, as_exact, reduce_angle,
-                     replace)
+                     replace, sci)
 
 
 class InconclusiveError(ValueError):
@@ -35,8 +36,13 @@ class InconclusiveError(ValueError):
 
 
 def _reduce_param_angle(theta):
-    """Reduce an angle parameter as a float, keeping an exact one already in [0, 2*pi)."""
+    """Reduce an angle parameter as a float, keeping an exact one already in [0, 2*pi).
+
+    An exact angle past the float range is refused: the float it reduces as does not exist.
+    """
     if isinstance(theta, float) or not 0 <= theta < TWO_PI:
+        if abs(theta) > sys.float_info.max:
+            raise ValueError(f"angle {sci(abs(theta))} is too large to reduce")
         return reduce_angle(theta)
     return theta
 

@@ -16,10 +16,13 @@ finishes its own work in milliseconds, so importing every module for every
 command would be most of its time.  `conditions` loads `groups`, `charfn` and
 `independence`; `check` and `construct` add `families` and `serialize`,
 `solenoid` adds `solenoid`, and `reduce` adds `fdiff`.  Only `simulate` loads
-numpy, through `montecarlo`.  The names the commands call still resolve as
-`cli.<name>` before any command has run (PEP 562), and a name already set on
-this module, such as a wrapper a tracer or a test put there, is kept: the
-command calls it, and no later import puts the original back over it.
+numpy, through `montecarlo`, and not `numpy.ma`.  It starts numpy's BLAS on one
+thread unless a thread count is set in the environment or numpy is already
+loaded; the thread count does not change its report.  The names the commands
+call still resolve as `cli.<name>` before any command has run (PEP 562), and a
+name already set on this module, such as a wrapper a tracer or a test put
+there, is kept: the command calls it, and no later import puts the original
+back over it.
 """
 
 from __future__ import annotations
@@ -424,6 +427,12 @@ def _sample_family(obj: dict, fam: Family, count: int, seed: int):
     return [sample_bundle(cf, count, seed + j) for j, cf in enumerate(cfs)]
 
 
+# The thread counts OpenBLAS reads when numpy loads it.  simulate's BLAS work, a 32 x 32
+# eigh and Gram products of 4096 rows and at most 16 columns, is too small for a second
+# thread to help, while a pool's waiting workers spin and slow the thread doing the work.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 @_command(
     _option("--fixture", dest="fixture_path", required=True, type=_existing),
     _option("--count", default=100_000, type=_int_from(1)),
@@ -433,6 +442,8 @@ def _sample_family(obj: dict, fam: Family, count: int, seed: int):
             help="Directory for per-variable sample CSVs (t, theta)."))
 def simulate(fixture_path, count, seed, bootstrap, samples_dir):
     """Monte-Carlo corroboration of a fixture's independence."""
+    if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     _bind("serialize", "charfn", "independence", "montecarlo")
     obj, fam = _load_fixture(fixture_path)
     samples = _sample_family(obj, fam, count, seed)

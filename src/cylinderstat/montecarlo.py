@@ -73,13 +73,18 @@ def fourier_density(cf: TorusCF, truncation: int, grid_points: int):
 
     The CF's Fourier series over the modes -truncation..truncation, summed at
     `grid_points` uniform angles in [0, 2*pi), in blocks of 512 angles so that
-    the table of phases stays small.
+    the table of phases stays small.  Only the phases of the modes n >= 0 are
+    computed: those of -n are their conjugates, bit for bit.
     """
     ns = np.arange(-truncation, truncation + 1)
     coeffs = np.array([cf.eval(int(n)) for n in ns])
     angles = np.linspace(0.0, TWO_PI, grid_points, endpoint=False)
-    sums = np.concatenate([(coeffs * np.exp(-1j * np.outer(block, ns))).sum(axis=1)
-                           for block in np.split(angles, range(512, grid_points, 512))])
+    sums = []
+    for block in np.split(angles, range(512, grid_points, 512)):
+        half = np.exp(-1j * np.outer(block, ns[truncation:]))
+        phases = np.concatenate([half[:, :0:-1].conj(), half], axis=1)
+        sums.append((coeffs * phases).sum(axis=1))
+    sums = np.concatenate(sums)
     return angles, sums.real / TWO_PI, sums.imag / TWO_PI
 
 
@@ -120,8 +125,11 @@ def sample_bundle(cf, count: int, seed: int) -> SampleSet:
     cf = cf.cylinder
     circle = conditional_circle(cf)
     point = circle.sigma == 0 and circle.twist == 0
-    if 2 * cf.sigma > sys.float_info.max:  # exactly: float(cf.sigma) may not exist
+    # Exactly: float(cf.sigma) and float(cf.tau) may not exist.
+    if 2 * cf.sigma > sys.float_info.max:
         raise ValueError(f"sigma {sci(cf.sigma)} is too large to sample")
+    if abs(cf.tau) > sys.float_info.max:
+        raise ValueError(f"tau {sci(abs(cf.tau))} is too large to sample")
     std = math.sqrt(2.0 * float(cf.sigma))
     t, u = np.zeros(count), np.empty(0 if point else count)
     for k, (rng, size) in enumerate(_chunk_generators(seed, count)):
@@ -311,6 +319,27 @@ def _null_maxima(cov: np.ndarray, draws: int, rng) -> np.ndarray:
     return out
 
 
+def _quantiles(values: np.ndarray, qs) -> list:
+    """`np.quantile(values, qs)` of finite values, by numpy's default linear rule.
+
+    np.quantile imports numpy.ma, through np.unique, which costs more than the two
+    quantiles of a null band.  As numpy does, a fraction of at least 1/2 interpolates
+    down from the upper neighbour, so the results are equal.
+    """
+    ordered = np.sort(values).tolist()
+    last = len(ordered) - 1
+    out = []
+    for q in qs:
+        pos = last * q
+        i = math.floor(pos)
+        if i >= last:
+            out.append(ordered[last])
+            continue
+        a, b, frac = ordered[i], ordered[i + 1], pos - i
+        out.append(b - (b - a) * (1 - frac) if frac >= 0.5 else a + (b - a) * frac)
+    return out
+
+
 def empirical_independence(samples, matrix: StatMatrix, probes=None,
                            bootstrap: int = 200, seed: int = 0, kind: str = None):
     """Empirical independence report for the statistics defined by the matrix.
@@ -347,8 +376,8 @@ def empirical_independence(samples, matrix: StatMatrix, probes=None,
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0057]))
         cov = _null_covariance(means, grams, pseudos, count)
         null_stats = _null_maxima(cov, bootstrap, rng)
-        lo, hi = np.quantile(null_stats, [0.025, 0.975])
-        band = (max_residual - float(hi), max_residual - float(lo))
+        lo, hi = _quantiles(null_stats, (0.025, 0.975))
+        band = (max_residual - hi, max_residual - lo)
         report["null"] = "gaussian"
         report["null_band"] = band
         report["p_value"] = (1 + int(np.count_nonzero(null_stats >= max_residual))) / (1 + bootstrap)

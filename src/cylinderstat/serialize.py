@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .charfn import CylinderCF, TorusCF
+from .charfn import CylinderCF, TorusCF, _reduce_param_angle
 from .families import Family
 from .groups import CylinderAuto, as_int, as_rational, named
 from .independence import StatMatrix
@@ -95,17 +95,19 @@ def cf_to_json(cf) -> dict:
 
 
 def cf_from_json(obj: dict, where: str = "CF entry", scalar=scalar_from_json):
-    """The bundle of a JSON object, each field read by `scalar`."""
+    """The bundle of a JSON object, each field read by `scalar`; "theta" is also reduced
+    as the bundle reduces it, so that an angle it refuses is named."""
     _expect(obj, dict, where)
     kind = obj.get("kind")
+
+    def read(key):
+        reader = (lambda value: _reduce_param_angle(scalar(value))) if key == "theta" else scalar
+        return _field(obj, key, reader, 0, where=where)
     if kind == "cylinder":
         rest = ("kappa", "lambda", "tau", "theta", "twist")
-        return CylinderCF(_field(obj, "sigma", scalar, where=where),
-                          *(_field(obj, k, scalar, 0, where=where) for k in rest))
+        return CylinderCF(_field(obj, "sigma", scalar, where=where), *map(read, rest))
     if kind == "torus":
-        rest = ("theta", "twist")
-        return TorusCF(_field(obj, "sigma", scalar, where=where),
-                       *(_field(obj, k, scalar, 0, where=where) for k in rest))
+        return TorusCF(_field(obj, "sigma", scalar, where=where), *map(read, ("theta", "twist")))
     raise ValueError(f"unknown CF kind: {kind!r}")
 
 

@@ -663,14 +663,15 @@ class TestInputRounding:
 
 
 # Runs commands through cli.main in a fresh interpreter and prints, per
-# command, its exit code, which of click, dataclasses, inspect and numpy are
-# loaded after it, its stdout and the cylinderstat submodules loaded after it.
+# command, its exit code, which of click, dataclasses, inspect, numpy and numpy.ma
+# are loaded after it, its stdout and the cylinderstat submodules loaded after it.
 _STARTUP_SCRIPT = """
 import contextlib, io, json, sys
 
 def state(code, out):
     modules = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("cylinderstat."))
-    loaded = [m for m in ("click", "dataclasses", "inspect", "numpy") if m in sys.modules]
+    loaded = [m for m in ("click", "dataclasses", "inspect", "numpy", "numpy.ma")
+              if m in sys.modules]
     return [code, loaded, out, modules]
 
 import cylinderstat
@@ -690,15 +691,47 @@ print(json.dumps(after))
 """
 
 
-def _startup(commands) -> dict:
-    """What `_STARTUP_SCRIPT` prints for `commands`, run in turn in one fresh interpreter."""
+def _fresh(script: str, arg: str, **env) -> dict:
+    """What `script` prints as JSON, run with the argument `arg` in a fresh interpreter
+    whose environment has `env` added, a variable set to None removed."""
     src = str(Path(cylinderstat.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, json.dumps(commands)],
+    env = {key: value for key, value in dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]), **env).items()
+        if value is not None}
+    proc = subprocess.run([sys.executable, "-c", script, arg],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def _startup(commands) -> dict:
+    """What `_STARTUP_SCRIPT` prints for `commands`, run in turn in one fresh interpreter."""
+    return _fresh(_STARTUP_SCRIPT, json.dumps(commands))
+
+
+# Runs simulate through cli.main in a fresh interpreter, after importing numpy when its
+# argument starts with "numpy first", and prints the exit code, the process's OS thread
+# count, OPENBLAS_NUM_THREADS and whether os.environ is as it was before cli was imported.
+_THREADS_SCRIPT = """
+import contextlib, io, json, os, sys
+
+args = json.loads(sys.argv[1])
+if args.pop(0) == "numpy first":
+    import numpy
+before = dict(os.environ)
+from cylinderstat import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(args, standalone_mode=False)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, len(os.listdir("/proc/self/task")),
+                  os.environ.get("OPENBLAS_NUM_THREADS"), dict(os.environ) == before]))
+"""
+
+# The thread counts OpenBLAS reads, each removed from the child's environment.
+_NO_THREAD_VARS = dict.fromkeys(("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
 
 
 def _startup_commands(tmp_path):
@@ -761,7 +794,9 @@ _LOADED = {
 class TestStartup:
     """The exact commands, every reduce mode and a failing check included, run without
     importing click, dataclasses, inspect or numpy; simulate loads numpy, and inspect
-    only as numpy's import.  Each command imports only the library modules it runs."""
+    only as numpy's import, but not numpy.ma.  Each command imports only the library
+    modules it runs, and simulate starts numpy's BLAS on one thread unless a thread
+    count is set or numpy is already loaded."""
 
     def test_exact_commands_leave_numpy_unloaded(self, tmp_path):
         exact, rest = _startup_commands(tmp_path)
@@ -783,6 +818,19 @@ class TestStartup:
         after = _startup([])
         assert after["import cylinderstat"][3] == []
         assert after["import cylinderstat.cli"][3] == ["cli"]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts threads in /proc/self/task")
+    def test_simulate_runs_blas_on_one_thread(self, tmp_path):
+        simulate = ["simulate", "--fixture", write_json(tmp_path / "ref.json", family_to_fixture(
+            line_gaussian_family(1, *REF_COEFFS))), "--count", "2000", "--bootstrap", "5"]
+        assert _fresh(_THREADS_SCRIPT, json.dumps(["cli first", *simulate]),
+                      **_NO_THREAD_VARS) == [0, 1, "1", False]
+        code, _, blas, unchanged = _fresh(_THREADS_SCRIPT, json.dumps(["cli first", *simulate]),
+                                          **dict(_NO_THREAD_VARS, OPENBLAS_NUM_THREADS="2"))
+        assert (code, blas, unchanged) == (0, "2", True)
+        code, _, blas, unchanged = _fresh(_THREADS_SCRIPT, json.dumps(["numpy first", *simulate]),
+                                          **_NO_THREAD_VARS)
+        assert (code, blas, unchanged) == (0, None, True)
 
     def test_each_command_loads_only_its_modules(self, tmp_path):
         exact, rest = _startup_commands(tmp_path)
@@ -822,6 +870,11 @@ def _table_fixture(name: str) -> dict:
         return {k: v for k, v in ref.items() if k != "omega"}
     if name == "huge-exact-theta-reference":
         return dict(ref, cfs=[dict(ref["cfs"][0], theta="1" + "0" * 400), *ref["cfs"][1:]])
+    if name.startswith("past-float-"):  # "past-float-<fixture>-<key>[-negative]"
+        _, _, base, key, *negative = name.split("-")  # member 0's key at 1e400 or -1e400
+        fixture = {"reference": ref, "pair": pair}[base]
+        member = dict(fixture["cfs"][0], **{key: "-1e400" if negative else "1e400"})
+        return dict(fixture, cfs=[member, *fixture["cfs"][1:]])
     if name == "integer-cfs":
         return dict(ref, cfs=[1, 2, 3])
     if name == "overtwisted-pair":  # the validity threshold at sigma = 1 is about 0.171
@@ -1075,10 +1128,20 @@ def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     (None, ["reduce", "--mode", "degree", "--input", "@csv-p-over-zero"], "ZeroDivisionError"),
     ("huge-exact-sigma-reference", ["simulate", "--count", "2000", "--bootstrap", "5"],
      "sigma 1.000e+400 is too large to sample"),
+    ("past-float-reference-tau", ["simulate", "--count", "2000", "--bootstrap", "5"],
+     "tau 1.000e+400 is too large to sample"),
+    ("past-float-reference-tau-negative", ["simulate", "--count", "2000", "--bootstrap", "5"],
+     "tau 1.000e+400 is too large to sample"),
+    ("past-float-reference-theta", ["check"], 'cfs[0]."theta": angle 1.000e+400'),
+    ("past-float-reference-theta-negative", ["simulate", "--count", "2000", "--bootstrap", "5"],
+     'cfs[0]."theta": angle 1.000e+400'),
+    ("past-float-pair-theta", ["check"], 'cfs[0]."theta": angle 1.000e+400'),
+    ("huge-exact-theta-reference", ["solenoid", "--base", "@base"], 'cfs[0]."theta"'),
 ])
 def test_input_error_names_the_problem(tmp_path, runner, fixture, args, named):
     """A negative seed or count, an empty --input, a null band of no resamples, a
-    tolerance or degree bound out of range, a sigma too small to sample, a sign that
+    tolerance or degree bound out of range, a sigma too small to sample, a sigma or tau
+    too large to sample, an angle past the float range, a sign that
     is not a JSON integer, in a fixture or in params, a fixture scalar that is not a
     number, a fixture key, entry or row that is missing or of the wrong type, a fixture,
     base or parameter file of the wrong type or without a key it needs, a negative

@@ -122,6 +122,9 @@ class TestTorusSampler:
         (TorusCF(1, 0, Fraction(1, 20)), 64, 4096),
         (TorusCF(Fraction(1, 200), 0, 0), 82, 4096),
         (TorusCF(0.8, 0.5, 0.03), 64, 1000),
+        (TorusCF(1, 0, Fraction(1, 20)), 1, 4096),
+        (TorusCF(0.8, 0.5, 0.03), 64, 1537),
+        (TorusCF(0.3, 2.5, -0.01), 7, 700),
     ])
     def test_fourier_density_matches_full_table(self, cf, truncation, grid):
         got = fourier_density(cf, truncation, grid)
@@ -380,6 +383,17 @@ class TestOracle:
     @given(oracle_cases())
     def test_reports_match_oracle(self, case):
         _checked_report(case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(-1e300, 1e300) | st.sampled_from([-1.5, 0.0, 2.0]),
+                           min_size=1, max_size=500)
+           | st.builds(lambda v, n: [v] * n, st.floats(-1e300, 1e300), st.integers(1, 500)),
+           qs=st.lists(st.sampled_from([0.025, 0.975]) | st.floats(0, 1), min_size=1,
+                       max_size=4))
+    def test_band_quantiles_equal_numpy(self, values, qs):
+        """The band's quantile helper is np.quantile, equal to the last bit."""
+        values = np.array(values)
+        assert montecarlo._quantiles(values, qs) == list(np.quantile(values, qs))
 
     def test_reference_fixture_matches_oracle(self, ref_family):
         samples = [sample_line_gaussian(float(cf.sigma), 1.0, 4000, seed=80 + j)
