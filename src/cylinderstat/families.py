@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .charfn import CylinderCF, TorusCF, is_valid_probability
+from .charfn import CylinderCF, TorusCF, _reduce_param_angle, is_valid_probability
 from .groups import CylinderAuto, Record, as_int, as_rational, named
 from .independence import (StatMatrix, family_kind, independence_blocks, nonzero_blocks,
                            solve_sigmas)
@@ -124,6 +124,9 @@ def twisted_torus_pair(sigma, theta1=0, theta2=0, kappa=0) -> Family:
     """
     sigma, theta1, theta2, kappa = (Fraction(as_rational(v))
                                     for v in (sigma, theta1, theta2, kappa))
+    # Reduced as TorusCF reduces them, so that an angle it refuses is named.
+    theta1, theta2 = (named(name, _reduce_param_angle, theta)
+                      for name, theta in (("theta1", theta1), ("theta2", theta2)))
     cf1 = TorusCF(sigma, theta1, kappa)
     cf2 = TorusCF(sigma, theta2, -kappa if kappa != 0 else 0)
     return _certified_circle_family("twisted-pair", StatMatrix.from_signs([[1, 1], [1, -1]]),

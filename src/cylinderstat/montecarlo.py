@@ -20,9 +20,10 @@ reported band: the observed residual shifted by their 2.5%/97.5% quantiles.
 The verdict is one-sided, like the p-value: the residual is consistent with
 zero unless it exceeds the null's 97.5% quantile, that is unless band[0] > 0.
 
-The characters are evaluated once per distinct slot point of each statistic
-and summed over blocks of rows, together with the Gram matrices the null
-needs, so the memory beyond the samples does not grow with count x probes.
+The statistics are computed from the member samples one block of rows at a
+time, inside the pass that evaluates their characters once per distinct slot
+point and sums them, together with the Gram matrices the null needs.  So the
+memory beyond the member samples is one row block, whatever the count.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ def fourier_density(cf: TorusCF, truncation: int, grid_points: int):
     computed: those of -n are their conjugates, bit for bit.
     """
     ns = np.arange(-truncation, truncation + 1)
-    coeffs = np.array([cf.eval(int(n)) for n in ns])
+    cyl = cf.cylinder  # cf.eval would build and check it once per mode
+    coeffs = np.array([cyl.eval((0, int(n))) for n in ns])
     angles = np.linspace(0.0, TWO_PI, grid_points, endpoint=False)
     sums = []
     for block in np.split(angles, range(512, grid_points, 512)):
@@ -168,26 +170,42 @@ def empirical_cf(samples: SampleSet, y) -> complex:
     return complex(np.exp(1j * (float(s) * samples.t + int(n) * samples.theta)).mean())
 
 
-def statistic_samples(samples, matrix: StatMatrix):
-    """Apply the statistic matrix rowwise to per-variable sample sets.
-
-    Raises FloatingPointError, an ArithmeticError, when a statistic overflows
-    a float, as a huge matrix entry can make it do.
-    """
+def _check_samples(samples, matrix: StatMatrix) -> None:
+    """Refuse sample sets that do not fit the matrix, or whose counts differ."""
     if len(samples) != matrix.n:
         raise ValueError(f"need {matrix.n} sample sets, got {len(samples)}")
     if len({s.count for s in samples}) != 1:
         raise ValueError("sample sets must have equal counts")
+
+
+def _statistic_block(samples, matrix: StatMatrix, start: int, stop: int) -> list:
+    """Rows start:stop of each statistic, applying the matrix rowwise to checked sample sets.
+
+    Raises FloatingPointError, an ArithmeticError, when a statistic overflows
+    a float, as a huge matrix entry can make it do.
+    """
     out = []
     with np.errstate(over="raise", invalid="raise"):
         for row in matrix.rows:
-            t = np.zeros(samples[0].count)
-            theta = np.zeros(samples[0].count)
+            t = np.zeros(stop - start)
+            theta = np.zeros(stop - start)
             for entry, xi in zip(row, samples):
-                t += float(entry.a) * xi.t
-                theta += float(entry.c) * xi.t + entry.p * xi.theta
+                t += float(entry.a) * xi.t[start:stop]
+                theta += float(entry.c) * xi.t[start:stop] + entry.p * xi.theta[start:stop]
             out.append(SampleSet(t, theta))
     return out
+
+
+def statistic_samples(samples, matrix: StatMatrix):
+    """Apply the statistic matrix rowwise to per-variable sample sets, over every row.
+
+    The character pass computes the same statistics one row block at a time.
+
+    Raises FloatingPointError, an ArithmeticError, when a statistic overflows
+    a float, as a huge matrix entry can make it do.
+    """
+    _check_samples(samples, matrix)
+    return _statistic_block(samples, matrix, 0, samples[0].count)
 
 
 _CYL_PROBE_BASE = ((0.25, 0), (0.5, 1), (-0.25, 1), (1.0, 0), (0.5, -1), (-1.0, 2))
@@ -208,8 +226,9 @@ def default_probes(n_slots: int, kind: str = "cylinder", count: int = 16,
     return list(probes)
 
 
-# Rows per block of the character pass: its work arrays hold about
-# _ROW_BLOCK x (n_stats + 1) x P complex values, whatever the count.
+# Rows per block of the character pass: its work arrays hold the statistics and
+# characters of at most _ROW_BLOCK rows, so the memory beyond the member samples
+# is one row block, whatever the count.
 _ROW_BLOCK = 4096
 
 
@@ -222,46 +241,57 @@ def _slot_points(probes, i: int, kind: str):
     return s, n, np.array(index)
 
 
-def _character_moments(stats, probes, kind: str):
+def _character_moments(samples, matrix: StatMatrix, probes, kind: str):
     """Row means and Gram matrices of the probe characters, summed over row blocks.
 
+    Each block computes its rows of the statistics from the member samples.
     Statistic i's character at probe p is x_ip = exp(i(s t + n theta)) at
     its slot point (s, n) of p.  Returns (joint, means, grams, pseudos): the
     row means of prod_i x_i and of each x_i, shape (P,), and per statistic
     G_i = X_i^T conj(X_i) / N and H_i = X_i^T X_i / N, shape (P, P).  A block
-    evaluates one exp per row and distinct slot point; the Grams are summed
-    over the distinct points and read off at each probe's.
+    evaluates one exp per row and distinct slot point; the means and Grams
+    are summed over the distinct points and read off at each probe's.
 
     The means equal full-array means bit for bit: numpy adds the rows of a
     C-ordered array with two or more columns in order, so each block's sum
     starts from the previous block's, carried as its first row.  A single
-    column is summed pairwise, so one probe takes a single block.
+    column is summed pairwise, so a statistic with one distinct point gets a
+    second, zero column, and one probe takes a single block.
     """
-    count, n_stats = stats[0].count, len(stats)
-    block = _ROW_BLOCK if len(probes) > 1 else count
-    slots = [_slot_points(probes, i, kind) for i in range(n_stats)]
-    # Each statistic's characters, then their product; row 0 carries the sums.
-    cols = np.empty((n_stats + 1, min(block, count) + 1, len(probes)), dtype=complex)
-    grams = [0.0] * n_stats
-    pseudos = [0.0] * n_stats
+    _check_samples(samples, matrix)
+    count, n_probes = samples[0].count, len(probes)
+    block = _ROW_BLOCK if n_probes > 1 else count
+    height = min(block, count) + 1
+    slots = [_slot_points(probes, i, kind) for i in range(matrix.n)]
+    # Each statistic's characters at its distinct points, then the probes' products;
+    # row 0 of each buffer carries the sums of the blocks before.
+    chars = [np.zeros((height, max(len(s), 2 if n_probes > 1 else 1)), dtype=complex)
+             for s, _, _ in slots]
+    joint = np.empty((height, n_probes), dtype=complex)
+    buffers = [*chars, joint]
+    grams = [0.0] * matrix.n
+    pseudos = [0.0] * matrix.n
     sums = None
     for start in range(0, count, block):
         stop = min(start + block, count)
         rows = slice(1, stop - start + 1)
-        for i, (stat, (s, n, index)) in enumerate(zip(stats, slots)):
-            x = np.exp(1j * (np.multiply.outer(stat.t[start:stop], s)
-                             + np.multiply.outer(stat.theta[start:stop], n)))
+        stats = _statistic_block(samples, matrix, start, stop)
+        for i, (stat, (s, n, _), buf) in enumerate(zip(stats, slots, chars)):
+            x = buf[rows, :len(s)]
+            np.exp(1j * (np.multiply.outer(stat.t, s) + np.multiply.outer(stat.theta, n)), out=x)
+            # A padded buffer's column is copied, so that its Grams round as an unpadded one's.
+            x = np.ascontiguousarray(x)
             grams[i] = grams[i] + x.T @ x.conj()
             pseudos[i] = pseudos[i] + x.T @ x
-            np.take(x, index, axis=1, out=cols[i, rows], mode="clip")
-        cols[-1, rows] = cols[0, rows]
-        for i in range(1, n_stats):
-            cols[-1, rows] *= cols[i, rows]
+        np.take(chars[0][rows], slots[0][2], axis=1, out=joint[rows])
+        for buf, (_, _, index) in zip(chars[1:], slots[1:]):
+            joint[rows] *= buf[rows, index]
         if sums is not None:
-            cols[:, 0] = sums
+            for buf, total in zip(buffers, sums):
+                buf[0] = total
             rows = slice(0, rows.stop)
-        sums = [c[rows].sum(axis=0) for c in cols]
-    means = np.array(sums[:-1]) / count
+        sums = [buf[rows].sum(axis=0) for buf in buffers]
+    means = np.array([total[index] for total, (_, _, index) in zip(sums, slots)]) / count
     grams = [g[np.ix_(index, index)] / count for g, (_, _, index) in zip(grams, slots)]
     pseudos = [h[np.ix_(index, index)] / count for h, (_, _, index) in zip(pseudos, slots)]
     return sums[-1] / count, means, grams, pseudos
@@ -354,9 +384,8 @@ def empirical_independence(samples, matrix: StatMatrix, probes=None,
             np.all(s.t == 0) for s in samples) else "cylinder"
     if probes is None:
         probes = default_probes(matrix.n, kind)
-    stats = statistic_samples(samples, matrix)
-    count = stats[0].count
-    joint, means, grams, pseudos = _character_moments(stats, probes, kind)
+    joint, means, grams, pseudos = _character_moments(samples, matrix, probes, kind)
+    count = samples[0].count
     marginal = means[0]
     for m in means[1:]:
         marginal = marginal * m

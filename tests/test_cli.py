@@ -870,6 +870,9 @@ def _table_fixture(name: str) -> dict:
         return {k: v for k, v in ref.items() if k != "omega"}
     if name == "huge-exact-theta-reference":
         return dict(ref, cfs=[dict(ref["cfs"][0], theta="1" + "0" * 400), *ref["cfs"][1:]])
+    if name.startswith("past-float-params-"):  # "past-float-params-<key>[-negative]"
+        _, _, _, key, *negative = name.split("-")  # a twisted-pair parameter at 1e400 or -1e400
+        return {"sigma": 1, "kappa": "1/20", key: "-1e400" if negative else "1e400"}
     if name.startswith("past-float-"):  # "past-float-<fixture>-<key>[-negative]"
         _, _, base, key, *negative = name.split("-")  # member 0's key at 1e400 or -1e400
         fixture = {"reference": ref, "pair": pair}[base]
@@ -1137,12 +1140,16 @@ def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
      'cfs[0]."theta": angle 1.000e+400'),
     ("past-float-pair-theta", ["check"], 'cfs[0]."theta": angle 1.000e+400'),
     ("huge-exact-theta-reference", ["solenoid", "--base", "@base"], 'cfs[0]."theta"'),
+    ("past-float-params-theta1", ["construct", "-f", "twisted-pair"],
+     "theta1: angle 1.000e+400 is too large to reduce"),
+    ("past-float-params-theta2-negative", ["construct", "-f", "twisted-pair"],
+     "theta2: angle 1.000e+400 is too large to reduce"),
 ])
 def test_input_error_names_the_problem(tmp_path, runner, fixture, args, named):
     """A negative seed or count, an empty --input, a null band of no resamples, a
     tolerance or degree bound out of range, a sigma too small to sample, a sigma or tau
-    too large to sample, an angle past the float range, a sign that
-    is not a JSON integer, in a fixture or in params, a fixture scalar that is not a
+    too large to sample, an angle past the float range or a sign that is not a JSON
+    integer, each in a fixture or in params, a fixture scalar that is not a
     number, a fixture key, entry or row that is missing or of the wrong type, a fixture,
     base or parameter file of the wrong type or without a key it needs, a negative
     solenoid depth, a grid CSV value or s that is not finite or a "p/0" value, a repeated

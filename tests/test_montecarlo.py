@@ -430,10 +430,12 @@ class TestOracle:
         for count in (1, block, block + 1, 3 * block + 2, 7, 8):
             samples = [sample_line_gaussian(float(cf.sigma), 1.0, count, seed=count + j)
                        for j, cf in enumerate(ref_family.cfs)]
-            for n_probes in (1, 2, 16):
+            # Statistic 1 takes one slot point in every probe of the last set: its
+            # characters are one distinct column, padded to two.
+            single = [(y0, _CYL_PROBE_BASE[2], y2) for y0, _, y2 in default_probes(3, count=5)]
+            for probes in [default_probes(3, count=n) for n in (1, 2, 16)] + [single]:
                 _checked_report(dict(samples=samples, matrix=ref_family.matrix,
-                                     probes=default_probes(3, count=n_probes),
-                                     bootstrap=3, seed=count))
+                                     probes=probes, bootstrap=3, seed=count))
 
     def test_reference_fixture_at_full_count_equals_oracle(self, ref_family):
         # Count 1e5 spans many row blocks of the default size.
@@ -449,10 +451,11 @@ class TestOracle:
         count = 1000
         samples = [sample_line_gaussian(float(cf.sigma), 1.0, count, seed=90 + j)
                    for j, cf in enumerate(ref_family.cfs)]
-        stats = statistic_samples(samples, ref_family.matrix)
         probes = default_probes(3)
-        joint, means, grams, pseudos = montecarlo._character_moments(stats, probes, "cylinder")
-        chars = oracle_probe_characters(stats, probes, "cylinder")
+        joint, means, grams, pseudos = montecarlo._character_moments(
+            samples, ref_family.matrix, probes, "cylinder")
+        chars = oracle_probe_characters(statistic_samples(samples, ref_family.matrix),
+                                        probes, "cylinder")
         assert np.array_equal(joint, np.prod(chars, axis=0).mean(axis=0))
         assert np.array_equal(means, chars.mean(axis=1))
         for x, g, h in zip(chars, grams, pseudos):
@@ -538,6 +541,20 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
 
+    def test_traced_peak_does_not_grow_with_count(self, ref_family):
+        # Beyond the member samples the call holds one row block of statistics and
+        # characters.  Statistics over all rows made 32 blocks peak 4.6 MiB above 8.
+        peaks = []
+        for blocks in (8, 32):
+            samples = [sample_line_gaussian(float(cf.sigma), 1.0, blocks * montecarlo._ROW_BLOCK,
+                                            seed=80 + j) for j, cf in enumerate(ref_family.cfs)]
+            tracemalloc.start()
+            try:
+                empirical_independence(samples, ref_family.matrix, bootstrap=200, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 64 * 2**10, peaks
 
     def test_circle_sampler_peak(self):
         # One 4096 x 129 phase table made the peak 17.8 MiB; blocks of 512 angles
