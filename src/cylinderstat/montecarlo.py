@@ -1,11 +1,12 @@
 """Sampling the constructed distributions and empirical independence checks.
 
 `sample_bundle` draws any valid bundle from its own law: the line coordinate
-t, then the circle coordinate given t, which is the `conditional_circle` law
-rotated by (kappa/(2*sigma))*t; shifts and twists included.  Sampling is chunked
-with per-chunk seeds derived from the sample index, so a given (seed, count)
-pair yields a bit-identical stream no matter how the work is scheduled.  The
-empirical independence check estimates
+t, then the circle coordinate given t, the `conditional_circle` law rotated by
+(kappa/(2*sigma))*t, as a wrapped normal that a uniform keeps or moves by pi;
+shifts and twists included.  Sampling is chunked with per-chunk seeds derived
+from the sample index, so a given (seed, count) pair yields a bit-identical
+stream no matter how the work is scheduled.  The empirical independence check
+estimates
 
     | E prod_i (L_i, y_i) - prod_i E (L_i, y_i) |
 
@@ -69,47 +70,36 @@ def _chunk_generators(seed: int, count: int):
     return [(np.random.default_rng(s), size) for s, size in zip(seqs, sizes)]
 
 
-def fourier_density(cf: TorusCF, truncation: int, grid_points: int):
-    """(angles, density, imaginary part) of a circle bundle by Fourier inversion.
+def _keep_ratio(circle: TorusCF):
+    """y -> f(y)/W(y) at angles y in [-pi, pi), f the circle law less its theta; a if sigma = 0.
 
-    The CF's Fourier series over the modes -truncation..truncation, summed at
-    `grid_points` uniform angles in [0, 2*pi), in blocks of 512 angles so that
-    the table of phases stays small.  Only the phases of the modes n >= 0 are
-    computed: those of -n are their conjugates, bit for bit.
+    For sigma >= 1, Fourier series over |n| <= 6, by 2cos((n+1)y) = 2cos(y)*2cos(ny)
+    - 2cos((n-1)y), whose coefficients `TorusCF.eval` sums exactly.  Below, a + b*W(y
+    + pi)/W(y) by the normal's images y + m*pi over the one at m = 0: the sum of
+    e^{-m*pi*(m*pi + 2y)/(4*sigma)} over odd m over that over even m, |m| <= 5.  The
+    first term left out is below e^{-36}.  At a tiny sigma the odd sum may be inf.
     """
-    ns = np.arange(-truncation, truncation + 1)
-    cyl = cf.cylinder  # cf.eval would build and check it once per mode
-    coeffs = np.array([cyl.eval((0, int(n))) for n in ns])
-    angles = np.linspace(0.0, TWO_PI, grid_points, endpoint=False)
-    sums = []
-    for block in np.split(angles, range(512, grid_points, 512)):
-        half = np.exp(-1j * np.outer(block, ns[truncation:]))
-        phases = np.concatenate([half[:, :0:-1].conj(), half], axis=1)
-        sums.append((coeffs * phases).sum(axis=1))
-    sums = np.concatenate(sums)
-    return angles, sums.real / TWO_PI, sums.imag / TWO_PI
-
-
-def _circle_draws(cf: TorusCF, u) -> np.ndarray:
-    """Inverse-CDF draws at the uniforms u from a valid circle bundle that is not a point mass.
-
-    Two point masses at theta and theta + pi (sigma = 0) are drawn exactly.
-    Otherwise the density comes from Fourier inversion at 4096 angles over the
-    modes |n| <= sqrt(30/sigma) + 4, past which e^{-sigma*n^2} is below 1e-12,
-    and never fewer than 64.  Raises ValueError when that needs more than 512 modes.
-    """
-    if cf.sigma == 0:
-        p1 = (1.0 + math.exp(2.0 * float(cf.twist))) / 2.0
-        return np.where(u < p1, float(cf.theta), float(cf.theta) + math.pi)
-    reach = math.sqrt(30.0 / float(min(cf.sigma, 1)))  # 64 modes serve every sigma >= 1/120
-    if reach > 508:
-        raise ValueError(f"circle sigma {float(cf.sigma):g} is too small to sample: its density "
-                         f"needs more than 512 Fourier modes")
-    grid = 4096
-    angles, density, _ = fourier_density(cf, max(64, math.ceil(reach) + 4), grid)
-    cdf = np.concatenate([[0.0], np.cumsum(np.clip(density, 0.0, None) * (TWO_PI / grid))])
-    cdf /= cdf[-1]
-    return np.interp(u, cdf, np.concatenate([angles, [TWO_PI]]))
+    if circle.sigma >= 1:
+        twisted, plain = TorusCF(circle.sigma, 0, circle.twist), TorusCF(circle.sigma)
+        coeffs = [(twisted.eval(n).real, plain.eval(n).real) for n in range(1, 7)]
+        def ratio(y):
+            cos1 = 2 * np.cos(y)
+            prev, cos_n, num, den = 2.0, cos1, 1.0, 1.0
+            for c, w in coeffs:
+                num, den = num + c * cos_n, den + w * cos_n
+                prev, cos_n = cos_n, cos1 * cos_n - prev
+            return num / den
+        return ratio
+    twist = float(max(circle.twist, -1000))  # e^{-2000} is 0.0, and float(w) may not exist
+    if circle.sigma == 0:
+        return lambda y: (1.0 + math.exp(2.0 * twist)) / 2.0
+    sigma, b = float(circle.sigma), -math.expm1(2 * twist) / 2
+    def ratio(y):
+        with np.errstate(all="ignore"):  # sigma may be 0.0 as a float
+            odd, even = ([np.exp(-m * math.pi * (m * math.pi + 2 * y) / (4 * sigma)) for m in ms]
+                         for ms in ((-5, -3, -1, 1, 3, 5), (-4, -2, 2, 4)))
+            return (1 - b) + b * (sum(odd) / (1 + sum(even)))
+    return ratio
 
 
 def sample_bundle(cf, count: int, seed: int) -> SampleSet:
@@ -117,8 +107,13 @@ def sample_bundle(cf, count: int, seed: int) -> SampleSet:
 
     t is normal with mean 0 and variance 2*sigma, so that the empirical CF tends
     to exp(-sigma*s^2), or 0 when sigma = 0.  theta is (kappa/(2*sigma))*t plus a
-    draw of the `conditional_circle` law, from uniforms that each chunk's
-    generator gives after its normals; a point mass takes none.  Then tau is added to t.
+    draw of the `conditional_circle` law f of variance v and twist w, less its theta:
+    y from the wrapped normal W of CF e^{-v*n^2}, kept if a uniform is below f(y)/W(y)
+    and else moved by pi.  f = a*W(x) + b*W(x + pi), a = (1 + e^{2w})/2 = 1 - b, so
+    f(x) + f(x + pi) = W(x) + W(x + pi): exactly one of f/W at x and x + pi is >= 1,
+    and y has density f; min(1, f/W) is a probability as f >= 0.  Each chunk's
+    generator gives the line normals, the circle normals if v > 0, then the
+    uniforms if w != 0.  Then the law's theta is added to theta, and tau to t.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -126,24 +121,28 @@ def sample_bundle(cf, count: int, seed: int) -> SampleSet:
         raise ValueError(f"not a probability measure: {cf}")
     cf = cf.cylinder
     circle = conditional_circle(cf)
-    point = circle.sigma == 0 and circle.twist == 0
     # Exactly: float(cf.sigma) and float(cf.tau) may not exist.
     if 2 * cf.sigma > sys.float_info.max:
         raise ValueError(f"sigma {sci(cf.sigma)} is too large to sample")
     if abs(cf.tau) > sys.float_info.max:
         raise ValueError(f"tau {sci(abs(cf.tau))} is too large to sample")
     std = math.sqrt(2.0 * float(cf.sigma))
-    t, u = np.zeros(count), np.empty(0 if point else count)
-    for k, (rng, size) in enumerate(_chunk_generators(seed, count)):
-        rows = slice(k * _CHUNK, k * _CHUNK + size)
-        if cf.sigma:
-            t[rows] = rng.normal(0.0, std, size)
-        if not point:
-            u[rows] = rng.random(size)
-    offset = float(circle.theta) if point else _circle_draws(circle, u)
+    # Past v = 1000, e^{-v*n^2} is 0.0 at n != 0: W is the uniform law in doubles.
+    circle_std = math.sqrt(2.0 * float(min(circle.sigma, 1000)))
+    keep = _keep_ratio(circle) if circle.twist else None
+    t, theta = np.zeros(count), np.empty(count)
     with np.errstate(over="raise"):  # FloatingPointError for a huge slope or shift
-        theta = float(Fraction(cf.kappa, 2 * cf.sigma)) * t if cf.sigma else np.zeros(count)
-        theta += offset
+        slope = float(Fraction(cf.kappa, 2 * cf.sigma)) if cf.sigma else 0.0
+        for k, (rng, size) in enumerate(_chunk_generators(seed, count)):
+            rows = slice(k * _CHUNK, k * _CHUNK + size)
+            if cf.sigma:
+                t[rows] = rng.normal(0.0, std, size)
+            y = (np.mod(rng.normal(0.0, circle_std, size) + math.pi, TWO_PI) - math.pi
+                 if circle.sigma else 0.0)
+            offset = y + float(circle.theta)
+            if circle.twist:  # a NaN ratio (0 * inf, a twist below the float range) keeps
+                offset = np.where(rng.random(size) >= keep(y), offset + math.pi, offset)
+            theta[rows] = slope * t[rows] + offset
         t += float(cf.tau)
     return SampleSet(t, theta)
 

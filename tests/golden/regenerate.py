@@ -32,6 +32,7 @@ FIXTURES = [
      {"omega": "1", "a1": "2", "a2": "-3", "b1": "-4/5", "b2": "-1/5"}),
     ("point-mass-pair.json", "twisted-pair",
      {"sigma": 0, "theta1": "13/10", "theta2": "2/5", "kappa": 0}),
+    ("twisted-pair.json", "twisted-pair", {"sigma": 1, "kappa": "1/20"}),
 ]
 
 SETTINGS = [("1e5-seed0", ["--count", "100000", "--seed", "0"]),

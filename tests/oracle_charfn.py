@@ -10,8 +10,9 @@ parallelogram identity that `is_gaussian` used to run as a self-check on its
 closed-form verdict twist == 0.
 
 `oracle_is_valid_probability` is the Fourier-inversion validity check that
-`is_valid_probability` ran before its closed form, kept verbatim.  It
-tolerates densities down to -tol, so near the threshold it accepts laws
+`is_valid_probability` ran before its closed form, kept verbatim, on
+`oracle_fourier_density`, the inversion as one phase table over every angle.
+It tolerates densities down to -tol, so near the threshold it accepts laws
 whose density is negative; `fourier_conclusive` says where its verdict
 decides.  `spatial_min_density` and `spatial_threshold` are the angle-domain
 references: the wrapped normal summed over its images, with no Fourier
@@ -31,7 +32,6 @@ import numpy as np
 
 from cylinderstat.charfn import InconclusiveError, TorusCF, _reduce_param_angle
 from cylinderstat.groups import TWO_PI, replace
-from cylinderstat.montecarlo import fourier_density
 
 
 def _all_exact(*values) -> bool:
@@ -110,6 +110,16 @@ def parallelogram_gap(phi, points):
     return worst, scale
 
 
+def oracle_fourier_density(cf, truncation: int, grid_points: int):
+    """(angles, density, imaginary part) of a circle bundle, by its Fourier series over the
+    modes -truncation..truncation at `grid_points` uniform angles in [0, 2*pi)."""
+    ns = np.arange(-truncation, truncation + 1)
+    coeffs = np.array([cf.eval(int(n)) for n in ns])
+    angles = np.linspace(0.0, TWO_PI, grid_points, endpoint=False)
+    sums = (coeffs[None, :] * np.exp(-1j * np.outer(angles, ns))).sum(axis=1)
+    return angles, sums.real / TWO_PI, sums.imag / TWO_PI
+
+
 def oracle_is_valid_probability(cf: TorusCF, truncation: int = 64, tol: float = 1e-9,
                                 grid_points: int = 1024) -> bool:
     """Whether the circle bundle is the CF of a genuine probability measure.
@@ -139,7 +149,7 @@ def oracle_is_valid_probability(cf: TorusCF, truncation: int = 64, tol: float = 
             f"Fourier tail bound {tail:.3e} exceeds tol={tol:.1e} at truncation={truncation}"
         )
 
-    _, density, imag = fourier_density(cf, truncation, grid_points)
+    _, density, imag = oracle_fourier_density(cf, truncation, grid_points)
     return float(density.min()) >= -tol and float(np.abs(imag).max()) <= tol
 
 
@@ -174,7 +184,7 @@ def fourier_conclusive(cf: TorusCF, truncation: int = 64, tol: float = 1e-9,
         verdict = oracle_is_valid_probability(cf, truncation, tol, grid_points)
     except (InconclusiveError, ZeroDivisionError):
         return None
-    if cf.sigma != 0 and abs(float(fourier_density(cf, truncation, grid_points)[1].min())) <= tol:
+    if cf.sigma != 0 and abs(float(oracle_fourier_density(cf, truncation, grid_points)[1].min())) <= tol:
         return None
     return verdict
 

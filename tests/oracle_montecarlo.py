@@ -7,18 +7,15 @@ independently, one freshly gathered array per replicate.  The library must
 give equal residuals (`==`); its band, drawn from the delta-method Gaussian,
 must match the resampled quantiles within their Monte-Carlo error.
 
-`oracle_sample_torus_twisted` is the circle sampler as it was before its
-mode count followed sigma, with the Fourier validity check of
-`oracle_charfn`: at the same mode count the library must draw bit-equal
-samples.
+`oracle_sample_torus_twisted` is the circle sampler as it was before the
+exact wrapped-normal sampler replaced it: the inverse CDF of the density from
+Fourier inversion at 4096 angles, at a fixed mode count, with the Fourier
+validity check of `oracle_charfn`.  The library draws two point masses
+(sigma = 0) from the same uniforms, so there it must draw bit-equal samples.
 
 `oracle_sample_line_gaussian` is the line sampler as it was before every
 member was drawn from its own bundle: on a member carried by a line the
 library must draw bit-equal samples.
-
-`oracle_fourier_density` is the Fourier inversion as one phase table over
-every angle; the library sums it over blocks of angles and must give equal
-arrays.
 """
 
 import math
@@ -29,15 +26,7 @@ from cylinderstat.groups import TWO_PI, CylinderPoint
 from cylinderstat.independence import StatMatrix
 from cylinderstat.montecarlo import (SampleSet, _chunk_generators, default_probes,
                                      statistic_samples)
-from oracle_charfn import oracle_is_valid_probability
-
-
-def oracle_fourier_density(cf, truncation: int, grid_points: int):
-    ns = np.arange(-truncation, truncation + 1)
-    coeffs = np.array([cf.eval(int(n)) for n in ns])
-    angles = np.linspace(0.0, TWO_PI, grid_points, endpoint=False)
-    sums = (coeffs[None, :] * np.exp(-1j * np.outer(angles, ns))).sum(axis=1)
-    return angles, sums.real / TWO_PI, sums.imag / TWO_PI
+from oracle_charfn import oracle_fourier_density, oracle_is_valid_probability
 
 
 def oracle_sample_line_gaussian(sigma, omega, count: int, seed: int,

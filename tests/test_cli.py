@@ -887,13 +887,13 @@ def _table_fixture(name: str) -> dict:
                                zip(pair["cfs"], (THRESHOLD_TWIST, -THRESHOLD_TWIST))])
     if name == "threshold-twist-params":
         return {"sigma": 1, "kappa": str(THRESHOLD_TWIST)}
-    if name == "small-sigma-pair":  # 82 Fourier modes to sample
+    if name == "small-sigma-pair":  # circle variance 1/200: the image-sum keep ratio
         return family_to_fixture(twisted_torus_pair(Fraction(1, 200), kappa=0))
-    if name == "tiny-sigma-pair":  # more than 512 Fourier modes to sample
+    if name == "tiny-sigma-pair":  # sigma 1e-6: sampled exactly, as every valid law
         return family_to_fixture(twisted_torus_pair(1e-6, kappa=0))
     if name == "point-mass-pair":  # its residual (about 1e-12) lies below the whole null band
         return family_to_fixture(twisted_torus_pair(0, Fraction(13, 10), Fraction(2, 5)))
-    if name == "huge-exact-sigma-pair":  # 64 Fourier modes sample it, as for any sigma >= 1/120
+    if name == "huge-exact-sigma-pair":  # its wrapped normal is the uniform law in doubles
         return family_to_fixture(twisted_torus_pair(10 ** 400, kappa=Fraction(1, 20)))
     if name == "tiny-exact-twist-params":  # a twist below the float range: a valid law
         return {"sigma": 1, "kappa": "1/1" + "0" * 400}
@@ -1040,7 +1040,7 @@ def _reject_constant(name):
                    "@csv-odd-quartic-a,@csv-odd-quartic-b,@csv-odd-quartic-c"], 2, None),
     ("overtwisted-pair", ["check"], 1, [False, False]),
     ("small-sigma-pair", ["simulate", "--count", "20000", "--bootstrap", "50"], 0, None),
-    ("tiny-sigma-pair", ["simulate", "--count", "2000", "--bootstrap", "5"], 2, None),
+    ("tiny-sigma-pair", ["simulate", "--count", "2000", "--bootstrap", "5"], 0, None),
     ("point-mass-pair", ["simulate", "--count", "20000", "--bootstrap", "50"], 0, None),
     ("huge-exact-sigma-pair", ["simulate", "--count", "2000", "--bootstrap", "5"], 0, None),
     ("tiny-exact-twist-params", ["construct", "-f", "twisted-pair"], 0, None),
@@ -1097,7 +1097,8 @@ def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     (None, ["reduce", "--mode", "profile", "--tol", "nan", "--input", "@csv-odd-quartic"], "tol"),
     (None, ["reduce", "--mode", "degree", "--max-degree", "-1",
             "--input", "@csv-odd-quartic"], "max_deg"),
-    ("tiny-sigma-pair", ["simulate", "--count", "2000", "--bootstrap", "5"], "sigma"),
+    ("overtwisted-pair", ["simulate", "--count", "2000", "--bootstrap", "5"],
+     "member 0 is not a probability measure"),
     ("reference-p-true", ["check"], '"p": expected an int, got True'),
     ("reference-params-p1-true", ["construct", "-f", "line-gaussian"],
      "p1: expected an int, got True"),

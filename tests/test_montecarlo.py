@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -18,13 +19,14 @@ from cylinderstat.groups import TWO_PI, CylinderAuto, CylinderPoint, DualPoint, 
 from cylinderstat.independence import StatMatrix
 from cylinderstat.montecarlo import (_CYL_PROBE_BASE, _TOR_PROBE_BASE, SampleSet,
                                      empirical_cf, empirical_independence,
-                                     default_probes, fourier_density, sample_bundle,
+                                     default_probes, sample_bundle,
                                      sample_line_gaussian, sample_torus_twisted,
                                      save_samples_csv, statistic_samples)
 from oracle_montecarlo import _probe_characters as oracle_probe_characters
-from oracle_montecarlo import (oracle_empirical_independence, oracle_fourier_density,
-                               oracle_null_differences, oracle_null_maxima,
-                               oracle_sample_line_gaussian, oracle_sample_torus_twisted)
+from oracle_charfn import _wrapped_normal, spatial_threshold
+from oracle_montecarlo import (oracle_empirical_independence, oracle_null_differences,
+                               oracle_null_maxima, oracle_sample_line_gaussian,
+                               oracle_sample_torus_twisted)
 
 
 class TestLineSampler:
@@ -60,6 +62,43 @@ class TestLineSampler:
         a = sample_line_gaussian(1.0, 1.0, 10_000, seed=11)
         b = sample_line_gaussian(1.0, 1.0, 50_000, seed=11)
         assert np.array_equal(a.t, b.t[:10_000])
+
+
+# The z bound of the empirical-CF checks: every z of a sampler that draws the law
+# exactly is a standard normal draw, and P(|z| > 5) is 5.7e-7.
+Z_BOUND = 5
+
+
+def cf_z_scores(samples, bundle, points=((0, 1), (0, 2), (0, 3))) -> list:
+    """z-scores of the empirical CF's real and imaginary parts at dual points (s, n).
+
+    Each is the error against the closed form, over its standard deviation
+    sqrt(Var/N): Var cos = (1 + Re phi(2y))/2 - (Re phi(y))^2 and Var sin =
+    (1 - Re phi(2y))/2 - (Im phi(y))^2.  The modulus e^{Re log phi} is taken in
+    40-digit decimals from the exact exponent, because for a tiny sigma these
+    variances are tiny differences of numbers near 1.  A zero variance (a point
+    law) contributes no z-score; its error must be below 1e-12.
+    """
+    out = []
+    with localcontext(Context(prec=40)):
+        for s, n in points:
+            moments = []
+            for k in (1, 2):
+                re, im = bundle.cylinder.log_parts(k * s, k * n)
+                re = Fraction(re)
+                modulus = (Decimal(re.numerator) / Decimal(re.denominator)).exp()
+                moments.append((modulus * Decimal(math.cos(float(im))),
+                                modulus * Decimal(math.sin(float(im)))))
+            (cos1, sin1), (cos2, _) = moments
+            got = empirical_cf(samples, (s, n))
+            for value, mean, var in ((got.real, cos1, (1 + cos2) / 2 - cos1 * cos1),
+                                     (got.imag, sin1, (1 - cos2) / 2 - sin1 * sin1)):
+                error = float(Decimal(value) - mean)
+                if var <= 0:
+                    assert abs(error) <= 1e-12, (s, n, error)
+                else:
+                    out.append(error / math.sqrt(float(var) / samples.count))
+    return out
 
 
 class TestTorusSampler:
@@ -113,27 +152,72 @@ class TestTorusSampler:
         (TorusCF(Fraction(1, 200), 0, 0), 82),
     ])
     def test_matches_fixed_truncation_oracle(self, cf, truncation):
-        # Two chunks of the seeded stream; sigma >= 1/120 keeps the old 64 modes.
+        """Two point masses are drawn from the same uniforms as the Fourier-table
+        sampler, so bit for bit; any other law by another rule, so it must match
+        its own CF at n = 1, 2, 3 within Z_BOUND."""
         got = sample_torus_twisted(cf, 20_000, seed=3)
-        want = oracle_sample_torus_twisted(cf, 20_000, seed=3, truncation=truncation)
-        assert np.array_equal(got.theta, want.theta) and np.array_equal(got.t, want.t)
+        if cf.sigma == 0:
+            want = oracle_sample_torus_twisted(cf, 20_000, seed=3, truncation=truncation)
+            assert np.array_equal(got.theta, want.theta) and np.array_equal(got.t, want.t)
+        else:
+            assert np.all(got.t == 0)
+            assert max(map(abs, cf_z_scores(got, cf))) <= Z_BOUND
 
-    @pytest.mark.parametrize("cf,truncation,grid", [
-        (TorusCF(1, 0, Fraction(1, 20)), 64, 4096),
-        (TorusCF(Fraction(1, 200), 0, 0), 82, 4096),
-        (TorusCF(0.8, 0.5, 0.03), 64, 1000),
-        (TorusCF(1, 0, Fraction(1, 20)), 1, 4096),
-        (TorusCF(0.8, 0.5, 0.03), 64, 1537),
-        (TorusCF(0.3, 2.5, -0.01), 7, 700),
-    ])
-    def test_fourier_density_matches_full_table(self, cf, truncation, grid):
-        got = fourier_density(cf, truncation, grid)
-        want = oracle_fourier_density(cf, truncation, grid)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    @pytest.mark.parametrize("sigma", [0.01, 0.5, 0.999, 1, 1.001, 3, 10])
+    def test_keep_ratio_matches_image_sums(self, sigma):
+        """f/W on both sides of the switch from images to Fourier series at sigma = 1,
+        against a*W(y) + b*W(y + pi) over W(y) from the wrapped normal's image sums,
+        for twists from -1 to 0.999999 of the validity threshold.  The tolerance is
+        1e-12 of a + |b|*W(y + pi)/W(y), the size of the terms that cancel where f
+        nears 0."""
+        y = np.array([-math.pi, -3.0, -2.0, -1.0, -0.25, 0.0, 0.5, 1.5, 2.5, 3.0, 3.14159])
+        threshold = spatial_threshold(sigma)
+        for twist in (-1.0, -0.1, 0.0, 0.5 * threshold, 0.99 * threshold, 0.999999 * threshold):
+            got = montecarlo._keep_ratio(TorusCF(sigma, 0, twist))(y)
+            b = -math.expm1(2 * twist) / 2
+            flipped = _wrapped_normal(sigma, y + math.pi, 12) / _wrapped_normal(sigma, y, 12)
+            want = (1 - b) + b * flipped
+            assert np.all(np.abs(got - want) <= 1e-12 * ((1 - b) + abs(b) * flipped)), twist
 
-    def test_too_small_sigma_named(self):
-        with pytest.raises(ValueError, match="sigma 1e-06 is too small"):
-            sample_torus_twisted(TorusCF(1e-6, 0, 0), 10, seed=0)
+    @pytest.mark.parametrize("sigma", [1e-8, Fraction(1, 10**4), Fraction(1, 120), 1, 5, 1e300,
+                                       10**400],
+                             ids=["1e-8", "1e-4", "1/120", "1", "5", "1e300", "1e400"])
+    def test_empirical_cf_matches_closed_form(self, sigma):
+        """Twists below 0, at 0 and just under the validity threshold, seed 1.
+
+        The threshold is atanh(W(pi)/W(0)).  Below sigma = 1 it is 2e^{-pi^2/(4*sigma)}
+        to far more than 1e-6.  At sigma = 1e-4 that is below the float range and
+        taken in decimals, and the twist is 0.999 of it: the validity check decides
+        only twists whose log is off the threshold's by 1e-9 of its size, 24674.
+        At sigma = 1e-8 it is too small to write as a fraction, so that sigma has no
+        twist near it.  Past sigma = 1e3 the threshold is sigma/2 - log(2)/2, and
+        1e-6 under it the law's density at pi is about 1e-6 of its mean.
+        """
+        if sigma >= 1000:
+            near = Fraction(sigma) / 2 - Fraction(math.log(2) / 2 + 1e-6)
+        elif sigma >= Fraction(1, 120):
+            near = Fraction(0.999999 * spatial_threshold(float(sigma)))
+        elif sigma > 1e-8:  # 1/10**4
+            with localcontext(Context(prec=40)):
+                pi = Decimal("3.141592653589793238462643383279502884197")
+                near = Fraction(Decimal("1.998") * (-pi * pi / (4 * sigma.numerator)
+                                                    * sigma.denominator).exp())
+        else:
+            near = None
+        for twist in (Fraction(-1, 2), 0, near):
+            if twist is not None:
+                cf = TorusCF(sigma, 0, twist)
+                assert max(map(abs, cf_z_scores(sample_torus_twisted(cf, 100_000, seed=1),
+                                                cf))) <= Z_BOUND, twist
+
+    def test_small_circle_variance_sampled(self):
+        """A circle law of sigma 1e-4, and a cylinder bundle 1e-4 off its line, whose
+        circle law given t has variance 1e-4."""
+        for cf in (TorusCF(Fraction(1, 10**4), 0, Fraction(-1, 3)),
+                   CylinderCF(1, 2, 1 + Fraction(1, 10**4))):
+            s = sample_bundle(cf, 100_000, seed=4)
+            points = ((0, 1), (0, 2), (0, 3), (Fraction(1, 2), 0), (1, -1), (Fraction(1, 2), 1))
+            assert max(map(abs, cf_z_scores(s, cf, points))) <= Z_BOUND, cf
 
 
 def _line_member(sigma, omega, tau=0, theta=0):
@@ -172,10 +256,15 @@ class TestBundleSampler:
         TorusCF(0, 0.5, -0.3),
     ])
     def test_circle_members_match_oracle(self, cf):
-        want = oracle_sample_torus_twisted(cf, 20_000, seed=3)
-        for member in (cf, cf.cylinder):
-            got = sample_bundle(member, 20_000, seed=3)
-            assert np.array_equal(got.t, want.t) and np.array_equal(got.theta, want.theta)
+        """A circle bundle draws as its cylinder embedding does; two point masses
+        as the Fourier-table sampler did, and any other law matches its CF."""
+        circle, embedded = (sample_bundle(member, 20_000, seed=3) for member in (cf, cf.cylinder))
+        assert np.array_equal(circle.t, embedded.t) and np.array_equal(circle.theta, embedded.theta)
+        if cf.sigma == 0:
+            want = oracle_sample_torus_twisted(cf, 20_000, seed=3)
+            assert np.array_equal(circle.t, want.t) and np.array_equal(circle.theta, want.theta)
+        else:
+            assert max(map(abs, cf_z_scores(circle, cf))) <= Z_BOUND
 
     def test_uniforms_follow_the_normals(self):
         # A twist leaves each chunk's normals, drawn first, as the line sampler's.
@@ -557,8 +646,8 @@ class TestMemory:
         assert abs(peaks[1] - peaks[0]) <= 64 * 2**10, peaks
 
     def test_circle_sampler_peak(self):
-        # One 4096 x 129 phase table made the peak 17.8 MiB; blocks of 512 angles
-        # keep it near 4 MiB.
+        # The sampler holds its two output arrays and the draws of one chunk: 2.9 MiB
+        # at count 1e5.
         tracemalloc.start()
         try:
             sample_torus_twisted(TorusCF(1, 0, Fraction(1, 20)), 100_000, 0)
