@@ -42,7 +42,7 @@ CASES = {f"{fixture[:-5]}-{label}": ["simulate", "--fixture", fixture, *args]
          for fixture, _, _ in FIXTURES for label, args in SETTINGS}
 
 
-def main_():
+def regenerate():
     os.chdir(HERE)
     runner = Runner()
     with tempfile.TemporaryDirectory() as tmp:
@@ -65,4 +65,4 @@ def main_():
 
 
 if __name__ == "__main__":
-    main_()
+    regenerate()
