@@ -271,7 +271,7 @@ def is_valid_probability(cf) -> bool:
     diff = gap + rest
     if -math.expm1(-abs(diff)) <= 1e-9:
         raise InconclusiveError(f"log tanh(twist) and the log validity threshold agree to "
-                                f"1e-9 relative at sigma {cf.sigma}, twist {cf.twist}")
+                                f"1e-9 relative at sigma {sci(cf.sigma)}, twist {sci(cf.twist)}")
     return diff > 0
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -276,8 +277,11 @@ def construct(family_name, params_path, out_path):
 def _check_cylinder_sections(fam: Family, values: dict, bounds: dict, report: dict) -> bool:
     if not _has_sections(fam):
         return True
+    from .groups import to_float
+
     system = gaussian_system_check(fam.cfs, fam.matrix)
-    worst = max(system, key=lambda k: system[k])
+    # A residual past the float range is null, and counts as the largest.
+    worst = max(system, key=lambda k: math.inf if system[k] is None else system[k])
     report["system"] = {"residuals": system, "worst": worst, "max": system[worst]}
     try:
         tags = classify_step_subgroups(fam.matrix)
@@ -292,7 +296,7 @@ def _check_cylinder_sections(fam: Family, values: dict, bounds: dict, report: di
     support = report["support"] = {"kind": classify_support(nu)}
     if support["kind"] == "line":
         support["omega"] = float(support_line(nu))
-    support["relation_gap"] = abs(float(values[("relation",)]))
+    support["relation_gap"] = to_float(abs(values[("relation",)]))
     support["relation_bound"] = float(bounds[("relation",)])
     # Both gaps within their bounds: exactly zero for an exact fixture.
     support["certified"] = all(abs(values[key]) <= bounds[key]

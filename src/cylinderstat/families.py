@@ -49,6 +49,12 @@ class Family(Record):
         return family_kind(self.cfs, self.matrix)
 
 
+def _exact(**params) -> list:
+    """Each parameter as the Fraction `as_rational` reads, a refusal led by its name."""
+    return [named(name, lambda v: Fraction(as_rational(v)), value)
+            for name, value in params.items()]
+
+
 def line_gaussian_family(omega, a1, a2, b1, b2, p1=1, p2=1, q1=1, q2=1,
                          sigma_scale=1) -> Family:
     """Three independent Gaussian bundles carried by the line of slope omega.
@@ -64,8 +70,8 @@ def line_gaussian_family(omega, a1, a2, b1, b2, p1=1, p2=1, q1=1, q2=1,
     solution, and certifies the full parameter system (the independence
     certificate) before returning; entries and members keep the line exactly.
     """
-    omega, a1, a2, b1, b2, scale = (Fraction(as_rational(v))
-                                    for v in (omega, a1, a2, b1, b2, sigma_scale))
+    omega, a1, a2, b1, b2, scale = _exact(omega=omega, a1=a1, a2=a2, b1=b1, b2=b2,
+                                          sigma_scale=sigma_scale)
     for name, sign in (("p1", p1), ("p2", p2), ("q1", q1), ("q2", q2)):
         if named(name, as_int, sign) not in (1, -1):
             raise ValueError(f"{name} must be +1 or -1")
@@ -122,8 +128,8 @@ def twisted_torus_pair(sigma, theta1=0, theta2=0, kappa=0) -> Family:
     Both members must be genuine probability measures; otherwise the failing
     member is named in the raised ConstructionError.
     """
-    sigma, theta1, theta2, kappa = (Fraction(as_rational(v))
-                                    for v in (sigma, theta1, theta2, kappa))
+    sigma, theta1, theta2, kappa = _exact(sigma=sigma, theta1=theta1, theta2=theta2,
+                                          kappa=kappa)
     # Reduced as TorusCF reduces them, so that an angle it refuses is named.
     theta1, theta2 = (named(name, _reduce_param_angle, theta)
                       for name, theta in (("theta1", theta1), ("theta2", theta2)))
@@ -143,7 +149,7 @@ def four_statistic_family(sigma, kappa) -> Family:
     with the same Gaussian part; no member is Gaussian (kappa must be nonzero,
     that is the whole point), yet the four statistics are independent.
     """
-    sigma, kappa = Fraction(as_rational(sigma)), Fraction(as_rational(kappa))
+    sigma, kappa = _exact(sigma=sigma, kappa=kappa)
     if kappa == 0:
         raise ConstructionError("not a counterexample: kappa = 0 makes every member Gaussian")
     if not (sigma > 0):

@@ -61,13 +61,24 @@ def as_int(value) -> int:
 
 
 def sci(value) -> str:
-    """`f"{value:.3e}"` for an exact value >= 0, also beyond the float range."""
+    """`f"{value:.3e}"` for an exact value >= 0, also outside the float range."""
     try:
-        return f"{float(value):.3e}"
+        rounded = float(value)
     except OverflowError:
-        from decimal import Decimal
+        rounded = 0.0
+    if rounded or not value:
+        return f"{rounded:.3e}"
+    from decimal import Decimal
 
-        return f"{Decimal(value.numerator) / value.denominator:.3e}"
+    return f"{Decimal(value.numerator) / value.denominator:.3e}"
+
+
+def to_float(value):
+    """float(value), or None past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return None
 
 
 def named(name: str, read, value):

@@ -37,7 +37,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .charfn import CylinderCF, TorusCF, convolve, psd_gap, symmetrize, transform
-from .groups import DERIVED, CylinderAuto, DualPoint, Record, as_exact, as_rational
+from .groups import DERIVED, CylinderAuto, DualPoint, Record, as_exact, as_rational, to_float
 
 
 class SingularSystemError(ValueError):
@@ -231,7 +231,8 @@ def nonzero_blocks(blocks) -> list:
 
 
 def _grid_maximum(blocks, twist_sum, grid: DualGrid, coords):
-    """(the float nearest max |LHS_log - RHS_log| over the grid, earliest index attaining it).
+    """(the float nearest max |LHS_log - RHS_log| over the grid, or None past the float
+    range, and the earliest index attaining it).
 
     Exact throughout: with d the common denominator of the points' s-coordinates and e
     that of the nonzero blocks and 2T, each nonzero C_ik becomes a table of the integers
@@ -283,7 +284,10 @@ def _grid_maximum(blocks, twist_sum, grid: DualGrid, coords):
             best = top
             best_idx = k + next(j for j, v in enumerate(values) if abs(const + v) == top)
         k += len(values)
-    return best / (d * d * e), best_idx  # int / int rounds correctly
+    try:
+        return best / (d * d * e), best_idx  # int / int rounds correctly
+    except OverflowError:
+        return None, best_idx
 
 
 def independence_residual(cfs, matrix: StatMatrix, grid: DualGrid = None, workers: int = 1,
@@ -295,8 +299,8 @@ def independence_residual(cfs, matrix: StatMatrix, grid: DualGrid = None, worker
     is grid[0], the only tuple computed.  Otherwise the result is the
     largest modulus of the closed form over the grid, found exactly in
     integers and rounded once to the nearest float, and the earliest tuple
-    attaining that exact maximum; a maximum past the float range raises
-    OverflowError.  `workers` is accepted for compatibility and has no effect.
+    attaining that exact maximum; a maximum past the float range is None.
+    `workers` is accepted for compatibility and has no effect.
     """
     kind = family_kind(cfs, matrix)
     if grid is None:
@@ -424,8 +428,8 @@ def gaussian_system_check(cfs, matrix: StatMatrix):
     "shift-ad" are c01 of C_01, C_02, C_12 and "shift-bc" is c10 of C_12.
     The c11 entries pair the integer coordinates, and "n-grid" is the worst
     value of n1*n2*C_01[1][1] + n1*n3*C_02[1][1] + n2*n3*C_12[1][1] over the
-    cube {-2..2}^3.  Returns a dict of absolute residuals; everything is zero
-    exactly when the bundles satisfy the independence equation.
+    cube {-2..2}^3.  Returns a dict of absolute residuals, each None past the float
+    range; everything is zero exactly when the bundles satisfy the independence equation.
     """
     if len(cfs) != 3 or not all(isinstance(cf, CylinderCF) for cf in cfs):
         raise ValueError("expected three cylinder characteristic functions")
@@ -446,7 +450,7 @@ def gaussian_system_check(cfs, matrix: StatMatrix):
     residuals["n-grid"] = max((n1 * n2 * a11 + n1 * n3 * b11 + n2 * n3 * x11
                                for n1, n2, n3 in itertools.product((-2, 2), repeat=3)),
                               key=abs)
-    return {name: abs(float(value)) for name, value in residuals.items()}
+    return {name: to_float(abs(value)) for name, value in residuals.items()}
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import cmath
 import math
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -408,6 +409,18 @@ class TestValidity:
     def test_rejects_non_bundles(self):
         with pytest.raises(TypeError, match="expects a CylinderCF or a TorusCF"):
             is_valid_probability(3)
+
+    def test_inconclusive_message_formats_long_exact_values(self):
+        # 0.999999 of the threshold at sigma 1/10000, about 2e^{-pi^2/(4/10000)}, exactly:
+        # str() of its 10,000-digit denominator would raise in the message.
+        with localcontext() as ctx:
+            ctx.prec = 30
+            twist = Fraction(Decimal("0.999999") * 2
+                             * (-Decimal(math.pi) ** 2 / Decimal("4e-4")).exp())
+        assert twist.denominator > 10 ** 10000
+        with pytest.raises(InconclusiveError, match="agree to 1e-9 relative at sigma "
+                                                    "1.000e-04, twist 3.267e-10716$"):
+            is_valid_probability(TorusCF(Fraction(1, 10 ** 4), 0, twist))
 
     def test_exact_parameters_below_the_float_range(self):
         # float() of either parameter is 0.0; the logs come from the exact values.

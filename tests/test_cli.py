@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: commands, exit codes, JSON reports."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -191,13 +192,23 @@ class TestCheck:
 
     @pytest.mark.parametrize("sigma", [1e308, float("inf"), float("nan"), "1" + "0" * 400])
     def test_non_finite_input_exits_2(self, ref_fixture_path, tmp_path, runner, sigma):
+        """inf and nan exit 2.  A finite sigma whose residuals lie past the float range
+        gets the certificate's verdict, exit 1, and those residuals print null."""
         fixture = load(ref_fixture_path)
         fixture["cfs"][0]["sigma"] = sigma  # json writes inf and nan as Infinity, NaN
         path = write_json(tmp_path / "huge.json", fixture)
         result = runner.invoke(main, ["check", "--fixture", path])
-        assert result.exit_code == 2
-        assert result.stdout == ""
-        assert result.output.startswith("error: ") and "Traceback" not in result.output
+        assert "Traceback" not in result.output
+        if isinstance(sigma, float) and not math.isfinite(sigma):
+            assert result.exit_code == 2
+            assert result.stdout == ""
+            assert result.output.startswith("error: ")
+            return
+        assert (result.exit_code, result.stderr) == (1, "")
+        report = json.loads(result.stdout, parse_constant=_reject_constant)
+        assert report["independence"]["residual"] is None and report["pass"] is False
+        assert report["system"]["max"] is None and report["support"]["relation_gap"] is None
+        assert report["system"]["residuals"][report["system"]["worst"]] is None
 
     def test_degenerate_fixture_point_support(self, tmp_path, runner):
         identity = {"a": 1, "c": 0, "p": 1}

@@ -197,3 +197,17 @@ class TestFixtureRoundtrip:
         path = tmp_path_factory.mktemp("roundtrip") / "fixture.json"
         dump(family_to_fixture(fam), path)
         assert family_from_fixture(load(path)) == fam
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda: line_gaussian_family(1, 2, -3, "x", Fraction(-1, 5)), "b1"),
+    (lambda: line_gaussian_family(1, *REF_COEFFS, sigma_scale=float("nan")), "sigma_scale"),
+    # A "p/q" string whose denominator has more digits than int() reads.
+    (lambda: twisted_torus_pair("1/10000", kappa="1/1" + "0" * 5000), "kappa"),
+    (lambda: twisted_torus_pair(None), "sigma"),
+    (lambda: four_statistic_family(1, "one"), "kappa"),
+], ids=["line-gaussian-b1", "line-gaussian-sigma_scale", "twisted-pair-kappa",
+        "twisted-pair-sigma", "four-statistic-kappa"])
+def test_parameter_refusal_names_the_parameter(build, name):
+    with pytest.raises((TypeError, ValueError), match=f"^{name}: "):
+        build()

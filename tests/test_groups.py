@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cylinderstat.groups import (TWO_PI, CylinderAuto, CylinderPoint, DualPoint, as_exact,
-                                 as_int, as_rational, pair, reduce_angle)
+                                 as_int, as_rational, pair, reduce_angle, sci, to_float)
 from cylinderstat.independence import StatMatrix
 from cylinderstat.serialize import scalar_to_json
 
@@ -202,6 +202,22 @@ class TestReaders:
     def test_json_roundtrip(self, x):
         back = as_rational(scalar_to_json(x))
         assert back == x and type(back) is type(x)
+
+
+class TestOutsideTheFloatRange:
+    @pytest.mark.parametrize("value,text", [
+        (0, "0.000e+00"), (0.0, "0.000e+00"), (Fraction(1, 3), "3.333e-01"),
+        (10 ** 400, "1.000e+400"), (Fraction(2, 3 * 10 ** 400), "6.667e-401"),
+        (Fraction(1, 10 ** 500), "1.000e-500"),  # float() of it underflows to 0.0
+        (Fraction(1, 10 ** 12000), "1.000e-12000"),  # str() of its denominator is refused
+    ])
+    def test_sci(self, value, text):
+        assert sci(value) == text
+
+    def test_to_float(self):
+        assert to_float(Fraction(1, 3)) == 1 / 3 and to_float(-7) == -7.0
+        assert to_float(10 ** 400) is None and to_float(-Fraction(10 ** 400, 3)) is None
+        assert to_float(Fraction(1, 10 ** 500)) == 0.0
 
 
 class TestPreservesLine:

@@ -474,12 +474,13 @@ class TestBlocks:
 
     def test_non_finite_entry_rejected(self, ref_family):
         # 1e308 is read exactly: the certificate is exact, and only its float
-        # residual, which would not be finite, is refused.
+        # residual, which is past the float range, is None.
         cfs = (CylinderCF(1e308, 2e0, 1e0),) + ref_family.cfs[1:]
         blocks, _ = independence_blocks(cfs, ref_family.matrix)
         assert blocks[(0, 1)][0][0] == 4 * Fraction(1e308) - 6 + 2  # sum of 2*sigma_j*a_1j
-        with pytest.raises(OverflowError):
-            independence_residual(cfs, ref_family.matrix, _ORACLE_GRID)
+        assert independence_residual(cfs, ref_family.matrix, _ORACLE_GRID) is None
+        system = gaussian_system_check(cfs, ref_family.matrix)
+        assert system["sigma-a"] is None and system["kappa-a"] == 0.0
 
 
 class TestConditions:
