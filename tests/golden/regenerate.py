@@ -87,9 +87,9 @@ def write_inputs() -> None:
     dump(ref, "readme.json")
     dump(third, "third.json")
 
-    def copy(changes, **top):
-        """The README fixture with `changes(fixture)` applied and top-level keys set."""
-        fixture = json.loads(json.dumps(dict(ref, **top)))
+    def copy(changes):
+        """The README fixture with `changes(fixture)` applied."""
+        fixture = json.loads(json.dumps(ref))
         changes(fixture)
         return fixture
     derived = {
