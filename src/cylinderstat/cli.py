@@ -55,8 +55,8 @@ _NAMES = {
                      "independence_blocks", "independence_residual", "nu_support_check",
                      "reduced_coefficients", "support_identity_gap",
                      "symmetrized_convolution"),
-    "montecarlo": ("empirical_independence", "sample_bundle", "sample_line_gaussian",
-                   "sample_torus_twisted", "save_samples_csv"),
+    "montecarlo": ("empirical_independence", "sample_line_gaussian", "sample_torus_twisted",
+                   "stream_bundle", "tee_samples_csv"),
     "serialize": ("serialize",),
     "solenoid": ("pullback_residual",),
 }
@@ -312,6 +312,8 @@ def _check_cylinder_sections(fam: Family, values: dict, bounds: dict, report: di
 def check(fixture_path, grid_name, workers):
     """Run every applicable exact checker against a fixture."""
     _bind("serialize", "charfn", "independence")
+    from .groups import to_float
+
     obj, fam = _load_fixture(fixture_path)
     values, bounds = _verdict_inputs(obj, fam)
     grid = default_grid(fam.n, fam.kind, dense=(grid_name == "dense"))
@@ -332,7 +334,7 @@ def check(fixture_path, grid_name, workers):
             "grid_size": len(grid),
             "worst_tuple": worst_json,
             "method": "certificate",
-            "twist_sum": float(values[("T",)]),
+            "twist_sum": to_float(values[("T",)]),  # null past the float range
         },
     }
     ok = not outside
@@ -422,13 +424,14 @@ def reduce(input_paths, mode, fixture_path, tol, max_degree):
 
 
 def _sample_family(obj: dict, fam: Family, count: int, seed: int):
-    """Member j drawn from its own law with seed + j, on its line when within its bound of one."""
+    """Member j's draws from its own law with seed + j, on its line when within its bound
+    of one, as a stream of chunks: the character pass reads them once."""
     bounds = _verdict_inputs(obj, fam)[1]
     cfs = [_onto_cone_edge(cf, bounds[("psd", j)]) for j, cf in enumerate(fam.cfs)]
     for j, cf in enumerate(cfs):
         if not is_valid_probability(cf):
             raise ValueError(f"member {j} is not a probability measure")
-    return [sample_bundle(cf, count, seed + j) for j, cf in enumerate(cfs)]
+    return [stream_bundle(cf, count, seed + j) for j, cf in enumerate(cfs)]
 
 
 # The thread counts OpenBLAS reads when numpy loads it.  simulate's BLAS work, a 32 x 32
@@ -450,15 +453,15 @@ def simulate(fixture_path, count, seed, bootstrap, samples_dir):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     _bind("serialize", "charfn", "independence", "montecarlo")
     obj, fam = _load_fixture(fixture_path)
-    samples = _sample_family(obj, fam, count, seed)
+    members = _sample_family(obj, fam, count, seed)
     if samples_dir is not None:
         out = Path(samples_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for j, s in enumerate(samples):
-            save_samples_csv(s, out / f"xi{j + 1}.csv")
-        _log(f"wrote {len(samples)} sample CSVs to {out}")
-    report = empirical_independence(samples, fam.matrix, bootstrap=bootstrap,
+        members = [tee_samples_csv(m, out / f"xi{j + 1}.csv") for j, m in enumerate(members)]
+    report = empirical_independence(members, fam.matrix, bootstrap=bootstrap,
                                     seed=seed, kind=fam.kind)
+    if samples_dir is not None:
+        _log(f"wrote {len(members)} sample CSVs to {out}")
     report["fixture"] = str(fixture_path)
     report["seed"] = seed
     report["worst_probe"] = list(report["worst_probe"])

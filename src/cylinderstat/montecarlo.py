@@ -21,10 +21,13 @@ reported band: the observed residual shifted by their 2.5%/97.5% quantiles.
 The verdict is one-sided, like the p-value: the residual is consistent with
 zero unless it exceeds the null's 97.5% quantile, that is unless band[0] > 0.
 
-The statistics are computed from the member samples one block of rows at a
-time, inside the pass that evaluates their characters once per distinct slot
-point and sums them, together with the Gram matrices the null needs.  So the
-memory beyond the member samples is one row block, whatever the count.
+`stream_bundle` gives a member's draws one chunk at a time, and `sample_bundle`
+collects them into arrays.  One pass reads the members' rows a block at a time,
+from their streams or as views of their sample sets.  For each block it computes
+the statistics, evaluates their characters once per distinct slot point, and
+sums them together with the Gram matrices the null needs.  So on streams, as
+`simulate` runs it, the memory is one sampler chunk per member and one row
+block, whatever the count.
 """
 
 from __future__ import annotations
@@ -58,16 +61,37 @@ class SampleSet(Record):
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "theta", theta)
 
+    @classmethod
+    def _wrapped(cls, t: np.ndarray, theta: np.ndarray) -> SampleSet:
+        """The sample set of float arrays whose theta is already in [0, 2*pi), without
+        copying them: wrapping a wrapped angle again may move 2*pi to 0."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "t", t)
+        object.__setattr__(out, "theta", theta)
+        return out
+
     @property
     def count(self) -> int:
         return len(self.t)
 
+    @property
+    def chunks(self):
+        """The samples as one (t, theta) chunk, as a `SampleStream` gives them in several."""
+        return [(self.t, self.theta)]
+
+
+class SampleStream:
+    """`count` samples as an iterator of (t, theta) chunks, theta in [0, 2*pi); read once."""
+
+    def __init__(self, count: int, chunks):
+        self.count, self.chunks = count, chunks
+
 
 def _chunk_generators(seed: int, count: int):
+    """Each chunk's generator and size, one at a time."""
     n_chunks = (count + _CHUNK - 1) // _CHUNK
-    seqs = np.random.SeedSequence(seed).spawn(n_chunks)
-    sizes = [min(_CHUNK, count - i * _CHUNK) for i in range(n_chunks)]
-    return [(np.random.default_rng(s), size) for s, size in zip(seqs, sizes)]
+    for k, seq in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
+        yield np.random.default_rng(seq), min(_CHUNK, count - k * _CHUNK)
 
 
 def _keep_ratio(circle: TorusCF):
@@ -102,8 +126,23 @@ def _keep_ratio(circle: TorusCF):
     return ratio
 
 
-def sample_bundle(cf, count: int, seed: int) -> SampleSet:
-    """Draws from a valid cylinder bundle, or from a circle bundle through `cf.cylinder`.
+# Rows per evaluation of the keep ratio, whose work arrays are a dozen of these rows.
+_RATIO_ROWS = 2048
+
+
+def _moved(keep, y: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Whether each draw y moves by pi: its uniform is not below keep(y); a NaN ratio
+    (0 * inf, a twist below the float range) keeps.  Evaluated in runs of rows."""
+    out = np.empty(len(y), dtype=bool)
+    for start in range(0, len(y), _RATIO_ROWS):
+        rows = slice(start, start + _RATIO_ROWS)
+        np.less_equal(keep(y[rows]), uniforms[rows], out=out[rows])
+    return out
+
+
+def stream_bundle(cf, count: int, seed: int) -> SampleStream:
+    """Draws from a valid cylinder bundle, or from a circle bundle through `cf.cylinder`,
+    one chunk at a time.
 
     t is normal with mean 0 and variance 2*sigma, so that the empirical CF tends
     to exp(-sigma*s^2), or 0 when sigma = 0.  theta is (kappa/(2*sigma))*t plus a
@@ -114,6 +153,9 @@ def sample_bundle(cf, count: int, seed: int) -> SampleSet:
     and y has density f; min(1, f/W) is a probability as f >= 0.  Each chunk's
     generator gives the line normals, the circle normals if v > 0, then the
     uniforms if w != 0.  Then the law's theta is added to theta, and tau to t.
+
+    The bundle is checked here; a chunk raises FloatingPointError, an
+    ArithmeticError, when its slope or shift overflows a float.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -130,21 +172,44 @@ def sample_bundle(cf, count: int, seed: int) -> SampleSet:
     # Past v = 1000, e^{-v*n^2} is 0.0 at n != 0: W is the uniform law in doubles.
     circle_std = math.sqrt(2.0 * float(min(circle.sigma, 1000)))
     keep = _keep_ratio(circle) if circle.twist else None
-    t, theta = np.zeros(count), np.empty(count)
-    with np.errstate(over="raise"):  # FloatingPointError for a huge slope or shift
-        slope = float(Fraction(cf.kappa, 2 * cf.sigma)) if cf.sigma else 0.0
-        for k, (rng, size) in enumerate(_chunk_generators(seed, count)):
-            rows = slice(k * _CHUNK, k * _CHUNK + size)
-            if cf.sigma:
-                t[rows] = rng.normal(0.0, std, size)
-            y = (np.mod(rng.normal(0.0, circle_std, size) + math.pi, TWO_PI) - math.pi
-                 if circle.sigma else 0.0)
-            offset = y + float(circle.theta)
-            if circle.twist:  # a NaN ratio (0 * inf, a twist below the float range) keeps
-                offset = np.where(rng.random(size) >= keep(y), offset + math.pi, offset)
-            theta[rows] = slope * t[rows] + offset
-        t += float(cf.tau)
-    return SampleSet(t, theta)
+    slope = float(Fraction(cf.kappa, 2 * cf.sigma)) if cf.sigma else 0.0
+    shift, tau = float(circle.theta), float(cf.tau)
+
+    def chunks():
+        for rng, size in _chunk_generators(seed, count):
+            # Not across the yield: the caller's code would run under it.
+            with np.errstate(over="raise"):  # FloatingPointError for a huge slope or shift
+                t = rng.normal(0.0, std, size) if cf.sigma else np.zeros(size)
+                if circle.sigma:
+                    y = rng.normal(0.0, circle_std, size)
+                    y += math.pi
+                    np.mod(y, TWO_PI, out=y)
+                    y -= math.pi
+                else:
+                    y = np.zeros(size)
+                if circle.twist:
+                    moved = _moved(keep, y, rng.random(size))
+                y += shift
+                if circle.twist:
+                    y[moved] += math.pi
+                theta = slope * t
+                theta += y
+                np.mod(theta, TWO_PI, out=theta)
+                t += tau
+            yield t, theta
+    return SampleStream(count, chunks())
+
+
+def sample_bundle(cf, count: int, seed: int) -> SampleSet:
+    """All the draws of `stream_bundle`, collected into two arrays."""
+    stream = stream_bundle(cf, count, seed)
+    t, theta = np.empty(count), np.empty(count)
+    start = 0
+    for t_chunk, theta_chunk in stream.chunks:
+        stop = start + len(t_chunk)
+        t[start:stop], theta[start:stop] = t_chunk, theta_chunk
+        start = stop
+    return SampleSet._wrapped(t, theta)
 
 
 def sample_line_gaussian(sigma, omega, count: int, seed: int,
@@ -177,8 +242,9 @@ def _check_samples(samples, matrix: StatMatrix) -> None:
         raise ValueError("sample sets must have equal counts")
 
 
-def _statistic_block(samples, matrix: StatMatrix, start: int, stop: int) -> list:
-    """Rows start:stop of each statistic, applying the matrix rowwise to checked sample sets.
+def _statistic_block(rows, matrix: StatMatrix) -> list:
+    """Each statistic over some rows: the matrix applied rowwise to each member's
+    (t, theta) over those rows.
 
     Raises FloatingPointError, an ArithmeticError, when a statistic overflows
     a float, as a huge matrix entry can make it do.
@@ -186,11 +252,11 @@ def _statistic_block(samples, matrix: StatMatrix, start: int, stop: int) -> list
     out = []
     with np.errstate(over="raise", invalid="raise"):
         for row in matrix.rows:
-            t = np.zeros(stop - start)
-            theta = np.zeros(stop - start)
-            for entry, xi in zip(row, samples):
-                t += float(entry.a) * xi.t[start:stop]
-                theta += float(entry.c) * xi.t[start:stop] + entry.p * xi.theta[start:stop]
+            t = np.zeros(len(rows[0][0]))
+            theta = np.zeros(len(rows[0][0]))
+            for entry, (xi_t, xi_theta) in zip(row, rows):
+                t += float(entry.a) * xi_t
+                theta += float(entry.c) * xi_t + entry.p * xi_theta
             out.append(SampleSet(t, theta))
     return out
 
@@ -204,7 +270,7 @@ def statistic_samples(samples, matrix: StatMatrix):
     a float, as a huge matrix entry can make it do.
     """
     _check_samples(samples, matrix)
-    return _statistic_block(samples, matrix, 0, samples[0].count)
+    return _statistic_block([(s.t, s.theta) for s in samples], matrix)
 
 
 _CYL_PROBE_BASE = ((0.25, 0), (0.5, 1), (-0.25, 1), (1.0, 0), (0.5, -1), (-1.0, 2))
@@ -226,9 +292,11 @@ def default_probes(n_slots: int, kind: str = "cylinder", count: int = 16,
 
 
 # Rows per block of the character pass: its work arrays hold the statistics and
-# characters of at most _ROW_BLOCK rows, so the memory beyond the member samples
-# is one row block, whatever the count.
+# characters of at most _ROW_BLOCK rows, so its memory is one row block, whatever
+# the count.  The Gram matrices are summed per block, and round as their blocks do.
 _ROW_BLOCK = 4096
+# Rows per product of the probe characters, within a block.
+_PRODUCT_ROWS = 256
 
 
 def _slot_points(probes, i: int, kind: str):
@@ -240,60 +308,103 @@ def _slot_points(probes, i: int, kind: str):
     return s, n, np.array(index)
 
 
+def _blocks(chunks, size: int):
+    """The rows of (t, theta) chunks in blocks of `size` rows, the last one shorter:
+    views where a block lies within one chunk, else the rows joined."""
+    pieces, have = [], 0
+    for t, theta in chunks:
+        start = 0
+        while start < len(t):
+            stop = min(len(t), start + size - have)
+            pieces.append((t[start:stop], theta[start:stop]))
+            have, start = have + stop - start, stop
+            if have == size:
+                yield _joined(pieces)
+                pieces, have = [], 0
+    if pieces:
+        yield _joined(pieces)
+
+
+def _joined(pieces) -> tuple:
+    return pieces[0] if len(pieces) == 1 else tuple(map(np.concatenate, zip(*pieces)))
+
+
+def _carried_sum(buf: np.ndarray, size: int, total):
+    """total plus the sum of rows 1..size of buf, added in row order; row 0 carries total.
+
+    numpy adds the rows of a C-ordered array with two or more columns in order, so
+    sums carried this way equal the full array's bit for bit, however the rows are
+    split.  A single column is summed pairwise.
+    """
+    if total is None:
+        return buf[1:size + 1].sum(axis=0)
+    buf[0] = total
+    return buf[:size + 1].sum(axis=0)
+
+
 def _character_moments(samples, matrix: StatMatrix, probes, kind: str):
-    """Row means and Gram matrices of the probe characters, summed over row blocks.
+    """Row means and Gram matrices of the probe characters, in one pass over the rows.
 
-    Each block computes its rows of the statistics from the member samples.
-    Statistic i's character at probe p is x_ip = exp(i(s t + n theta)) at
-    its slot point (s, n) of p.  Returns (joint, means, grams, pseudos): the
-    row means of prod_i x_i and of each x_i, shape (P,), and per statistic
-    G_i = X_i^T conj(X_i) / N and H_i = X_i^T X_i / N, shape (P, P).  A block
-    evaluates one exp per row and distinct slot point; the means and Grams
-    are summed over the distinct points and read off at each probe's.
+    `samples` are the members' `SampleSet`s or `SampleStream`s; the pass reads each
+    member's rows a block at a time, as views of its chunks, and computes that
+    block of the statistics.  Statistic i's character at probe p is
+    x_ip = exp(i(s t + n theta)) at its slot point (s, n) of p.  Returns (joint,
+    means, grams, pseudos): the row means of prod_i x_i and of each x_i, shape
+    (P,), and per statistic G_i = X_i^T conj(X_i) / N and H_i = X_i^T X_i / N,
+    shape (P, P).  A block evaluates one exp per row and distinct slot point; the
+    means and Grams are summed over the distinct points and read off at each
+    probe's, and the products over the probes are formed _PRODUCT_ROWS rows at a
+    time.  The characters, their phases and the products are computed in buffers
+    allocated once.
 
-    The means equal full-array means bit for bit: numpy adds the rows of a
-    C-ordered array with two or more columns in order, so each block's sum
-    starts from the previous block's, carried as its first row.  A single
+    The means equal full-array means bit for bit (`_carried_sum`).  A single
     column is summed pairwise, so a statistic with one distinct point gets a
     second, zero column, and one probe takes a single block.
     """
     _check_samples(samples, matrix)
     count, n_probes = samples[0].count, len(probes)
     block = _ROW_BLOCK if n_probes > 1 else count
-    height = min(block, count) + 1
+    height = min(block, count)
+    part = min(_PRODUCT_ROWS, height) if n_probes > 1 else height
     slots = [_slot_points(probes, i, kind) for i in range(matrix.n)]
-    # Each statistic's characters at its distinct points, then the probes' products;
-    # row 0 of each buffer carries the sums of the blocks before.
-    chars = [np.zeros((height, max(len(s), 2 if n_probes > 1 else 1)), dtype=complex)
+    # Each statistic's characters at its distinct points; row 0 carries the sums of
+    # the blocks before, as row 0 of `joint` carries those of the probes' products.
+    chars = [np.zeros((height + 1, max(len(s), 2 if n_probes > 1 else 1)), dtype=complex)
              for s, _, _ in slots]
-    joint = np.empty((height, n_probes), dtype=complex)
-    buffers = [*chars, joint]
+    phases = np.empty((2, height, max(len(s) for s, _, _ in slots)))
+    joint = np.empty((part + 1, n_probes), dtype=complex)
+    factor = np.empty((part, n_probes), dtype=complex)
     grams = [0.0] * matrix.n
     pseudos = [0.0] * matrix.n
-    sums = None
-    for start in range(0, count, block):
-        stop = min(start + block, count)
-        rows = slice(1, stop - start + 1)
-        stats = _statistic_block(samples, matrix, start, stop)
+    sums = [None] * matrix.n
+    joint_sum = None
+    for rows in zip(*(_blocks(member.chunks, block) for member in samples), strict=True):
+        size = len(rows[0][0])
+        stats = _statistic_block(rows, matrix)
         for i, (stat, (s, n, _), buf) in enumerate(zip(stats, slots, chars)):
-            x = buf[rows, :len(s)]
-            np.exp(1j * (np.multiply.outer(stat.t, s) + np.multiply.outer(stat.theta, n)), out=x)
+            x, phase, turns = buf[1:size + 1, :len(s)], *phases[:, :size, :len(s)]
+            np.multiply.outer(stat.t, s, out=phase)
+            np.multiply.outer(stat.theta, n, out=turns)
+            phase += turns
+            np.multiply(1j, phase, out=x)
+            np.exp(x, out=x)
             # A padded buffer's column is copied, so that its Grams round as an unpadded one's.
             x = np.ascontiguousarray(x)
             grams[i] = grams[i] + x.T @ x.conj()
             pseudos[i] = pseudos[i] + x.T @ x
-        np.take(chars[0][rows], slots[0][2], axis=1, out=joint[rows])
-        for buf, (_, _, index) in zip(chars[1:], slots[1:]):
-            joint[rows] *= buf[rows, index]
-        if sums is not None:
-            for buf, total in zip(buffers, sums):
-                buf[0] = total
-            rows = slice(0, rows.stop)
-        sums = [buf[rows].sum(axis=0) for buf in buffers]
+            sums[i] = _carried_sum(buf, size, sums[i])
+        for start in range(0, size, part):
+            stop = min(start + part, size)
+            product, within = joint[1:stop - start + 1], slice(start + 1, stop + 1)
+            np.take(chars[0][within], slots[0][2], axis=1, out=product)
+            for buf, (_, _, index) in zip(chars[1:], slots[1:]):
+                np.take(buf[within], index, axis=1, out=factor[:stop - start])
+                product *= factor[:stop - start]
+            joint_sum = _carried_sum(joint, stop - start, joint_sum)
     means = np.array([total[index] for total, (_, _, index) in zip(sums, slots)]) / count
     grams = [g[np.ix_(index, index)] / count for g, (_, _, index) in zip(grams, slots)]
     pseudos = [h[np.ix_(index, index)] / count for h, (_, _, index) in zip(pseudos, slots)]
-    return sums[-1] / count, means, grams, pseudos
+    return joint_sum / count, means, grams, pseudos
 
 
 def _null_covariance(means, grams, pseudos, count: int) -> np.ndarray:
@@ -373,10 +484,11 @@ def empirical_independence(samples, matrix: StatMatrix, probes=None,
                            bootstrap: int = 200, seed: int = 0, kind: str = None):
     """Empirical independence report for the statistics defined by the matrix.
 
-    Returns a dict with the max residual over the probe grid, the worst
-    probe, and (when bootstrap > 0) the Gaussian null described in the module
-    docstring: `bootstrap` null draws give the band, the verdict
-    `consistent_with_zero` and a one-sided `p_value`.
+    `samples` are the members' `SampleSet`s, or their `SampleStream`s, which the
+    call reads once and which need `kind`.  Returns a dict with the max residual
+    over the probe grid, the worst probe, and (when bootstrap > 0) the Gaussian
+    null described in the module docstring: `bootstrap` null draws give the band,
+    the verdict `consistent_with_zero` and a one-sided `p_value`.
     """
     if kind is None:
         kind = "torus" if matrix.is_sign_matrix() and all(
@@ -413,9 +525,20 @@ def empirical_independence(samples, matrix: StatMatrix, probes=None,
     return report
 
 
-def save_samples_csv(samples: SampleSet, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "theta"])
-        for t, theta in zip(samples.t, samples.theta):
-            writer.writerow([repr(float(t)), repr(float(theta))])
+def tee_samples_csv(samples, path) -> SampleStream:
+    """`samples`, a `SampleSet` or `SampleStream`, as a stream that writes each chunk
+    to a CSV file at `path` (columns t, theta) as it is read."""
+    def chunks():
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "theta"])
+            for t, theta in samples.chunks:
+                writer.writerows(zip(map(repr, t.tolist()), map(repr, theta.tolist())))
+                yield t, theta
+    return SampleStream(samples.count, chunks())
+
+
+def save_samples_csv(samples, path) -> None:
+    """Write `samples` to a CSV file at `path`, as `tee_samples_csv` does."""
+    for _ in tee_samples_csv(samples, path).chunks:
+        pass

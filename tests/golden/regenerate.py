@@ -31,7 +31,7 @@ import numpy as np  # noqa: E402
 
 from cli_runner import Runner  # noqa: E402
 from cylinderstat.cli import main  # noqa: E402
-from cylinderstat.families import line_gaussian_family  # noqa: E402
+from cylinderstat.families import line_gaussian_family, twisted_torus_pair  # noqa: E402
 from cylinderstat.fdiff import GridFunction, save_grid_csv  # noqa: E402
 from cylinderstat.serialize import dump, family_to_fixture  # noqa: E402
 from oracle_charfn import spatial_threshold  # noqa: E402
@@ -110,6 +110,10 @@ def write_inputs() -> None:
     }
     for name, changes in derived.items():
         dump(copy(changes), name)
+    # The twisted pair with member 0's twist, and so the twist sum, past the float range.
+    pair = family_to_fixture(twisted_torus_pair(1, kappa=Fraction(1, 20)))
+    pair["cfs"][0]["twist"] = "1e400"
+    dump(pair, "twisted-pair-twist-1e400.json")
     # The slope-1/3 fixture with every scalar written as a JSON float.
     floats = json.loads(json.dumps(third))
     for row in floats["matrix"]:
@@ -179,6 +183,7 @@ CASES = dict([
     _check("readme-nudged", "readme-nudged.json"),
     _check("third-float", "third-float.json"),
     _check("twisted-pair", "twisted-pair.json"),
+    _check("twisted-pair-twist-1e400", "twisted-pair-twist-1e400.json"),
     _check("point-mass-pair", "point-mass-pair.json"),
     _check("four-statistic", "four-statistic.json"),
     _check("readme-sigma-1e400", "readme-sigma-1e400.json"),

@@ -22,6 +22,7 @@ from cylinderstat.families import line_gaussian_family, twisted_torus_pair
 from cylinderstat.fdiff import GridFunction, default_n_grid, default_s_grid, save_grid_csv
 from cylinderstat.groups import CylinderAuto
 from cylinderstat.independence import DualGrid, StatMatrix, independence_blocks
+from cylinderstat.montecarlo import sample_bundle, save_samples_csv
 from cylinderstat.serialize import dump, family_from_fixture, family_to_fixture, load
 from oracle_charfn import spatial_threshold
 
@@ -453,6 +454,33 @@ class TestSimulate:
                  fixture=None)
             for path in (ref_fixture_path, write_json(tmp_path / "f.json", fixture)))
         assert with_omega == without
+
+    @pytest.mark.parametrize("fam", [line_gaussian_family(1, *REF_COEFFS),
+                                     twisted_torus_pair(1, kappa=Fraction(1, 20))],
+                             ids=["reference", "twisted-pair"])
+    def test_samples_out_are_the_saved_samples(self, fam, tmp_path, runner):
+        """The CSVs written chunk by chunk as the pass reads the draws are those of the
+        collected samples, over three sampler chunks."""
+        count, seed, out = 33_000, 5, tmp_path / "samples"
+        result = runner.invoke(main, ["simulate", "--fixture",
+                                      write_json(tmp_path / "f.json", family_to_fixture(fam)),
+                                      "--count", str(count), "--seed", str(seed),
+                                      "--bootstrap", "5", "--samples-out", str(out)])
+        assert result.exit_code in (0, 1), result.output
+        assert result.stderr == f"wrote {fam.n} sample CSVs to {out}\n"
+        for j, cf in enumerate(fam.cfs):
+            save_samples_csv(sample_bundle(cf, count, seed + j), tmp_path / "want.csv")
+            assert (out / f"xi{j + 1}.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_samples_out_refused_midway(self, ref_fixture_path, tmp_path, runner):
+        # xi2.csv cannot be opened once the pass reads member 1: one line, exit 2.
+        (tmp_path / "xi2.csv").mkdir()
+        result = runner.invoke(main, ["simulate", "--fixture", ref_fixture_path,
+                                      "--count", "2000", "--bootstrap", "5",
+                                      "--samples-out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.stdout == "" and result.stderr.count("\n") == 1, result.output
+        assert result.stderr.startswith("error: simulate: "), result.stderr
 
     def test_member_shift_is_sampled(self, ref_fixture_path, tmp_path, runner):
         # Member 0 shifted by (tau, theta) = (3, 1): its samples carry the shift.
@@ -1068,6 +1096,8 @@ def _reject_constant(name):
                    "--input", "@csv-huge,@csv-huge,@csv-huge"], 1, None),
     ("reference", ["reduce", "--mode", "triple", "--tol", "1e308",
                    "--input", "@csv-huge,@csv-huge,@csv-huge"], 1, None),
+    # The twist sum past the float range prints as null; the certificate fails.
+    ("past-float-pair-twist", ["check"], 1, [False, False]),
 ])
 def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
     """Malformed or extreme inputs get their contract exit code and never a traceback.

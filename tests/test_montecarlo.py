@@ -12,16 +12,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cylinderstat import montecarlo
+from cylinderstat import cli, montecarlo
 from cylinderstat.charfn import CylinderCF, TorusCF
-from cylinderstat.families import four_statistic_family
+from cylinderstat.families import four_statistic_family, twisted_torus_pair
 from cylinderstat.groups import TWO_PI, CylinderAuto, CylinderPoint, DualPoint, replace
 from cylinderstat.independence import StatMatrix
 from cylinderstat.montecarlo import (_CYL_PROBE_BASE, _TOR_PROBE_BASE, SampleSet,
                                      empirical_cf, empirical_independence,
                                      default_probes, sample_bundle,
                                      sample_line_gaussian, sample_torus_twisted,
-                                     save_samples_csv, statistic_samples)
+                                     save_samples_csv, statistic_samples, stream_bundle)
+from cylinderstat.serialize import family_to_fixture
 from oracle_montecarlo import _probe_characters as oracle_probe_characters
 from oracle_charfn import _wrapped_normal, spatial_threshold
 from oracle_montecarlo import (oracle_empirical_independence, oracle_null_differences,
@@ -616,6 +617,60 @@ class TestDefaultProbes:
             default_probes(2, "torus", count=26)
 
 
+def _simulate_families(ref_family):
+    """The README family and the twisted pair, by name."""
+    return {"readme": ref_family, "twisted-pair": twisted_torus_pair(1, kappa=Fraction(1, 20))}
+
+
+def _cli_members(fam, count: int, seed: int):
+    """The members' streams as `simulate` draws them."""
+    cli._bind("serialize", "charfn", "independence", "montecarlo")
+    return cli._sample_family(family_to_fixture(fam), fam, count, seed)
+
+
+class TestStream:
+    """The character pass reads the members' chunk streams as it reads sample sets."""
+
+    @pytest.mark.parametrize("count", [1, 2, 4097, 16384, 16385, 33000, 100_000, 1_000_000])
+    @pytest.mark.parametrize("name", ["readme", "twisted-pair"])
+    def test_streamed_report_equals_sample_sets(self, name, count, ref_family):
+        fam = _simulate_families(ref_family)[name]
+        args = dict(matrix=fam.matrix, bootstrap=200, seed=count, kind=fam.kind)
+        streamed = empirical_independence(_cli_members(fam, count, count), **args)
+        collected = [sample_bundle(cf, count, count + j) for j, cf in enumerate(fam.cfs)]
+        assert streamed == empirical_independence(collected, **args)
+
+    @pytest.mark.parametrize("chunk,block", [(5, 7), (7, 5), (3, 3), (16, 4)])
+    def test_blocks_across_chunk_edges(self, chunk, block, ref_family, monkeypatch):
+        """Blocks that span chunks, end inside one, or match them, and one probe: a
+        single block of every row."""
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        monkeypatch.setattr(montecarlo, "_ROW_BLOCK", block)
+        for count in (1, block, chunk + 1, 3 * chunk + 2, 40):
+            for probes in (default_probes(3, count=1), default_probes(3)):
+                args = dict(matrix=ref_family.matrix, probes=probes, bootstrap=3, seed=count,
+                            kind="cylinder")
+                streams = [stream_bundle(cf, count, 9 + j) for j, cf in enumerate(ref_family.cfs)]
+                collected = [sample_bundle(cf, count, 9 + j)
+                             for j, cf in enumerate(ref_family.cfs)]
+                assert (empirical_independence(streams, **args)
+                        == empirical_independence(collected, **args))
+
+    def test_stream_is_the_sample_set(self):
+        member = CylinderCF(1, 1, 1, 0, 0, Fraction(1, 20))
+        stream = stream_bundle(member, 40_000, 4)
+        t, theta = (np.concatenate(cols) for cols in zip(*stream.chunks))
+        collected = sample_bundle(member, 40_000, 4)
+        assert stream.count == 40_000
+        assert np.array_equal(t, collected.t) and np.array_equal(theta, collected.theta)
+
+    def test_short_stream_refused(self, ref_family):
+        streams = [stream_bundle(cf, 100, j) for j, cf in enumerate(ref_family.cfs)]
+        streams[1] = montecarlo.SampleStream(100, stream_bundle(ref_family.cfs[1], 90, 1).chunks)
+        with pytest.raises(ValueError):
+            empirical_independence(streams, ref_family.matrix, kind="cylinder")
+
+
 class TestMemory:
     def test_traced_peak_does_not_grow_with_count_times_probes(self, ref_family):
         # The (n_stats, count, P) character array alone was 77 MB at count 1e5;
@@ -644,6 +699,39 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 64 * 2**10, peaks
+
+    @pytest.mark.parametrize("name", ["readme", "twisted-pair"])
+    def test_cli_path_peak_does_not_grow_with_count(self, name, ref_family):
+        # simulate's draws stream through the character pass: with the samples kept,
+        # 32 sampler chunks peaked 13-19 MiB above 8.  A first call at count 1 makes
+        # the one-time allocations.
+        fam = _simulate_families(ref_family)[name]
+        empirical_independence(_cli_members(fam, 1, 0), fam.matrix, bootstrap=200, seed=0,
+                               kind=fam.kind)
+        peaks = []
+        for chunks in (8, 32):
+            tracemalloc.start()
+            try:
+                members = _cli_members(fam, chunks * montecarlo._CHUNK, 0)
+                empirical_independence(members, fam.matrix, bootstrap=200, seed=0, kind=fam.kind)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 64 * 2**10, peaks
+
+    @pytest.mark.parametrize("name", ["readme", "twisted-pair"])
+    def test_sampler_peak_is_its_output(self, name, ref_family):
+        # Beyond the arrays it returns, the sampler holds one chunk's draws and work
+        # arrays.  Wrapping theta after collecting it held a copy: 7.6 MiB at 1e6.
+        cf = _simulate_families(ref_family)[name].cfs[0]
+        tracemalloc.start()
+        try:
+            samples = sample_bundle(cf, 1_000_000, 0)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert samples.count == 1_000_000
+        assert peak <= kept + 2**20, (peak, kept)
 
     def test_circle_sampler_peak(self):
         # The sampler holds its two output arrays and the draws of one chunk: 2.9 MiB
