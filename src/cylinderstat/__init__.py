@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "charfn": ("CylinderCF", "InconclusiveError", "TorusCF", "charfn", "classify_support",
                "convolve", "is_gaussian", "is_valid_probability", "reflect", "support_line",
-               "symmetrize", "transform"),
+               "symmetrize"),
     "families": ("ConstructionError", "Family", "families", "four_statistic_family",
                  "line_gaussian_family", "torus_triple_verdict", "twisted_torus_pair"),
     "fdiff": ("GridFunction", "OffGridError", "ProfileError", "ProfileFit", "delta", "fdiff",
@@ -31,7 +31,7 @@ _EXPORTS = {
                      "StatMatrix", "StepSubgroups", "SubgroupTag", "classify_step_subgroups",
                      "coefficient_conditions", "default_grid", "gaussian_system_check",
                      "independence", "independence_residual", "nu_support_check",
-                     "reduce_to_normal_form", "solve_sigmas"),
+                     "solve_sigmas"),
     "montecarlo": ("SampleSet", "empirical_cf", "empirical_independence", "montecarlo",
                    "sample_line_gaussian", "sample_torus_twisted"),
     "solenoid": ("AdicInteger", "BaseSequence", "IncompatibleAutoError", "adic_add",

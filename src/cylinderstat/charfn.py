@@ -27,8 +27,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .groups import (TWO_PI, CylinderAuto, DualPoint, Record, as_exact, reduce_angle,
-                     replace, sci)
+from .groups import TWO_PI, DualPoint, Record, as_exact, reduce_angle, replace, sci
 
 
 class InconclusiveError(ValueError):
@@ -163,28 +162,6 @@ def reflect(cf):
 def symmetrize(cf):
     """CF of mu convolved with its reflection: shifts cancel, everything else doubles."""
     return convolve(cf, reflect(cf))
-
-
-def transform(cf, e: CylinderAuto):
-    """CF of the image of the distribution under the automorphism carried by e.
-
-    On the dual side this is l(e(s, n)); for a cylinder bundle the parameters
-    map to (sigma*a^2, 2*sigma*a*c + kappa*a*p, sigma*c^2 + kappa*c*p + lam,
-    tau*a, tau*c + theta*p, twist).  A circle bundle takes only the circle
-    automorphisms, a = 1 and c = 0.
-    """
-    (b,) = _cylinders("transform", cf)
-    if isinstance(cf, TorusCF) and (e.a != 1 or e.c != 0):
-        raise ValueError("a circle automorphism must have a = 1 and c = 0")
-    a, c, p = e.a, e.c, e.p
-    return _like(cf, CylinderCF(
-        b.sigma * a * a,
-        2 * b.sigma * a * c + b.kappa * a * p,
-        b.sigma * c * c + b.kappa * c * p + b.lam,
-        b.tau * a,
-        _reduce_param_angle(b.tau * c + b.theta * p),
-        b.twist,
-    ))
 
 
 def is_gaussian(cf) -> bool:

@@ -341,6 +341,8 @@ def check(fixture_path, grid_name, workers):
     if not ok:
         pairs = dict.fromkeys(key[1:3] for key in outside if key[0] == "C")
         report["independence"]["nonzero_blocks"] = [list(pair) for pair in pairs]
+        if ("T",) in outside:
+            report["independence"]["nonzero_twist_sum"] = True
     report["members"] = _members(fam, bounds)
     ok = all(m["valid"] for m in report["members"]) and ok
     if fam.kind == "cylinder":

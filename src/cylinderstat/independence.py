@@ -36,7 +36,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from .charfn import CylinderCF, TorusCF, convolve, psd_gap, symmetrize, transform
+from .charfn import CylinderCF, TorusCF, convolve, psd_gap, symmetrize
 from .groups import DERIVED, CylinderAuto, DualPoint, Record, as_exact, as_rational, to_float
 
 
@@ -96,9 +96,6 @@ class StatMatrix(Record):
         if not all(e.is_identity() for e in self.rows[0]):
             return False
         return all(self.rows[i][self.n - 1].is_identity() for i in range(1, self.n))
-
-    def permuted_columns(self, perm) -> "StatMatrix":
-        return StatMatrix.from_rows([[row[j] for j in perm] for row in self.rows])
 
 
 def reduced_coefficients(matrix: StatMatrix, check: bool = True):
@@ -567,47 +564,3 @@ def nu_support_check(cfs, matrix: StatMatrix) -> bool:
     return (psd_gap(symmetrized_convolution(cfs)) == 0
             and support_identity_gap(*reduced_coefficients(matrix)[:4]) == 0)
 
-
-# --------------------------------------------------------------------------
-# Reduction to the normal form
-
-
-class NormalFormTransform(Record):
-    """Record of the substitutions used to reduce a statistic matrix.
-
-    col_autos[j] is applied to variable j (new xi_j = col_autos[j] xi_j), and
-    row_autos[i] left-multiplies statistic i; neither changes independence.
-    """
-
-    col_autos: tuple
-    row_autos: tuple
-
-    def transform_cfs(self, cfs):
-        return tuple(transform(cf, g) for cf, g in zip(cfs, self.col_autos))
-
-
-def reduce_to_normal_form(matrix: StatMatrix):
-    """Rewrite the statistics so the first row and the last column are identities.
-
-    Returns (reduced matrix, transform record).  Substituting each variable by
-    its image under the first-row entry clears row one; composing each later
-    statistic with the inverse of its last-column entry clears the column.
-    The transformed family is independent iff the original one is.
-
-    Entries carry the matrix shared between a point automorphism and its
-    adjoint, and the stored product is the dual-side one, so the point-side
-    composition delta . gamma has stored matrix m(gamma) @ m(delta): variable
-    substitutions multiply entries on the left, statistic recombinations on
-    the right.
-    """
-    n = matrix.n
-    col = tuple(matrix.entry(0, j) for j in range(n))
-    col_inv = tuple(g.inverse() for g in col)
-    rows1 = [[col_inv[j] @ matrix.entry(i, j) for j in range(n)] for i in range(n)]
-    row_autos = [CylinderAuto.identity()]
-    for i in range(1, n):
-        row_autos.append(rows1[i][n - 1].inverse())
-    reduced = StatMatrix.from_rows(
-        [[rows1[i][j] @ row_autos[i] for j in range(n)] for i in range(n)]
-    )
-    return reduced, NormalFormTransform(col_autos=col, row_autos=tuple(row_autos))

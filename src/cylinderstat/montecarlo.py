@@ -491,6 +491,9 @@ def empirical_independence(samples, matrix: StatMatrix, probes=None,
     the verdict `consistent_with_zero` and a one-sided `p_value`.
     """
     if kind is None:
+        if not all(isinstance(s, SampleSet) for s in samples):
+            raise ValueError("empirical_independence: streamed samples need kind "
+                             "('cylinder' or 'torus')")
         kind = "torus" if matrix.is_sign_matrix() and all(
             np.all(s.t == 0) for s in samples) else "cylinder"
     if probes is None:
@@ -537,8 +540,3 @@ def tee_samples_csv(samples, path) -> SampleStream:
                 yield t, theta
     return SampleStream(samples.count, chunks())
 
-
-def save_samples_csv(samples, path) -> None:
-    """Write `samples` to a CSV file at `path`, as `tee_samples_csv` does."""
-    for _ in tee_samples_csv(samples, path).chunks:
-        pass

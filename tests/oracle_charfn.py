@@ -1,9 +1,13 @@
 """References for the circle-bundle algebra and the Gaussianity verdict of `cylinderstat.charfn`.
 
-The `oracle_*` functions are the circle branches `TorusCF`, `convolve`,
-`reflect` and `transform` had before circle bundles ran through the cylinder
-code, kept verbatim with the bundle passed in as `cf`.  The library must
-give equal results of the same types, and bit-equal `eval` values.
+The `oracle_*` functions but `oracle_transform` are the circle branches
+`TorusCF`, `convolve` and `reflect` had before circle bundles ran through the
+cylinder code, kept verbatim with the bundle passed in as `cf`.  The library
+must give equal results of the same types, and bit-equal `eval` values.
+
+`oracle_transform` maps a cylinder bundle to the bundle of its law's image
+under an automorphism.  The library has no such map; the scrambling tests of
+the independence certificate build their families with it.
 
 `parallelogram_gap` with the two point lists is the grid evaluation of the
 parallelogram identity that `is_gaussian` used to run as a self-check on its
@@ -30,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cylinderstat.charfn import InconclusiveError, TorusCF, _reduce_param_angle
+from cylinderstat.charfn import CylinderCF, InconclusiveError, TorusCF, _reduce_param_angle
 from cylinderstat.groups import TWO_PI, replace
 
 
@@ -77,12 +81,15 @@ def oracle_reflect(cf):
     raise TypeError(f"cannot reflect {type(cf).__name__}")
 
 
-def oracle_transform(cf, e):
-    if isinstance(cf, TorusCF):
-        if e.a != 1 or e.c != 0:
-            raise ValueError("a circle automorphism must have a = 1 and c = 0")
-        return TorusCF(cf.sigma, _reduce_param_angle(cf.theta * e.p), cf.twist)
-    raise TypeError(f"cannot transform {type(cf).__name__}")
+def oracle_transform(cf: CylinderCF, e):
+    """The bundle l(e(s, n)), with e acting on the dual as [[a, c], [0, p]]."""
+    a, c, p = e.a, e.c, e.p
+    return CylinderCF(cf.sigma * a * a,
+                      2 * cf.sigma * a * c + cf.kappa * a * p,
+                      cf.sigma * c * c + cf.kappa * c * p + cf.lam,
+                      cf.tau * a,
+                      _reduce_param_angle(cf.tau * c + cf.theta * p),
+                      cf.twist)
 
 
 GAUSS_GRID_CYL = [(0, 0), (1, 0), (0, 1), (-1, 1), (Fraction(1, 2), 2)]

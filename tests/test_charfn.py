@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from cylinderstat.charfn import (CylinderCF, InconclusiveError, TorusCF,
                                  classify_support, convolve, is_gaussian,
                                  is_valid_probability, reflect, support_line,
-                                 symmetrize, transform)
-from cylinderstat.groups import TWO_PI, CylinderAuto, DualPoint
+                                 symmetrize)
+from cylinderstat.groups import TWO_PI, DualPoint
 from oracle_charfn import (GAUSS_GRID_CYL, GAUSS_GRID_TOR, fourier_conclusive,
                            oracle_convolve, oracle_eval, oracle_float_sides,
                            oracle_is_valid_probability,
-                           oracle_log_parts, oracle_reflect, oracle_transform,
+                           oracle_log_parts, oracle_reflect,
                            parallelogram_gap, spatial_min_density, spatial_threshold)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
@@ -226,9 +226,9 @@ def _assert_same_circle_bundle(op, oracle, *args):
 class TestCircleOracle:
     """Circle bundles computed through the cylinder code against the old circle branches."""
 
-    @given(circle_bundles(), circle_bundles(), st.sampled_from([1, -1]))
+    @given(circle_bundles(), circle_bundles())
     @settings(max_examples=300, deadline=None)
-    def test_algebra_matches_circle_branches(self, a, b, p):
+    def test_algebra_matches_circle_branches(self, a, b):
         for n in range(-8, 9):
             assert _bits(a.eval(n)) == _bits(oracle_eval(a, n))
             parts, ref = a.log_parts(n), oracle_log_parts(a, n)
@@ -236,14 +236,6 @@ class TestCircleOracle:
         _assert_same_circle_bundle(convolve, oracle_convolve, a, b)
         _assert_same_circle_bundle(reflect, oracle_reflect, a)
         _assert_same_circle_bundle(symmetrize, lambda cf: oracle_convolve(cf, oracle_reflect(cf)), a)
-        _assert_same_circle_bundle(transform, oracle_transform, a, CylinderAuto.sign(p))
-
-    @pytest.mark.parametrize("e", [CylinderAuto(2), CylinderAuto(1, Fraction(1, 2), -1)])
-    def test_non_circle_automorphism_rejected(self, e):
-        cf = TorusCF(1, 0.5, Fraction(1, 5))
-        for op in (transform, oracle_transform):
-            with pytest.raises(ValueError, match="circle automorphism"):
-                op(cf, e)
 
     def test_mixed_bundle_types_rejected(self):
         for op in (convolve, oracle_convolve):
@@ -251,8 +243,6 @@ class TestCircleOracle:
                 op(TorusCF(1), CylinderCF(1))
         with pytest.raises(TypeError, match="cannot reflect int"):
             reflect(3)
-        with pytest.raises(TypeError, match="cannot transform int"):
-            transform(3, CylinderAuto.sign(-1))
 
 
 def _float_cylinder(cf):
@@ -527,26 +517,3 @@ class TestPSD:
         assert type(out) is type(pair[0])
         if _valid(pair[0]) and _valid(pair[1]):
             assert _valid(out)
-
-
-class TestTransform:
-    def test_matches_dual_substitution(self):
-        cf = CylinderCF(Fraction(2), Fraction(1), Fraction(1),
-                        tau=Fraction(1, 2), theta=Fraction(1), twist=Fraction(1, 7))
-        e = CylinderAuto(Fraction(-3, 2), Fraction(2), -1)
-        out = transform(cf, e)
-        for s in (Fraction(1, 3), Fraction(-2)):
-            for n in (-2, 0, 3):
-                y = DualPoint(s, n)
-                assert out.log_parts(y.s, y.n)[0] == cf.log_parts(*_pt(e.on_dual(y)))[0]
-
-    def test_torus_sign(self):
-        cf = TorusCF(1, Fraction(1), Fraction(1, 5))
-        out = transform(cf, CylinderAuto.sign(-1))
-        assert out.sigma == 1 and out.twist == cf.twist
-        assert out.eval(3) == pytest.approx(cf.eval(-3))
-
-
-def _pt(y):
-    return y.s, y.n
-

@@ -22,7 +22,7 @@ from cylinderstat.families import line_gaussian_family, twisted_torus_pair
 from cylinderstat.fdiff import GridFunction, default_n_grid, default_s_grid, save_grid_csv
 from cylinderstat.groups import CylinderAuto
 from cylinderstat.independence import DualGrid, StatMatrix, independence_blocks
-from cylinderstat.montecarlo import sample_bundle, save_samples_csv
+from cylinderstat.montecarlo import sample_bundle, tee_samples_csv
 from cylinderstat.serialize import dump, family_from_fixture, family_to_fixture, load
 from oracle_charfn import spatial_threshold
 
@@ -182,6 +182,7 @@ class TestCheck:
         assert ok["independence"]["method"] == "certificate"
         assert ok["independence"]["twist_sum"] == 0.0
         assert "nonzero_blocks" not in ok["independence"]
+        assert "nonzero_twist_sum" not in ok["independence"]
         fixture = load(ref_fixture_path)
         fixture["matrix"][2][0]["c"] = "-17/10"  # d1 off by 1/10
         result = runner.invoke(main, ["check", "--fixture",
@@ -190,6 +191,21 @@ class TestCheck:
         report = json.loads(result.stdout)["independence"]
         assert report["method"] == "certificate"
         assert report["nonzero_blocks"] == [[0, 2], [1, 2]]
+
+    def test_report_names_a_nonzero_twist_sum(self, ref_fixture_path, tmp_path, runner):
+        """A twist sum outside its bound is named beside the blocks; a failure in the
+        blocks alone (the README fixture with a1 = 3) leaves it out."""
+        pair = write_json(tmp_path / "pair.json", _table_fixture("past-float-pair-twist"))
+        code, report = _run(runner, ["check", "--fixture", pair])
+        assert code == 1 and report["independence"]["twist_sum"] is None
+        assert report["independence"]["nonzero_blocks"] == []
+        assert report["independence"]["nonzero_twist_sum"] is True
+        fixture = load(ref_fixture_path)
+        fixture["matrix"][1][0]["a"] = 3
+        code, report = _run(runner, ["check", "--fixture",
+                                     write_json(tmp_path / "a3.json", fixture)])
+        assert code == 1 and report["independence"]["nonzero_blocks"]
+        assert "nonzero_twist_sum" not in report["independence"]
 
     @pytest.mark.parametrize("sigma", [1e308, float("inf"), float("nan"), "1" + "0" * 400])
     def test_non_finite_input_exits_2(self, ref_fixture_path, tmp_path, runner, sigma):
@@ -469,7 +485,9 @@ class TestSimulate:
         assert result.exit_code in (0, 1), result.output
         assert result.stderr == f"wrote {fam.n} sample CSVs to {out}\n"
         for j, cf in enumerate(fam.cfs):
-            save_samples_csv(sample_bundle(cf, count, seed + j), tmp_path / "want.csv")
+            want = tee_samples_csv(sample_bundle(cf, count, seed + j), tmp_path / "want.csv")
+            for _ in want.chunks:
+                pass
             assert (out / f"xi{j + 1}.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_samples_out_refused_midway(self, ref_fixture_path, tmp_path, runner):
@@ -632,6 +650,7 @@ class TestInputRounding:
         assert code == 1
         assert [m["valid"] for m in report["members"]] == [False, True, True]
         assert report["independence"]["nonzero_blocks"] == []
+        assert report["independence"]["nonzero_twist_sum"] is True
 
     def test_fixture_computed_in_floats_is_held_to_its_inputs(self, tmp_path, runner):
         """A float is the exact value it denotes, not the real it was meant to round.

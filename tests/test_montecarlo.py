@@ -21,7 +21,7 @@ from cylinderstat.montecarlo import (_CYL_PROBE_BASE, _TOR_PROBE_BASE, SampleSet
                                      empirical_cf, empirical_independence,
                                      default_probes, sample_bundle,
                                      sample_line_gaussian, sample_torus_twisted,
-                                     save_samples_csv, statistic_samples, stream_bundle)
+                                     statistic_samples, stream_bundle, tee_samples_csv)
 from cylinderstat.serialize import family_to_fixture
 from oracle_montecarlo import _probe_characters as oracle_probe_characters
 from oracle_charfn import _wrapped_normal, spatial_threshold
@@ -664,6 +664,17 @@ class TestStream:
         assert stream.count == 40_000
         assert np.array_equal(t, collected.t) and np.array_equal(theta, collected.theta)
 
+    @pytest.mark.parametrize("name", ["readme", "twisted-pair"])
+    def test_streams_without_kind_refused(self, name, ref_family):
+        """The kind is read off sample sets; a stream is read once, so it must be given."""
+        fam = _simulate_families(ref_family)[name]
+        streams = [stream_bundle(cf, 1000, j) for j, cf in enumerate(fam.cfs)]
+        with pytest.raises(ValueError, match="kind"):
+            empirical_independence(streams, fam.matrix)
+        collected = [sample_bundle(cf, 1000, j) for j, cf in enumerate(fam.cfs)]
+        assert (empirical_independence(collected, fam.matrix)
+                == empirical_independence(collected, fam.matrix, kind=fam.kind))
+
     def test_short_stream_refused(self, ref_family):
         streams = [stream_bundle(cf, 100, j) for j, cf in enumerate(ref_family.cfs)]
         streams[1] = montecarlo.SampleStream(100, stream_bundle(ref_family.cfs[1], 90, 1).chunks)
@@ -749,7 +760,8 @@ class TestCsvExport:
     def test_roundtrip_columns(self, tmp_path):
         s = sample_line_gaussian(1.0, 1.0, 10, seed=0)
         path = tmp_path / "samples.csv"
-        save_samples_csv(s, path)
+        for _ in tee_samples_csv(s, path).chunks:
+            pass
         header, *rows = path.read_text().strip().splitlines()
         assert header == "t,theta"
         assert len(rows) == 10

@@ -1,7 +1,9 @@
 """The package namespace: every public name resolves on first use to its defining object."""
 
 import importlib
+import importlib.util
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,9 +21,9 @@ PUBLIC = [
     "fit_quadratic_profile", "four_statistic_family", "gaussian_system_check", "groups",
     "ha_member", "independence", "independence_residual", "is_gaussian",
     "is_valid_probability", "line_gaussian_family", "montecarlo", "nu_support_check", "pair",
-    "polynomial_degree", "pullback_residual", "reduce_to_normal_form", "reflect",
+    "polynomial_degree", "pullback_residual", "reflect",
     "sample_line_gaussian", "sample_torus_twisted", "solenoid", "solve_sigmas",
-    "support_line", "symmetrize", "torus_triple_verdict", "transform", "twisted_torus_pair",
+    "support_line", "symmetrize", "torus_triple_verdict", "twisted_torus_pair",
     "verify_triple_differences",
 ]
 
@@ -42,7 +44,7 @@ CLI_NAMES = [
 
 class TestPackage:
     def test_all_is_the_frozen_list(self):
-        assert len(PUBLIC) == 62
+        assert len(PUBLIC) == 60
         assert cylinderstat.__all__ == PUBLIC
 
     @pytest.mark.parametrize("name", PUBLIC)
@@ -88,3 +90,32 @@ class TestCliNames:
             cli.main(["conditions", "--a1", "2", "--a2", "-3", "--b1", "-4/5", "--b2", "-1/5"],
                      standalone_mode=False)
         assert exit_info.value.code == 0 and calls == [("2", "-3", "-4/5", "-1/5")]
+
+
+def _load_by_path(path: Path, monkeypatch):
+    """The module in the file at `path`, loaded as `perfbench_<stem>` without sys.path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkTracer:
+    def test_every_layer_call_is_wrapped_and_restored(self, monkeypatch):
+        """Each name the benchmark's tracer wraps still exists in its namespace; installing
+        the tracer replaces every one with its wrapper and uninstalling puts it back."""
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        workloads = _load_by_path(perfbench / "workloads.py", monkeypatch)
+        tracing = _load_by_path(perfbench / "tracing.py", monkeypatch)
+        tracer = tracing.Tracer(workloads)
+        where = {key: tracer.namespaces[key[0]] for key in tracing.LAYER_CALLS}
+        originals = {key: getattr(module, key[1]) for key, module in where.items()}
+        tracer.install()
+        try:
+            for key, module in where.items():
+                wrapped = getattr(module, key[1])
+                assert wrapped is not originals[key] and wrapped.__wrapped__ is originals[key], key
+        finally:
+            tracer.uninstall()
+        assert all(getattr(module, key[1]) is originals[key] for key, module in where.items())

@@ -21,8 +21,8 @@ from cylinderstat.charfn import CylinderCF, TorusCF
 from cylinderstat.families import Family, TriadVerdict
 from cylinderstat.fdiff import ProfileFit
 from cylinderstat.groups import CylinderAuto, CylinderPoint, DualPoint, Record, replace
-from cylinderstat.independence import (ConditionReport, DualGrid, NormalFormTransform,
-                                       StatMatrix, StepSubgroups, SubgroupTag)
+from cylinderstat.independence import (ConditionReport, DualGrid, StatMatrix, StepSubgroups,
+                                       SubgroupTag)
 from cylinderstat.montecarlo import SampleSet
 from cylinderstat.solenoid import AdicInteger, BaseSequence
 
@@ -41,7 +41,6 @@ FIELDS = {
     ConditionReport: ["cubic", "sign_row", "distinct_a", "distinct_b", "cross_det",
                       "corner_det"],
     StepSubgroups: ["col1", "col2", "cross"],
-    NormalFormTransform: ["col_autos", "row_autos"],
     Family: ["label", "matrix", "cfs", ("omega", object, None)],
     TriadVerdict: ["matrix", "sigma_solution", "only_degenerate"],
     ProfileFit: ["exact_sigma", "n_start", "exact_kappa", "exact_lam"],
@@ -103,8 +102,6 @@ ARGS = {
     ConditionReport: st.tuples(exact, st.one_of(st.none(), st.integers(1, 6)),
                                st.booleans(), st.booleans(), exact, exact),
     StepSubgroups: st.tuples(tags, tags, tags),
-    NormalFormTransform: st.tuples(st.lists(autos, max_size=3).map(tuple),
-                                   st.lists(autos, max_size=3).map(tuple)),
     Family: st.tuples(st.sampled_from(["line-gaussian", "twisted-pair"]), matrices(),
                       st.lists(st.builds(CylinderCF, exact.map(abs)), max_size=3).map(tuple),
                       st.one_of(st.none(), exact)),
@@ -119,13 +116,13 @@ RECORDS = list(FIELDS)
 
 
 def test_every_record_has_a_twin():
-    """The records the package's modules define are the 16 classes tested here."""
+    """The records the package's modules define are the 15 classes tested here."""
     package = Path(cylinderstat.__file__).parent
     modules = [importlib.import_module(f"cylinderstat.{path.stem}")
                for path in sorted(package.glob("*.py"))]
     records = {obj for module in modules for obj in vars(module).values()
                if isinstance(obj, type) and issubclass(obj, Record) and obj is not Record}
-    assert records == set(FIELDS) and len(FIELDS) == 16
+    assert records == set(FIELDS) and len(FIELDS) == 15
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
