@@ -239,36 +239,27 @@ def _members(fam: Family, bounds: dict) -> list:
     } for j, cf in enumerate(fam.cfs)]
 
 
-# The keys each family's parameter file must have; the others have defaults.
-_REQUIRED_PARAMS = {"line-gaussian": ("omega", "a1", "a2", "b1", "b2"),
-                    "twisted-pair": ("sigma",), "four-statistic": ("sigma", "kappa")}
+# Per family: (its constructor, the keys its parameter file must have, the keys it may
+# have).  A key the file leaves out takes the constructor's default.
+_FAMILY_KEYS = {
+    "line-gaussian": ("line_gaussian_family", ("omega", "a1", "a2", "b1", "b2"),
+                      ("p1", "p2", "q1", "q2", "sigma_scale")),
+    "twisted-pair": ("twisted_torus_pair", ("sigma",), ("theta1", "theta2", "kappa")),
+    "four-statistic": ("four_statistic_family", ("sigma", "kappa"), ()),
+}
 
 
 @_command(
-    _option("--family", "-f", dest="family_name", required=True,
-            choices=["line-gaussian", "twisted-pair", "four-statistic"]),
+    _option("--family", "-f", dest="family_name", required=True, choices=list(_FAMILY_KEYS)),
     _option("--params", dest="params_path", required=True, type=_existing),
     _option("--out", dest="out_path", required=True))
 def construct(family_name, params_path, out_path):
     """Build a certified fixture from a JSON parameter file."""
     _bind("serialize", "families")
-    params = serialize.params_from_json(serialize.load(params_path),
-                                        _REQUIRED_PARAMS[family_name])
-    if family_name == "line-gaussian":
-        fam = line_gaussian_family(
-            params["omega"],
-            params["a1"], params["a2"], params["b1"], params["b2"],
-            params.get("p1", 1), params.get("p2", 1),
-            params.get("q1", 1), params.get("q2", 1),
-            params.get("sigma_scale", 1),
-        )
-    elif family_name == "twisted-pair":
-        fam = twisted_torus_pair(
-            params["sigma"], params.get("theta1", 0),
-            params.get("theta2", 0), params.get("kappa", 0),
-        )
-    else:
-        fam = four_statistic_family(params["sigma"], params["kappa"])
+    constructor, required, optional = _FAMILY_KEYS[family_name]
+    params = serialize.params_from_json(serialize.load(params_path), required)
+    fam = globals()[constructor](**{key: params[key] for key in (*required, *optional)
+                                    if key in params})
     serialize.dump(serialize.family_to_fixture(fam), out_path)
     _log(f"wrote certified fixture to {out_path}")
     _emit({"family": fam.label, "out": str(out_path), "certified": True})
@@ -347,8 +338,6 @@ def check(fixture_path, grid_name, workers):
     ok = all(m["valid"] for m in report["members"]) and ok
     if fam.kind == "cylinder":
         ok = _check_cylinder_sections(fam, values, bounds, report) and ok
-    else:
-        report["twist_sum"] = report["independence"]["twist_sum"]
     report["pass"] = ok
     _emit(report)
     sys.exit(0 if ok else 1)
@@ -485,7 +474,8 @@ def solenoid(base_path, fixture_path, depth):
     values, bounds = _verdict_inputs(obj, fam)
     residual = pullback_residual(fam.cfs, fam.matrix, base, grid_depth=depth)
     outside, bound = _certificate(values, bounds)
-    ok = not outside
+    members = _members(fam, bounds)
+    ok = not outside and all(m["valid"] for m in members)
     _emit({
         "fixture": str(fixture_path),
         "inputs": "float" if bound else "exact",
@@ -494,6 +484,7 @@ def solenoid(base_path, fixture_path, depth):
         "residual": residual,
         "bound": float(bound),
         "method": "certificate",
+        "members": members,
         "pass": ok,
     })
     sys.exit(0 if ok else 1)

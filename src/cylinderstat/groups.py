@@ -93,10 +93,6 @@ class FrozenInstanceError(AttributeError):
     """Raised on assigning or deleting an attribute of a record."""
 
 
-# The default of a field that `__post_init__` sets: not an argument of the constructor
-# and not in the repr, but compared and hashed, as `field(init=False, repr=False)` is.
-DERIVED = object()
-
 _setattr = object.__setattr__
 
 
@@ -113,24 +109,19 @@ class Record:
     sets them and calls `__post_init__`, which may reset them with `object.__setattr__`;
     `==` compares the fields of two instances of the same class, `hash` hashes them, and
     assigning or deleting an attribute raises FrozenInstanceError.  The repr is the
-    dataclass one, `Name(field=value, ...)`, without the DERIVED fields.
+    dataclass one, `Name(field=value, ...)`.
     """
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = tuple(cls.__annotations__)
-        params = tuple(name for name in fields if vars(cls).get(name) is not DERIVED)
-        for name in fields:
-            if name not in params:
-                delattr(cls, name)
-        cls._fields, cls._params = fields, params
-        cls._defaults = {name: vars(cls)[name] for name in params if name in vars(cls)}
-        for before, name in zip(params, params[1:]):
+        cls._fields = fields = tuple(cls.__annotations__)
+        cls._defaults = {name: vars(cls)[name] for name in fields if name in vars(cls)}
+        for before, name in zip(fields, fields[1:]):
             if before in cls._defaults and name not in cls._defaults:
                 raise TypeError(f"non-default argument {name!r} follows default argument")
 
     def __init__(self, *args, **kwargs):
-        names = self._params
+        names = self._fields
         if kwargs or len(args) != len(names):
             args = self._bind(args, kwargs)
         for name, value in zip(names, args):
@@ -144,7 +135,7 @@ class Record:
     def _bind(cls, args: tuple, kwargs: dict) -> list:
         """The field values of a call with `args` and `kwargs`; its TypeError is the one
         a function with the fields as parameters raises."""
-        names, defaults = cls._params, cls._defaults
+        names, defaults = cls._fields, cls._defaults
         rest = names[len(args):]
         if len(args) <= len(names):
             if not kwargs and len(rest) <= len(defaults):  # the defaults are the last fields
@@ -185,7 +176,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._params)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -200,11 +191,7 @@ def replace(obj, /, **changes):
     by its constructor, as `dataclasses.replace` builds it."""
     if not isinstance(obj, Record):
         raise TypeError("replace() should be called on record instances")
-    for name in obj._fields:
-        if name not in obj._params and name in changes:
-            raise ValueError(f"field {name} is declared with init=False, it cannot be "
-                             f"specified with replace()")
-    return type(obj)(**{**{name: getattr(obj, name) for name in obj._params}, **changes})
+    return type(obj)(**{**{name: getattr(obj, name) for name in obj._fields}, **changes})
 
 
 def reduce_angle(theta) -> float:

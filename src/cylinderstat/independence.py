@@ -37,7 +37,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .charfn import CylinderCF, TorusCF, convolve, psd_gap, symmetrize
-from .groups import DERIVED, CylinderAuto, DualPoint, Record, as_exact, as_rational, to_float
+from .groups import CylinderAuto, DualPoint, Record, as_exact, as_rational, to_float
 
 
 class SingularSystemError(ValueError):
@@ -141,14 +141,12 @@ class DualGrid(Record):
     and the grid has min(total, cap) tuples.  step is 1 up to the cap, so the grid is the
     whole product; past it, step is the least integer >= total/cap coprime to total, so
     the tuples are distinct and spread over the product.  Every slot takes all L points
-    whenever len >= L**2.
+    whenever len >= L**2.  total and step are attributes, not fields: the fields fix them.
     """
 
     points: tuple
     n_slots: int
     cap: int = 100_000
-    total: int = DERIVED
-    step: int = DERIVED
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
@@ -271,11 +269,8 @@ def _grid_maximum(blocks, twist_sum, grid: DualGrid, coords):
         run = slice(r, min(width, r + (size - k) * step), step)
         p = sum(map(odd.__getitem__, a))
         const = sum(t[a[i]][a[j]] for i, j, t in head) - tw * p
-        if run.stop - r > step:
-            values = list(map(sum, zip(inner[p % 2][run],
-                                       *(map(t[a[i]].__getitem__, at[run]) for i, t, at in tail))))
-        else:  # a run of one tuple: look its entries up
-            values = [inner[p % 2][r] + sum(t[a[i]][at[r]] for i, t, at in tail)]
+        values = list(map(sum, zip(inner[p % 2][run],
+                                   *(map(t[a[i]].__getitem__, at[run]) for i, t, at in tail))))
         top = max(const + max(values), -const - min(values))
         if top > best:
             best = top

@@ -107,6 +107,10 @@ def write_inputs() -> None:
         # Refusals that name the place of the value.
         "readme-kappa-x.json": lambda f: f["cfs"][2].update(kappa="x"),
         "readme-no-sigma.json": lambda f: f["cfs"][1].pop("sigma"),
+        # Entries (1, 0) and (2, 0) the identity: a1 = b1 = 1, which the subgroup
+        # classifier refuses.
+        "readme-degenerate.json": lambda f: [row.__setitem__(0, dict(a=1, c=0, p=1))
+                                             for row in f["matrix"][1:]],
     }
     for name, changes in derived.items():
         dump(copy(changes), name)
@@ -190,6 +194,7 @@ CASES = dict([
     _check("readme-sigma-float-1e308", "readme-sigma-float-1e308.json"),
     _check("readme-kappa-x", "readme-kappa-x.json"),
     _check("readme-no-sigma", "readme-no-sigma.json"),
+    _check("readme-degenerate", "readme-degenerate.json"),
     _conditions("readme", "2", "-3", "-4/5", "-1/5"),
     _conditions("rejected", "1", "-2", "-2", "1"),
     _conditions("zero", "0", "1", "1", "1"),

@@ -254,7 +254,8 @@ class TestCheck:
         assert report["kind"] == "torus"
         assert all(m["gaussian"] is False for m in report["members"])
         assert all(m["valid"] is True for m in report["members"])
-        assert report["twist_sum"] == pytest.approx(0.0)
+        assert report["independence"]["twist_sum"] == pytest.approx(0.0)
+        assert "twist_sum" not in report
 
     def test_one_twist_sum(self, tmp_path, runner):
         # 1/10 + 1/5 - 3/10 is 0 exactly, but 5.551115123125783e-17 summed as floats.
@@ -265,7 +266,7 @@ class TestCheck:
         result = runner.invoke(main, ["check", "--fixture", write_json(tmp_path / "three.json",
                                                                        fixture)])
         report = json.loads(result.stdout)
-        assert report["twist_sum"] == report["independence"]["twist_sum"] == 0.0
+        assert report["independence"]["twist_sum"] == 0.0 and "twist_sum" not in report
 
     def test_invalid_member_fails_check(self, tmp_path, runner):
         fixture = write_json(tmp_path / "over.json", _table_fixture("overtwisted-pair"))
@@ -357,6 +358,18 @@ class TestReduce:
         assert result.exit_code == 0, result.output
         report = json.loads(result.stdout)
         assert max(report["residuals"]) <= 1e-9
+
+    @pytest.mark.parametrize("count,with_fixture,message", [
+        (2, True, "triple mode needs three comma-separated grid CSVs"),
+        (3, False, "triple mode needs --fixture for the statistic matrix"),
+    ])
+    def test_triple_mode_refusals_exit_2(self, tmp_path, runner, ref_fixture_path, count,
+                                         with_fixture, message):
+        path = self._write_grid(tmp_path, lambda s, n: s * s)
+        args = ["reduce", "--input", ",".join([path] * count), "--mode", "triple"]
+        result = runner.invoke(main, args + ["--fixture", ref_fixture_path] * with_fixture)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == f"error: reduce: {message}\n"
 
     def test_missing_csv_exits_2(self, runner):
         result = runner.invoke(main, ["reduce", "--input", "/nonexistent.csv",
@@ -532,6 +545,26 @@ class TestSolenoid:
                                       "--fixture", ref_fixture_path, "--depth", "6"])
         assert result.exit_code == 0, result.output
         assert json.loads(result.stdout)["method"] == "certificate"
+
+    def test_invalid_member_fails(self, ref_fixture_path, tmp_path, runner):
+        """Opposite twists keep the certificate zero, but member 0 is no probability
+        measure: check and solenoid fail it, simulate refuses it."""
+        obj = load(ref_fixture_path)
+        obj["cfs"][0]["twist"], obj["cfs"][1]["twist"] = "1/20", "-1/20"
+        fixture = write_json(tmp_path / "twisted.json", obj)
+        base = write_json(tmp_path / "base.json", {"base": list(range(2, 18))})
+        result = runner.invoke(main, ["solenoid", "--base", base,
+                                      "--fixture", fixture, "--depth", "6"])
+        assert result.exit_code == 1, result.output
+        report = json.loads(result.stdout)
+        assert report["residual"] == 0.0 and report["bound"] == 0.0
+        assert [m["valid"] for m in report["members"]] == [False, True, True]
+        assert list(report)[-3:] == ["method", "members", "pass"] and report["pass"] is False
+        check = runner.invoke(main, ["check", "--fixture", fixture])
+        assert check.exit_code == 1 and json.loads(check.stdout)["members"] == report["members"]
+        simulate = runner.invoke(main, ["simulate", "--fixture", fixture, "--count", "10"])
+        assert simulate.exit_code == 2
+        assert "member 0 is not a probability measure" in simulate.stderr
 
     def test_incompatible_base_exits_2(self, tmp_path, runner):
         params = write_json(tmp_path / "p.json", dict(REF_PARAMS, omega="0"))

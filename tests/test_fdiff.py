@@ -152,6 +152,15 @@ class TestProfileFit:
         with pytest.raises(ProfileError):
             fit_quadratic_profile(sample(lambda s, n: (1 + n * n) * s * s))
 
+    @pytest.mark.parametrize("fn,s_values,message", [
+        (lambda s, n: complex(s * s, 1), default_s_grid(), "not real-valued"),
+        (lambda s, n: s * s, [i / 4 for i in range(-8, 12)], "not symmetric about the origin"),
+        (lambda s, n: s * s + n * n, [-0.5, 0.5], "at least three s-values, got 2"),
+    ])
+    def test_refusals(self, fn, s_values, message):
+        with pytest.raises(ProfileError, match=message):
+            fit_quadratic_profile(GridFunction.sample(fn, s_values, default_n_grid()))
+
     def test_roundtrip_random_bundles(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
@@ -188,6 +197,17 @@ class TestTripleDifferences:
         psis[0] = sample(lambda s, n: 2 * float(ref_family.cfs[0].phi(s, n)) + 0.01 * s ** 3)
         res = verify_triple_differences(psis, ref_family.matrix)
         assert res[0] > 1e-6
+
+    def test_complex_log_cf_residual_is_the_modulus(self, ref_family):
+        """A complex sample's third difference counts by its modulus: i*s^3 as s^3, and
+        (1 + i)*s^3 as sqrt(2) times it."""
+        zero = sample(lambda s, n: 0.0)
+        real = verify_triple_differences([sample(lambda s, n: s ** 3), zero, zero],
+                                         ref_family.matrix)
+        for factor, scale in ((1j, 1), (1 + 1j, math.sqrt(2))):
+            psi = sample(lambda s, n, factor=factor: factor * s ** 3)
+            res = verify_triple_differences([psi, zero, zero], ref_family.matrix)
+            assert res[0] == pytest.approx(scale * real[0], rel=1e-12) and res[1:] == (0.0, 0.0)
 
     def test_zero_functions(self, ref_family):
         psis = [sample(lambda s, n: 0.0) for _ in range(3)]

@@ -697,6 +697,19 @@ class TestClassifier:
         with pytest.raises(DegenerateFormError):
             classify_step_subgroups(m)
 
+    @pytest.mark.parametrize("col1,col2,message", [
+        ((2, 3), (1, 1), "column-2 condition violated: a2 = b2 = 1"),
+        ((2, 3), (2, 3), "columns share both multipliers: a1 = a2 and b1 = b2"),
+    ])
+    def test_degenerate_form_is_named(self, col1, col2, message):
+        """(a1, b1) and (a2, b2), the multipliers of columns 1 and 2, on a reduced matrix."""
+        ident = CylinderAuto.identity()
+        m = StatMatrix.from_rows([[ident] * 3,
+                                  [CylinderAuto(col1[0]), CylinderAuto(col2[0]), ident],
+                                  [CylinderAuto(col1[1]), CylinderAuto(col2[1]), ident]])
+        with pytest.raises(DegenerateFormError, match=message):
+            classify_step_subgroups(m)
+
     def test_real_axis_inside_both(self):
         fam = line_gaussian_family(1, *REF_COEFFS, p1=-1, q2=-1)
         tags = classify_step_subgroups(fam.matrix)

@@ -326,6 +326,15 @@ class TestEmpiricalIndependence:
         report = empirical_independence([zero] * 3, ref_family.matrix, bootstrap=0)
         assert report["max_residual"] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("counts,message", [
+        ((500, 500), "need 3 sample sets, got 2"),
+        ((500, 500, 400), "sample sets must have equal counts"),
+    ])
+    def test_samples_that_do_not_fit_are_refused(self, ref_family, counts, message):
+        samples = [SampleSet(np.zeros(c), np.zeros(c)) for c in counts]
+        with pytest.raises(ValueError, match=message):
+            empirical_independence(samples, ref_family.matrix, bootstrap=0)
+
     def test_deterministic_report(self, ref_family, monkeypatch):
         samples = [sample_line_gaussian(1.0, 1.0, 5000, seed=40 + j)
                    for j in range(3)]

@@ -35,9 +35,7 @@ FIELDS = {
                                                           "twist"))],
     TorusCF: ["sigma", ("theta", object, 0), ("twist", object, 0)],
     StatMatrix: ["rows"],
-    DualGrid: ["points", "n_slots", ("cap", int, 100_000),
-               *((name, int, dataclasses.field(init=False, repr=False))
-                 for name in ("total", "step"))],
+    DualGrid: ["points", "n_slots", ("cap", int, 100_000)],
     ConditionReport: ["cubic", "sign_row", "distinct_a", "distinct_b", "cross_det",
                       "corner_det"],
     StepSubgroups: ["col1", "col2", "cross"],
@@ -151,7 +149,8 @@ def test_record_matches_its_dataclass_twin(cls, data):
     other = data.draw(ARGS[cls])
     assert (outcome(lambda: value == cls(*other))
             == outcome(lambda: twin_value == twin(*other)))
-    # replace: one field from another draw, every field, a derived one, an unknown one.
+    # replace: one field from another draw, every field, none, DualGrid's derived
+    # attribute, an unknown name.
     k = data.draw(st.integers(0, len(names) - 1))
     for changes in ({names[k]: other[k]}, dict(zip(names, other)), {}, {"total": 1},
                     {"other": 1}):
@@ -188,15 +187,19 @@ def test_equality_needs_the_same_class():
     assert TWINS[CylinderPoint](1, 2) != TWINS[DualPoint](1, 2)
 
 
-def test_derived_fields_are_compared_but_not_shown():
+def test_derived_attributes_are_not_fields():
+    """DualGrid's total and step follow from its fields: set by `__post_init__`, frozen,
+    and neither arguments nor part of the repr, `==` or `hash`."""
     grid = DualGrid((1, 2, 3), 3, cap=10)
     assert (grid.total, grid.step) == (27, 4)
     assert repr(grid) == "DualGrid(points=(1, 2, 3), n_slots=3, cap=10)"
-    assert hash(grid) == hash(((1, 2, 3), 3, 10, 27, 4))
-    with pytest.raises(TypeError, match="unexpected keyword argument 'total'"):
-        DualGrid((1, 2), 2, total=4)
-    with pytest.raises(ValueError, match="field total is declared with init=False"):
-        replace(grid, total=1)
+    assert hash(grid) == hash(((1, 2, 3), 3, 10))
+    with pytest.raises(AttributeError, match="cannot assign to field 'step'"):
+        grid.step = 1
+    for call in (lambda: DualGrid((1, 2), 2, total=4), lambda: replace(grid, total=1)):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'total'"):
+            call()
+    assert (replace(grid, cap=100).total, replace(grid, cap=100).step) == (27, 1)
 
 
 def test_cached_property_on_a_frozen_record():
