@@ -202,23 +202,16 @@ def _predicates(cfs, matrix, positive: bool = False, sections: bool = False) -> 
     return out
 
 
-def _load_fixture(path: str):
-    """(the fixture's JSON object, its family)."""
-    obj = serialize.load(path)
-    return obj, serialize.family_from_fixture(obj)
-
-
-def _verdict_inputs(obj: dict, fam: Family):
-    """(the values of fam's `_predicates`, their input-rounding bounds)."""
+def _verdict(obj: dict):
+    """(a fixture's family, the values of its `_predicates`, their input-rounding bounds,
+    the certificate entries outside their bound, the largest certificate bound)."""
+    fam = serialize.family_from_fixture(obj)
     predicates = partial(_predicates, sections=_has_sections(fam))
     values = predicates(fam.cfs, fam.matrix)
-    return values, serialize.rounding_bounds(obj, predicates, values.keys())
-
-
-def _certificate(values: dict, bounds: dict):
-    """(the certificate entries outside their bound, the largest bound)."""
+    bounds = serialize.rounding_bounds(obj, predicates, values.keys())
     keys = [key for key in values if key[0] in ("C", "T")]
-    return [key for key in keys if abs(values[key]) > bounds[key]], max(bounds[k] for k in keys)
+    outside = [key for key in keys if abs(values[key]) > bounds[key]]
+    return fam, values, bounds, outside, max(bounds[key] for key in keys)
 
 
 def _onto_cone_edge(cf, bound):
@@ -257,9 +250,8 @@ def construct(family_name, params_path, out_path):
     """Build a certified fixture from a JSON parameter file."""
     _bind("serialize", "families")
     constructor, required, optional = _FAMILY_KEYS[family_name]
-    params = serialize.params_from_json(serialize.load(params_path), required)
-    fam = globals()[constructor](**{key: params[key] for key in (*required, *optional)
-                                    if key in params})
+    params = serialize.params_from_json(serialize.load(params_path), required, optional)
+    fam = globals()[constructor](**params)
     serialize.dump(serialize.family_to_fixture(fam), out_path)
     _log(f"wrote certified fixture to {out_path}")
     _emit({"family": fam.label, "out": str(out_path), "certified": True})
@@ -305,10 +297,8 @@ def check(fixture_path, grid_name, workers):
     _bind("serialize", "charfn", "independence")
     from .groups import to_float
 
-    obj, fam = _load_fixture(fixture_path)
-    values, bounds = _verdict_inputs(obj, fam)
+    fam, values, bounds, outside, bound = _verdict(serialize.load(fixture_path))
     grid = default_grid(fam.n, fam.kind, dense=(grid_name == "dense"))
-    outside, bound = _certificate(values, bounds)
     residual, worst_tuple = independence_residual(
         fam.cfs, fam.matrix, grid=grid, workers=workers, return_worst=True)
     if fam.kind == "cylinder":
@@ -375,6 +365,8 @@ def reduce(input_paths, mode, fixture_path, tol, max_degree):
     grids = [load_grid_csv(p.strip()) for p in input_paths.split(",") if p.strip()]
     if not grids:
         raise ValueError(f"--input {input_paths!r} names no grid CSV")
+    if mode != "triple" and len(grids) > 1:
+        raise ValueError(f"{mode} mode reads one grid CSV, got {len(grids)}")
 
     if mode == "degree":
         deg = polynomial_degree(grids[0], max_deg=max_degree, tol=tol)
@@ -401,7 +393,7 @@ def reduce(input_paths, mode, fixture_path, tol, max_degree):
         raise ValueError("triple mode needs --fixture for the statistic matrix")
     check_tol(tol)
     _bind("serialize", "independence")
-    fam = _load_fixture(fixture_path)[1]
+    fam = serialize.family_from_fixture(serialize.load(fixture_path))
     tags = classify_step_subgroups(fam.matrix)
     # A residual past the float range is null; the verdict reads the exact values.
     residuals, within = verify_triple_differences(grids, fam.matrix, tags, tol=tol)
@@ -414,10 +406,9 @@ def reduce(input_paths, mode, fixture_path, tol, max_degree):
     sys.exit(0 if within else 1)
 
 
-def _sample_family(obj: dict, fam: Family, count: int, seed: int):
+def _sample_family(fam: Family, bounds: dict, count: int, seed: int):
     """Member j's draws from its own law with seed + j, on its line when within its bound
     of one, as a stream of chunks: the character pass reads them once."""
-    bounds = _verdict_inputs(obj, fam)[1]
     cfs = [_onto_cone_edge(cf, bounds[("psd", j)]) for j, cf in enumerate(fam.cfs)]
     for j, cf in enumerate(cfs):
         if not is_valid_probability(cf):
@@ -443,8 +434,8 @@ def simulate(fixture_path, count, seed, bootstrap, samples_dir):
     if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     _bind("serialize", "charfn", "independence", "montecarlo")
-    obj, fam = _load_fixture(fixture_path)
-    members = _sample_family(obj, fam, count, seed)
+    fam, _, bounds, _, _ = _verdict(serialize.load(fixture_path))
+    members = _sample_family(fam, bounds, count, seed)
     if samples_dir is not None:
         out = Path(samples_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -468,12 +459,10 @@ def solenoid(base_path, fixture_path, depth):
     """Re-run the independence equation on the rational dual of a solenoid."""
     _bind("serialize", "charfn", "independence", "solenoid")
     base = serialize.base_from_json(serialize.load(base_path))
-    obj, fam = _load_fixture(fixture_path)
+    fam, _, bounds, outside, bound = _verdict(serialize.load(fixture_path))
     if fam.kind != "cylinder":
         raise ValueError("solenoid pullback applies to cylinder fixtures")
-    values, bounds = _verdict_inputs(obj, fam)
     residual = pullback_residual(fam.cfs, fam.matrix, base, grid_depth=depth)
-    outside, bound = _certificate(values, bounds)
     members = _members(fam, bounds)
     ok = not outside and all(m["valid"] for m in members)
     _emit({

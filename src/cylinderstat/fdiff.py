@@ -449,12 +449,15 @@ def _csv_number(text: str):
 def load_grid_csv(path) -> GridFunction:
     """The grid a CSV with columns s, n, re and im samples.
 
-    Raises ValueError on a non-finite s (naming its line), a repeated or missing
-    (s, n) point, a non-uniform s-grid (beyond 1e-9) or a gap in n.
+    Raises ValueError on a missing column, a non-finite s (naming its line), a repeated
+    or missing (s, n) point, a non-uniform s-grid (beyond 1e-9) or a gap in n.
     """
     index = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        for column in ("s", "n", "re", "im"):  # an empty file has no header and no rows
+            if reader.fieldnames is not None and column not in reader.fieldnames:
+                raise ValueError(f'grid CSV has no column "{column}"')
         for row in reader:
             s = _csv_number(row["s"])
             if isinstance(s, float) and not math.isfinite(s):

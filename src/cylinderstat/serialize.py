@@ -50,65 +50,63 @@ def _expect(value, kind: type, where: str):
     return value
 
 
-def _member(obj: dict, key: str, kind: type):
-    """obj[key], refused with the key unless it is present and a JSON `kind`."""
-    if key not in obj:
-        raise ValueError(f'"{key}": missing')
-    return _expect(obj[key], kind, f'"{key}"')
+def _key_name(key: str, where: str) -> str:
+    return f'{where}."{key}"' if where else f'"{key}"'
+
+
+def _keys(obj, what: str, required, optional=(), where: str = "") -> dict:
+    """obj, refused unless it is a JSON object (named `what`) with every key of `required`
+    and no other key than those and `optional`; a refused key is named after its place
+    `where` ("cfs[2]") when one is given."""
+    _expect(obj, dict, what)
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{_key_name(key, where)}: missing")
+    for key in obj:
+        if key not in required and key not in optional:
+            raise ValueError(f"{_key_name(key, where)}: unknown key")
+    return obj
 
 
 def _field(obj: dict, key: str, read=scalar_from_json, default=None, where: str = ""):
-    """read(obj[key]), or read(default) for an absent key given a default; a refusal, an
-    absent key without a default included, names the key, after its place `where`
-    ("cfs[2]") when one is given."""
-    name = f'{where}."{key}"' if where else f'"{key}"'
-    if default is None and key not in obj:
-        raise ValueError(f"{name}: missing")
-    return named(name, read, obj.get(key, default))
+    """read(obj[key]), or read(default) for an absent key; a refusal names the key, after
+    its place `where` when one is given."""
+    return named(_key_name(key, where), read, obj.get(key, default))
 
 
 def auto_from_json(obj: dict, where: str = "matrix entry") -> CylinderAuto:
-    _expect(obj, dict, where)
+    _keys(obj, where, ("a", "c", "p"), where=where)
     a, c = (_field(obj, key, where=where) for key in ("a", "c"))
     return CylinderAuto(a, c, _field(obj, "p", as_int, where=where))
 
 
+# The keys of a bundle of each kind after "kind", in the order of its type's fields.
+_CF_KEYS = {"cylinder": ("sigma", "kappa", "lambda", "tau", "theta", "twist"),
+            "torus": ("sigma", "theta", "twist")}
+_BUNDLES = {"cylinder": CylinderCF, "torus": TorusCF}
+
+
 def cf_to_json(cf) -> dict:
-    if isinstance(cf, CylinderCF):
-        return {
-            "kind": "cylinder",
-            "sigma": scalar_to_json(cf.sigma),
-            "kappa": scalar_to_json(cf.kappa),
-            "lambda": scalar_to_json(cf.lam),
-            "tau": scalar_to_json(cf.tau),
-            "theta": scalar_to_json(cf.theta),
-            "twist": scalar_to_json(cf.twist),
-        }
-    if isinstance(cf, TorusCF):
-        return {
-            "kind": "torus",
-            "sigma": scalar_to_json(cf.sigma),
-            "theta": scalar_to_json(cf.theta),
-            "twist": scalar_to_json(cf.twist),
-        }
+    for kind, bundle in _BUNDLES.items():
+        if isinstance(cf, bundle):
+            return {"kind": kind, **dict(zip(_CF_KEYS[kind], map(scalar_to_json, cf._values())))}
     raise TypeError(f"cannot serialize {type(cf).__name__}")
 
 
 def cf_from_json(obj: dict, where: str = "CF entry", scalar=scalar_from_json):
-    """The bundle of a JSON object, each field read by `scalar`; "theta" is also reduced
-    as the bundle reduces it, so that an angle it refuses is named."""
-    _expect(obj, dict, where)
-    kind = obj.get("kind")
+    """The bundle of a JSON object, each field read by `scalar`, an absent one but "sigma"
+    as 0; "theta" is also reduced as the bundle reduces it, so that an angle it refuses
+    is named."""
+    kind = _expect(obj, dict, where).get("kind")
+    if kind not in _CF_KEYS:
+        raise ValueError(f"unknown CF kind: {kind!r}")
+    keys = _CF_KEYS[kind]
+    _keys(obj, where, ("kind", "sigma"), keys, where)
 
     def read(key):
         reader = (lambda value: _reduce_param_angle(scalar(value))) if key == "theta" else scalar
         return _field(obj, key, reader, 0, where=where)
-    if kind == "cylinder":
-        rest = ("kappa", "lambda", "tau", "theta", "twist")
-        return CylinderCF(_field(obj, "sigma", scalar, where=where), *map(read, rest))
-    if kind == "torus":
-        return TorusCF(_field(obj, "sigma", scalar, where=where), *map(read, ("theta", "twist")))
-    raise ValueError(f"unknown CF kind: {kind!r}")
+    return _BUNDLES[kind](*map(read, keys))
 
 
 def matrix_to_json(m: StatMatrix) -> list:
@@ -135,9 +133,10 @@ def family_to_fixture(family: Family) -> dict:
 
 
 def family_from_fixture(obj: dict) -> Family:
-    _expect(obj, dict, "fixture")
-    matrix = matrix_from_json(_member(obj, "matrix", list))
-    cfs = tuple(cf_from_json(cf, f"cfs[{j}]") for j, cf in enumerate(_member(obj, "cfs", list)))
+    _keys(obj, "fixture", ("matrix", "cfs"), ("family", "kind", "omega"))
+    rows, cfs = (_expect(obj[key], list, f'"{key}"') for key in ("matrix", "cfs"))
+    matrix = matrix_from_json(rows)
+    cfs = tuple(cf_from_json(cf, f"cfs[{j}]") for j, cf in enumerate(cfs))
     omega = _field(obj, "omega") if "omega" in obj else None
     family = Family(obj.get("family", "custom"), matrix, cfs, omega=omega)
     if family.kind != obj.get("kind"):
@@ -179,17 +178,14 @@ def base_from_json(obj) -> BaseSequence:
     from .solenoid import BaseSequence  # only the solenoid command reads a base
 
     if isinstance(obj, dict):
-        return BaseSequence(_member(obj, "base", list))
+        return BaseSequence(_expect(_keys(obj, "base", ("base",))["base"], list, '"base"'))
     return BaseSequence(_expect(obj, list, "base"))
 
 
-def params_from_json(obj, required) -> dict:
-    """A parameter file's JSON object, refused with the first key of `required` it lacks."""
-    _expect(obj, dict, "params")
-    for key in required:
-        if key not in obj:
-            raise ValueError(f'"{key}": missing')
-    return obj
+def params_from_json(obj, required, optional) -> dict:
+    """A parameter file's JSON object, refused with the first key of `required` it lacks
+    or the first key it has outside `required` and `optional`."""
+    return _keys(obj, "params", required, optional)
 
 
 def dump(obj, path) -> None:

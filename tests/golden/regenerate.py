@@ -77,6 +77,9 @@ def write_inputs() -> None:
         "long-kappa-params.json": {"sigma": "1/10000",
                                    "kappa": _fraction_text(Fraction(_long_twist()))},
         "long-kappa-decimal-params.json": {"sigma": "1/10000", "kappa": str(_long_twist())},
+        # A misspelt "sigma_scale": an unknown key is refused, not left out.
+        "readme-sigma-scal-params.json": dict(zip(("omega", "a1", "a2", "b1", "b2"), README),
+                                              sigma_scal=2),
     }
     for name, obj in params.items():
         dump(obj, name)
@@ -107,6 +110,8 @@ def write_inputs() -> None:
         # Refusals that name the place of the value.
         "readme-kappa-x.json": lambda f: f["cfs"][2].update(kappa="x"),
         "readme-no-sigma.json": lambda f: f["cfs"][1].pop("sigma"),
+        # A misspelt "twist" on member 0: refused, not read as twist 0.
+        "readme-twst.json": lambda f: f["cfs"][0].update(twst="1/20"),
         # Entries (1, 0) and (2, 0) the identity: a1 = b1 = 1, which the subgroup
         # classifier refuses.
         "readme-degenerate.json": lambda f: [row.__setitem__(0, dict(a=1, c=0, p=1))
@@ -131,6 +136,7 @@ def write_inputs() -> None:
     for name, base in (("base-2-17.json", list(range(2, 18))), ("base-235-3.json", [2, 3, 5]),
                        ("base-235-15.json", [2, 3, 5] * 5), ("base-unit.json", [1])):
         dump({"base": base}, name)
+    dump({"base": [2, 3, 5], "period": [2, 3, 5]}, "base-235-period.json")  # an unknown key
     _grid("quadratic.csv", lambda s, n: s * s + n * n)
     _grid("profile.csv", lambda s, n: 2 * s * s + n * s + n * n)
     _grid("quartic.csv", lambda s, n: s ** 4)
@@ -179,6 +185,8 @@ CASES = dict([
     _construct("long-kappa", "twisted-pair", "long-kappa-params.json", "long-kappa.json"),
     _construct("long-kappa-decimal", "twisted-pair", "long-kappa-decimal-params.json",
                "long-kappa.json"),
+    _construct("readme-sigma-scal", "line-gaussian", "readme-sigma-scal-params.json",
+               "readme-sigma-scal.json"),
     _check("readme", "readme.json"),
     _check("readme-dense", "readme.json", "--grid", "dense"),
     _check("readme-a3", "readme-a3.json"),
@@ -195,6 +203,7 @@ CASES = dict([
     _check("readme-kappa-x", "readme-kappa-x.json"),
     _check("readme-no-sigma", "readme-no-sigma.json"),
     _check("readme-degenerate", "readme-degenerate.json"),
+    _check("readme-twst", "readme-twst.json"),
     _conditions("readme", "2", "-3", "-4/5", "-1/5"),
     _conditions("rejected", "1", "-2", "-2", "1"),
     _conditions("zero", "0", "1", "1", "1"),
@@ -210,6 +219,7 @@ CASES = dict([
     _solenoid("readme-unit-base", "base-unit.json", "readme.json"),
     _solenoid("readme-nudged", "base-2-17.json", "readme-nudged.json"),
     _solenoid("readme-sigma-1e400", "base-2-17.json", "readme-sigma-1e400.json"),
+    _solenoid("readme-base-period", "base-235-period.json", "readme.json"),
     *((f"{fixture}-{label}", ["simulate", "--fixture", f"{fixture}.json", *args])
       for fixture in ("readme", "point-mass-pair", "twisted-pair") for label, args in SETTINGS),
     ("simulate-bootstrap-0", ["simulate", "--fixture", "readme.json", "--bootstrap", "0"]),

@@ -1024,6 +1024,28 @@ def _table_fixture(name: str) -> dict:
         return dict(REF_PARAMS, q2=1.0)
     if name == "rejected-params":  # the variance system has no positive solution
         return dict(REF_PARAMS, a1="1", a2="-2", b1="-2", b2="1")
+    if name == "reference-params-sigma-scale-0":
+        return dict(REF_PARAMS, sigma_scale=0)
+    if name == "four-statistic-params-sigma-0":
+        return {"sigma": 0, "kappa": "1/20"}
+    # A key the object does not take: a misspelt key, or one of another family or kind.
+    if name == "reference-params-sigma-scal":
+        return dict(REF_PARAMS, sigma_scal=2)
+    if name == "twisted-pair-params-theta":
+        return {"sigma": 1, "kappa": "1/20", "theta": "1/2"}
+    if name == "reference-twst-0":  # beside member 0's "twist"
+        return dict(ref, cfs=[dict(ref["cfs"][0], twst="1/20"), *ref["cfs"][1:]])
+    if name == "reference-lamda-1":  # in place of member 1's "lambda"
+        member = {("lamda" if k == "lambda" else k): v for k, v in ref["cfs"][1].items()}
+        return dict(ref, cfs=[ref["cfs"][0], member, ref["cfs"][2]])
+    if name == "pair-kappa-0":  # a torus bundle has no kappa
+        return dict(pair, cfs=[dict(pair["cfs"][0], kappa=0), *pair["cfs"][1:]])
+    if name == "reference-q-entry":
+        matrix = [list(row) for row in ref["matrix"]]
+        matrix[0][1] = dict(matrix[0][1], q=1)
+        return dict(ref, matrix=matrix)
+    if name == "reference-period":
+        return dict(ref, period=[2, 3, 5])
     raise ValueError(name)
 
 
@@ -1037,6 +1059,8 @@ def _write_table_input(tmp_path, name: str) -> str:
         return write_json(tmp_path / "base.json", {"foo": 1})
     if name == "base-int":
         return write_json(tmp_path / "base.json", 5)
+    if name == "base-with-period":
+        return write_json(tmp_path / "base.json", {"base": [2, 3, 5], "period": [2, 3, 5]})
     if name == "base-string":
         return write_json(tmp_path / "base.json", "abc")
     if name == "base-with-float-entry":
@@ -1044,6 +1068,24 @@ def _write_table_input(tmp_path, name: str) -> str:
     if name == "csv-without-re-im":
         path = tmp_path / "values.csv"
         path.write_text("s,n,value\n0.0,0,1.0\n")
+        return str(path)
+    if name == "csv-header-only":
+        path = tmp_path / f"{name}.csv"
+        path.write_text("s,n,re,im\n")
+        return str(path)
+    if name == "csv-non-uniform-s":  # s-steps 0.5 and 1.0
+        path = tmp_path / f"{name}.csv"
+        path.write_text("s,n,re,im\n" + "".join(f"{s},{n},1.0,0.0\n"
+                                                for s in (0.0, 0.5, 1.5) for n in (0, 1)))
+        return str(path)
+    if name == "csv-n-gap":  # n = 0 and n = 2
+        path = tmp_path / f"{name}.csv"
+        path.write_text("s,n,re,im\n" + "".join(f"{s},{n},1.0,0.0\n"
+                                                for s in (0.0, 0.5) for n in (0, 2)))
+        return str(path)
+    if name == "csv-without-im":
+        path = tmp_path / f"{name}.csv"
+        path.write_text("s,n,re\n" + "".join(f"{s},{n},1.0\n" for s in (0.0, 0.5) for n in (0, 1)))
         return str(path)
     if name.startswith("csv-2x2"):
         path = tmp_path / f"{name}.csv"
@@ -1238,6 +1280,29 @@ def test_exit_code_table(tmp_path, runner, fixture, args, exit_code, gaussian):
      "theta1: angle 1.000e+400 is too large to reduce"),
     ("past-float-params-theta2-negative", ["construct", "-f", "twisted-pair"],
      "theta2: angle 1.000e+400 is too large to reduce"),
+    ("reference-params-sigma-scale-0", ["construct", "-f", "line-gaussian"],
+     "sigma_scale must be positive"),
+    ("four-statistic-params-sigma-0", ["construct", "-f", "four-statistic"],
+     "sigma must be positive"),
+    (None, ["reduce", "--mode", "degree", "--input", "@csv-header-only"], "empty grid CSV"),
+    (None, ["reduce", "--mode", "degree", "--input", "@csv-non-uniform-s"],
+     "s-grid must be uniform"),
+    (None, ["reduce", "--mode", "degree", "--input", "@csv-n-gap"], "n-grid must be contiguous"),
+    (None, ["reduce", "--mode", "degree", "--input", "@csv-without-im"],
+     'grid CSV has no column "im"'),
+    (None, ["reduce", "--mode", "degree", "--input", "@csv-odd-quartic-a,@csv-odd-quartic-b"],
+     "degree mode reads one grid CSV, got 2"),
+    (None, ["reduce", "--mode", "profile", "--input", "@csv-odd-quartic-a,@csv-odd-quartic-b"],
+     "profile mode reads one grid CSV, got 2"),
+    ("reference-params-sigma-scal", ["construct", "-f", "line-gaussian"],
+     '"sigma_scal": unknown key'),
+    ("twisted-pair-params-theta", ["construct", "-f", "twisted-pair"], '"theta": unknown key'),
+    ("reference-twst-0", ["check"], 'cfs[0]."twst": unknown key'),
+    ("reference-lamda-1", ["check"], 'cfs[1]."lamda": unknown key'),
+    ("pair-kappa-0", ["check"], 'cfs[0]."kappa": unknown key'),
+    ("reference-q-entry", ["check"], 'matrix[0][1]."q": unknown key'),
+    ("reference-period", ["check"], '"period": unknown key'),
+    ("reference", ["solenoid", "--base", "@base-with-period"], '"period": unknown key'),
 ])
 def test_input_error_names_the_problem(tmp_path, runner, fixture, args, named):
     """A negative seed or count, an empty --input, a null band of no resamples, a
@@ -1245,10 +1310,12 @@ def test_input_error_names_the_problem(tmp_path, runner, fixture, args, named):
     too large to sample, an angle past the float range or a sign that is not a JSON
     integer, each in a fixture or in params, a fixture scalar that is not a
     number, a fixture key, entry or row that is missing or of the wrong type, a fixture,
-    base or parameter file of the wrong type or without a key it needs, a negative
-    solenoid depth, a grid CSV value or s that is not finite or a "p/0" value, a repeated
-    grid row, a twist at the validity threshold and a coefficient tuple without positive
-    variances exit 2.
+    base or parameter file of the wrong type, without a key it needs or with a key it does
+    not take, a negative solenoid depth, a non-positive sigma or sigma_scale in params, a
+    grid CSV value or s that is not finite or a "p/0" value, a repeated grid row, a grid
+    CSV without rows, without a column, with a non-uniform s-grid or a gap in n, two grid
+    CSVs for one, a twist at the validity threshold and a coefficient tuple without
+    positive variances exit 2.
 
     The one stderr line names the key or option at fault, and a fixture key its place.
     """

@@ -634,7 +634,8 @@ def _simulate_families(ref_family):
 def _cli_members(fam, count: int, seed: int):
     """The members' streams as `simulate` draws them."""
     cli._bind("serialize", "charfn", "independence", "montecarlo")
-    return cli._sample_family(family_to_fixture(fam), fam, count, seed)
+    fam, _, bounds, _, _ = cli._verdict(family_to_fixture(fam))
+    return cli._sample_family(fam, bounds, count, seed)
 
 
 class TestStream:

@@ -2,6 +2,8 @@
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -78,6 +80,23 @@ class TestCliNames:
     def test_unknown_attribute_is_named(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             cli.no_such_name  # noqa: B018
+
+    def test_names_resolve_in_a_fresh_interpreter(self):
+        """In a newly imported cli no name is bound yet, and looking one up imports its
+        module and binds it (PEP 562); earlier tests in this process bind them first."""
+        src = str(Path(cylinderstat.__file__).resolve().parents[1])
+        code = ("import sys\n"
+                "from cylinderstat import cli\n"
+                "names = sys.argv[1:]\n"
+                "assert not set(names) & set(vars(cli)), set(names) & set(vars(cli))\n"
+                "for name in names:\n"
+                "    value = getattr(cli, name)\n"
+                "    assert getattr(sys.modules[value.__module__], name) is value, name\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", code, *CLI_NAMES], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_a_bound_name_is_kept(self, monkeypatch):
         """A wrapper set on cli, even before any command bound the name, is what runs."""
